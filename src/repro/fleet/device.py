@@ -30,13 +30,13 @@ makespan (critical path) accrues on the :class:`FleetModel`.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
 from ..exceptions import ParameterError
 from ..gpu.device import Device
 from ..gpu.memory import DeviceArray
+from ..hardware.cost_model import to_units
 from ..hardware.specs import GpuSpec
 from ..obs.export import kernel_pipeline
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -147,9 +147,9 @@ class FleetDevice:
         self._reduce_bytes: dict[str, float] = {}
         self._bcast_bytes: dict[str, float] = {}
         self._default_bcast = 0.0
-        #: Collective seconds accrued inside the current launch() call
-        #: (exact), feeding the fleet cost ledger's comm component.
-        self._comm_this_call = Fraction()
+        #: Collective seconds accrued inside the current launch() call,
+        #: in exact ledger units, feeding the fleet ledger's comm component.
+        self._comm_this_call = 0
         #: Speculative-execution straggler threshold (None = disabled).
         self._spec_threshold: float | None = None
 
@@ -237,7 +237,7 @@ class FleetDevice:
         counter.add("fleet.comm_bytes", nbytes)
         counter.add("fleet.comm_seconds", seconds)
         counter.add(f"fleet.{kind}_steps", 1)
-        self._comm_this_call += Fraction(seconds)
+        self._comm_this_call += to_units(seconds)
 
     # ------------------------------------------------------------------
     # Memory
@@ -352,7 +352,7 @@ class FleetDevice:
     ) -> float:
         """Replay logically; dispatch physically; accrue fleet time."""
         before = self._fleet_elapsed()
-        self._comm_this_call = Fraction()
+        self._comm_this_call = 0
         self.logical.launch(
             name, phase, grid_blocks, threads_per_block,
             flops=flops, gmem_bytes=gmem_bytes, atomic_ops=atomic_ops,
@@ -414,7 +414,7 @@ class FleetDevice:
         # The makespan delta splits exactly into collective time (the
         # barrier pushed every clock forward by the comm seconds) and
         # the critical-path compute growth that followed.
-        comm = min(self._comm_this_call, Fraction(delta))
+        comm = min(self._comm_this_call, to_units(delta))
         return self.model.account(
             "fleet", name, phase, delta,
             parts=(("comm", comm),), residual="compute",

@@ -29,11 +29,15 @@ Cost ledger
 Every accrued second is also recorded as a :class:`CostEvent` with an
 exact decomposition into cost components (:data:`COMPONENTS`).  The
 ledger backs :mod:`repro.obs.explain`'s attribution, and its arithmetic
-is *exact*: phase accumulators and event components are
-:class:`fractions.Fraction` values (floats are dyadic rationals, so
-``Fraction(float)`` is lossless and rational sums are associative).
+is *exact*: amounts are Python ints counting ledger units of
+``2**-1074`` s (:data:`UNITS_PER_SECOND`).  Every finite double is an
+integer multiple of that unit, so :func:`to_units` is lossless and
+integer sums are exact and associative; :func:`to_seconds` rounds an
+amount to the nearest double once, exactly as ``float(Fraction)`` would.
+Each model also keeps a running total, so ``total_seconds`` is a float
+refreshed per accrual rather than a re-sum of the phase map.
 Regrouping the ledger any way — by kernel, by pipeline, by component —
-and converting the exact sum to float reproduces ``total_seconds``
+and converting the integer sum to float reproduces ``total_seconds``
 bit for bit, which is the conservation contract the explain tests pin.
 """
 
@@ -42,18 +46,20 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counters import KernelLaunch, WorkCounter
 from .specs import CpuSpec, GpuSpec
 
 __all__ = [
     "COMPONENTS",
+    "UNITS_PER_SECOND",
     "CostEvent",
     "HardwareModel",
     "ScalarCpuModel",
     "MulticoreCpuModel",
     "GpuModel",
+    "to_seconds",
+    "to_units",
 ]
 
 #: Cost-component buckets every accrued second is attributed to.
@@ -61,32 +67,52 @@ __all__ = [
 #: analog of a parallel region); ``comm`` is fleet collective time.
 COMPONENTS = ("launch", "compute", "memory", "atomic", "transfer", "comm")
 
-_ZERO = Fraction()
+#: Ledger units per second: one unit is ``2**-1074`` s, the smallest
+#: subnormal double, so every finite double is a whole number of units.
+UNITS_PER_SECOND = 1 << 1074
+
+
+def to_units(seconds: float) -> int:
+    """Exact ledger units of a finite double (raises on NaN or inf)."""
+    numerator, denominator = float(seconds).as_integer_ratio()
+    # ``denominator`` is 2**e with e <= 1074; scale the ratio to 2**1074.
+    return numerator << (1075 - denominator.bit_length())
+
+
+def to_seconds(units: int) -> float:
+    """A ledger amount as the nearest double (ties to even).
+
+    CPython rounds int true division correctly, so this equals
+    ``float(Fraction(units, UNITS_PER_SECOND))``.
+    """
+    return units / UNITS_PER_SECOND
 
 
 @dataclass(frozen=True, slots=True)
 class CostEvent:
     """One accrual on a hardware model, with its exact decomposition.
 
-    ``components`` always sums to ``seconds_exact`` exactly (the
-    residual construction in :meth:`HardwareModel.account` guarantees
-    it), so any regrouping of a model's events conserves its total.
+    ``units`` and the ``components`` amounts are ledger units
+    (:data:`UNITS_PER_SECOND`).  ``components`` always sums to
+    ``units`` exactly (the residual construction in
+    :meth:`HardwareModel.account` guarantees it), so any regrouping of
+    a model's events conserves its total.
     """
 
     kind: str  #: ``kernel`` | ``transfer`` | ``cpu`` | ``fleet``
     name: str
     phase: str
-    seconds_exact: Fraction
-    components: tuple[tuple[str, Fraction], ...]
+    units: int
+    components: tuple[tuple[str, int], ...]
     launch: KernelLaunch | None = None
 
     @property
     def seconds(self) -> float:
-        return float(self.seconds_exact)
+        return to_seconds(self.units)
 
     def component_seconds(self) -> dict[str, float]:
         """Component decomposition as floats (reporting only)."""
-        return {name: float(value) for name, value in self.components}
+        return {name: to_seconds(value) for name, value in self.components}
 
 
 class HardwareModel(ABC):
@@ -94,8 +120,11 @@ class HardwareModel(ABC):
 
     def __init__(self) -> None:
         self.counter = WorkCounter()
-        #: Exact per-phase accumulators backing ``phase_seconds``.
-        self._phase_exact: dict[str, Fraction] = {}
+        #: Per-phase ledger units backing ``phase_seconds``.
+        self._phase_units: dict[str, int] = {}
+        #: Running sum of ``_phase_units``, and that sum as a float.
+        self._total_units = 0
+        self._total_seconds = 0.0
         #: The cost ledger, in accrual order.
         self.events: list[CostEvent] = []
 
@@ -108,42 +137,38 @@ class HardwareModel(ABC):
     def phase_seconds(self) -> dict[str, float]:
         """Per-phase modeled seconds (floats of the exact accumulators)."""
         return {
-            phase: float(value) for phase, value in self._phase_exact.items()
+            phase: to_seconds(units)
+            for phase, units in self._phase_units.items()
         }
 
     @property
     def total_seconds(self) -> float:
         """Total modeled seconds accumulated so far (exact sum)."""
-        return float(sum(self._phase_exact.values(), _ZERO))
-
-    def _accrue(self, phase: str, seconds: float | Fraction) -> Fraction:
-        exact = (
-            seconds
-            if isinstance(seconds, Fraction)
-            else Fraction(float(seconds))
-        )
-        self._phase_exact[phase] = self._phase_exact.get(phase, _ZERO) + exact
-        return exact
+        return self._total_seconds
 
     def account(
         self,
         kind: str,
         name: str,
         phase: str,
-        seconds: float | Fraction,
-        parts: tuple[tuple[str, Fraction], ...] = (),
+        seconds: float,
+        parts: tuple[tuple[str, int], ...] = (),
         residual: str = "compute",
         launch: KernelLaunch | None = None,
     ) -> float:
         """Accrue ``seconds`` into ``phase`` and ledger a cost event.
 
-        ``parts`` are ``(component, exact seconds)`` pairs; whatever
-        remains of the event's exact seconds lands on the ``residual``
-        component, so the event's components sum to its seconds exactly
+        ``parts`` are ``(component, ledger units)`` pairs; whatever
+        remains of the event's units lands on the ``residual``
+        component, so the event's components sum to its units exactly
         by construction.  Returns the accrued seconds as a float.
         """
-        exact = self._accrue(phase, seconds)
-        remaining = exact - sum((value for _, value in parts), _ZERO)
+        seconds = float(seconds)
+        units = to_units(seconds)
+        self._phase_units[phase] = self._phase_units.get(phase, 0) + units
+        self._total_units += units
+        self._total_seconds = to_seconds(self._total_units)
+        remaining = units - sum(value for _, value in parts)
         components = tuple((c, value) for c, value in parts if value)
         if remaining:
             components += ((residual, remaining),)
@@ -152,12 +177,13 @@ class HardwareModel(ABC):
                 kind=kind,
                 name=name,
                 phase=phase,
-                seconds_exact=exact,
+                units=units,
                 components=components,
                 launch=launch,
             )
         )
-        return float(exact)
+        # A zero accrual reads back as 0.0, never -0.0.
+        return seconds if units else 0.0
 
 
 class ScalarCpuModel(HardwareModel):
@@ -239,7 +265,7 @@ class MulticoreCpuModel(HardwareModel):
             f"cpu.{phase}",
             phase,
             seconds,
-            parts=(("launch", Fraction(float(fork_join))),),
+            parts=(("launch", to_units(fork_join)),),
             residual="compute",
         )
 
@@ -341,7 +367,7 @@ class GpuModel(HardwareModel):
             launch.name,
             launch.phase,
             seconds,
-            parts=(("launch", Fraction(self.spec.kernel_launch_overhead_s)),),
+            parts=(("launch", to_units(self.spec.kernel_launch_overhead_s)),),
             residual=self.dominant_component(launch),
             launch=launch,
         )

@@ -8,9 +8,11 @@ the Dist cache saved, how occupied the device was — plus differential
 attribution between two runs (the ``repro regress`` triage section) and
 fleet straggler/imbalance analysis.
 
-All internal arithmetic is exact (:class:`fractions.Fraction`), so the
-attribution *conserves*: summing any regrouping of the ledger
-reproduces the run's modeled seconds bit for bit.
+All internal arithmetic is exact: the ledger holds integer amounts of
+``2**-1074`` s, which the attribution sums as integers and turns into a
+:class:`fractions.Fraction` once per table bucket.  So the attribution
+*conserves*: summing any regrouping of the ledger reproduces the run's
+modeled seconds bit for bit.
 """
 
 from .attribution import (

@@ -3,10 +3,12 @@
 :func:`attribute_run` regroups a model's :class:`CostEvent` ledger into
 the run -> phase -> pipeline -> kernel hierarchy, each level carrying an
 exact per-component decomposition (launch / compute / memory / atomic /
-transfer / comm).  Because the ledger's arithmetic is exact rational
-(:class:`fractions.Fraction`), every regrouping sums back to the run's
-modeled seconds *bit for bit* — the conservation contract the explain
-tests pin.
+transfer / comm).  The ledger holds exact integer amounts of
+``2**-1074`` s (:data:`~repro.hardware.cost_model.UNITS_PER_SECOND`),
+so the regrouping sums integers and converts each bucket to a
+:class:`fractions.Fraction` once, when the tables are built.  Every
+regrouping therefore sums back to the run's modeled seconds *bit for
+bit* — the conservation contract the explain tests pin.
 
 On top of the hierarchy three derived diagnostics are computed:
 
@@ -29,7 +31,14 @@ from fractions import Fraction
 from typing import Any
 
 from ...gpu.occupancy import occupancy_report
-from ...hardware.cost_model import COMPONENTS, CostEvent, GpuModel, HardwareModel
+from ...hardware.cost_model import (
+    COMPONENTS,
+    UNITS_PER_SECOND,
+    CostEvent,
+    GpuModel,
+    HardwareModel,
+    to_seconds,
+)
 from ..export import kernel_pipeline
 
 __all__ = [
@@ -58,6 +67,14 @@ def _dominant(exact: dict[str, Fraction]) -> str:
 
 def _floats(exact: dict[str, Fraction]) -> dict[str, float]:
     return {name: float(value) for name, value in exact.items()}
+
+
+def _exact(units: dict[str, int]) -> dict[str, Fraction]:
+    """A bucket of ledger units as exact seconds."""
+    return {
+        name: Fraction(value, UNITS_PER_SECOND)
+        for name, value in units.items()
+    }
 
 
 @dataclass(slots=True)
@@ -109,11 +126,11 @@ class RunAttribution:
 
 
 def _accumulate(
-    table: dict[str, dict[str, Fraction]], key: str, event: CostEvent
+    table: dict[str, dict[str, int]], key: str, event: CostEvent
 ) -> None:
     bucket = table.setdefault(key, {})
     for component, value in event.components:
-        bucket[component] = bucket.get(component, _ZERO) + value
+        bucket[component] = bucket.get(component, 0) + value
 
 
 def _fusion_pairs(events: list[CostEvent]) -> list[dict[str, Any]]:
@@ -129,7 +146,7 @@ def _fusion_pairs(events: list[CostEvent]) -> list[dict[str, Any]]:
         if event.kind not in ("kernel", "fleet"):
             previous = None
             continue
-        overhead = dict(event.components).get("launch", _ZERO)
+        overhead = dict(event.components).get("launch", 0)
         if previous is not None and overhead:
             key = (previous.name, event.name)
             entry = pairs.setdefault(
@@ -138,15 +155,15 @@ def _fusion_pairs(events: list[CostEvent]) -> list[dict[str, Any]]:
                     "before": key[0],
                     "after": key[1],
                     "transitions": 0,
-                    "_exact": _ZERO,
+                    "_units": 0,
                 },
             )
             entry["transitions"] += 1
-            entry["_exact"] += overhead
+            entry["_units"] += overhead
         previous = event
-    ordered = sorted(pairs.values(), key=lambda e: -e["_exact"])
+    ordered = sorted(pairs.values(), key=lambda e: -e["_units"])
     for entry in ordered:
-        entry["headroom_seconds"] = float(entry.pop("_exact"))
+        entry["headroom_seconds"] = to_seconds(entry.pop("_units"))
     return ordered
 
 
@@ -173,7 +190,7 @@ def _cache_savings(model: HardwareModel) -> dict[str, Any]:
     missed_flops = sum(l.flops for l in launches)
     missed_bytes = sum(l.gmem_bytes for l in launches)
     missed_seconds = sum(
-        float(e.seconds_exact)
+        e.seconds
         for e in model.events
         if e.kind in ("kernel", "fleet") and e.name == "compute_l.distances"
     )
@@ -240,39 +257,46 @@ def _occupancy_rollup(
 
 def attribute_run(model: HardwareModel) -> RunAttribution:
     """Attribute a model's cost ledger; exact at every level."""
-    kernel_table: dict[str, KernelAttribution] = {}
-    phase_table: dict[str, dict[str, Fraction]] = {}
-    pipeline_table: dict[str, dict[str, Fraction]] = {}
-    component_table: dict[str, Fraction] = {}
-    total = _ZERO
+    first: dict[str, CostEvent] = {}
+    calls: dict[str, int] = {}
+    kernel_table: dict[str, dict[str, int]] = {}
+    phase_table: dict[str, dict[str, int]] = {}
+    pipeline_table: dict[str, dict[str, int]] = {}
+    component_table: dict[str, int] = {}
+    total = 0
     for event in model.events:
-        total += event.seconds_exact
-        pipeline = _event_pipeline(event)
-        entry = kernel_table.get(event.name)
-        if entry is None:
-            entry = kernel_table[event.name] = KernelAttribution(
-                name=event.name,
-                pipeline=pipeline,
-                kind=event.kind,
-                calls=0,
-                exact={},
-            )
-        entry.calls += 1
-        for component, value in event.components:
-            entry.exact[component] = entry.exact.get(component, _ZERO) + value
-            component_table[component] = (
-                component_table.get(component, _ZERO) + value
-            )
+        total += event.units
+        first.setdefault(event.name, event)
+        calls[event.name] = calls.get(event.name, 0) + 1
+        _accumulate(kernel_table, event.name, event)
         _accumulate(phase_table, event.phase, event)
-        _accumulate(pipeline_table, pipeline, event)
-    kernels = sorted(kernel_table.values(), key=lambda k: -k.seconds_exact)
+        _accumulate(pipeline_table, _event_pipeline(event), event)
+        for component, value in event.components:
+            component_table[component] = (
+                component_table.get(component, 0) + value
+            )
+    kernels = sorted(
+        (
+            KernelAttribution(
+                name=name,
+                pipeline=_event_pipeline(first[name]),
+                kind=first[name].kind,
+                calls=calls[name],
+                exact=_exact(units),
+            )
+            for name, units in kernel_table.items()
+        ),
+        key=lambda k: -k.seconds_exact,
+    )
     return RunAttribution(
         model_name=model.name,
-        total_exact=total,
+        total_exact=Fraction(total, UNITS_PER_SECOND),
         kernels=kernels,
-        phase_exact=phase_table,
-        pipeline_exact=pipeline_table,
-        component_exact=component_table,
+        phase_exact={key: _exact(units) for key, units in phase_table.items()},
+        pipeline_exact={
+            key: _exact(units) for key, units in pipeline_table.items()
+        },
+        component_exact=_exact(component_table),
         fusion_pairs=_fusion_pairs(model.events),
         cache=_cache_savings(model),
         occupancy=_occupancy_rollup(model, kernels),

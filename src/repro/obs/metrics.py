@@ -233,17 +233,16 @@ class MetricsRegistry:
         self.histogram("run.wall_seconds").observe(stats.wall_seconds)
 
     def absorb_kernel_times(self, model: "HardwareModel") -> None:
-        """Record per-kernel modeled durations from a GPU model's launches.
+        """Record per-kernel modeled durations from a model's cost ledger.
 
-        No-op for models without a per-launch time (CPU models).
+        Reads the ``kernel`` events, so it is a no-op for models that
+        ledger none (CPU models, fleet models).
         """
-        launch_time = getattr(model, "launch_time", None)
-        if launch_time is None:
-            return
-        for launch in model.counter.kernel_launches:
-            self.histogram(f"kernel.{launch.name}.seconds").observe(
-                launch_time(launch)
-            )
+        for event in getattr(model, "events", ()):
+            if event.kind == "kernel":
+                self.histogram(f"kernel.{event.name}.seconds").observe(
+                    event.seconds
+                )
 
     # ------------------------------------------------------------------
     # Export

@@ -1,10 +1,11 @@
 """Tests for repro.obs.explain: attribution, diffing, triage, exports.
 
 The load-bearing property is *conservation*: the cost ledger accrues
-exact rationals, so regrouping the run any way (per kernel, per phase,
-per component) re-sums to the run's modeled seconds bit-for-bit — not
-approximately, ``==``.  Everything else (diff zeroes, triage naming
-the lost cache, flamegraph weights) follows from that exactness.
+exact integer units of ``2**-1074`` s, so regrouping the run any way
+(per kernel, per phase, per component) re-sums to the run's modeled
+seconds bit-for-bit — not approximately, ``==``.  Everything else
+(diff zeroes, triage naming the lost cache, flamegraph weights) follows
+from that exactness.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from repro.viz.explain import (
 )
 
 EXPLAIN_BACKENDS = (
+    "proclus",
+    "multicore",
     "gpu",
     "gpu-fast",
     "gpu-fast-star",

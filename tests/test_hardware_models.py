@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import math
+import sys
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.counters import KernelLaunch, WorkCounter
-from repro.hardware.cost_model import GpuModel, MulticoreCpuModel, ScalarCpuModel
+from repro.hardware.cost_model import (
+    UNITS_PER_SECOND,
+    GpuModel,
+    MulticoreCpuModel,
+    ScalarCpuModel,
+    to_seconds,
+    to_units,
+)
 from repro.hardware.specs import (
     GTX_1660_TI,
     INTEL_I7_9750H,
@@ -154,6 +167,93 @@ class TestGpuModel:
         m = GpuModel(GTX_1660_TI)
         launch = self.make_launch(threads_per_block=64, smem_bytes_per_block=32 * 1024)
         assert m.resident_blocks_per_sm(launch) == 2
+
+
+#: Every finite double, subnormals and both zeros included.
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+MAX = sys.float_info.max
+#: Smallest subnormal, largest subnormal, smallest normal.
+TINY = (5e-324, 2.225073858507201e-308, sys.float_info.min)
+
+
+class TestLedgerUnits:
+    """The integer ledger agrees with exact rational arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_doubles)
+    @example(0.0)
+    @example(-0.0)
+    @example(MAX)
+    @example(-MAX)
+    @example(TINY[0])
+    @example(-TINY[0])
+    @example(TINY[1])
+    @example(TINY[2])
+    def test_round_trip_is_identity(self, x):
+        units = to_units(x)
+        assert Fraction(units, UNITS_PER_SECOND) == Fraction(x)
+        assert to_seconds(units) == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(finite_doubles, max_size=40))
+    @example([MAX, MAX])
+    @example([MAX, -MAX, TINY[0]])
+    @example([0.1] * 10)
+    @example(list(TINY) + [-TINY[2]])
+    def test_integer_sum_rounds_like_fraction_sum(self, xs):
+        total = sum(map(to_units, xs))
+        exact = sum(map(Fraction, xs), Fraction(0))
+        assert Fraction(total, UNITS_PER_SECOND) == exact
+        try:
+            expected = float(exact)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                to_seconds(total)
+        else:
+            assert to_seconds(total) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("setup", "iterate")),
+                st.floats(min_value=0.0, max_value=1e3),
+            ),
+            max_size=30,
+        )
+    )
+    @example([("setup", -0.0), ("iterate", 1e-5), ("setup", 5e-324)])
+    def test_running_total_matches_exact_phase_sums(self, accruals):
+        """``total_seconds`` after every accrual is the rounded exact sum."""
+        model = GpuModel(GTX_1660_TI)
+        exact: dict[str, Fraction] = {}
+        for phase, seconds in accruals:
+            returned = model.account("transfer", "h2d:x", phase, seconds)
+            assert returned == seconds
+            assert math.copysign(1.0, returned) == 1.0
+            exact[phase] = exact.get(phase, Fraction(0)) + Fraction(seconds)
+            total = sum(exact.values(), Fraction(0))
+            assert model.total_seconds == float(total)
+        assert model.phase_seconds == {
+            phase: float(value) for phase, value in exact.items()
+        }
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            to_units(math.nan)
+        with pytest.raises(OverflowError):
+            to_units(math.inf)
+
+    def test_event_components_sum_to_event_units(self):
+        m = GpuModel(GTX_1660_TI)
+        m.launch(KernelLaunch("k", "p", 64, 256, flops=1e9, gmem_bytes=1e7))
+        (event,) = m.events
+        assert sum(value for _, value in event.components) == event.units
+        assert dict(event.components)["launch"] == to_units(
+            GTX_1660_TI.kernel_launch_overhead_s
+        )
+        assert event.seconds == m.total_seconds
 
 
 class TestSpecSelection:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.hardware.counters import KernelLaunch, WorkCounter
-from repro.hardware.cost_model import GpuModel
-from repro.hardware.specs import GTX_1660_TI
+from repro.hardware.cost_model import GpuModel, ScalarCpuModel
+from repro.hardware.specs import GTX_1660_TI, INTEL_I7_9750H
 from repro.obs import MetricsRegistry
 from repro.result import RunStats
 
@@ -170,6 +170,36 @@ class TestAdapters:
 
         registry = MetricsRegistry()
         registry.absorb_kernel_times(NoLaunchTime())
+        assert len(registry) == 0
+
+    def test_absorb_kernel_times_reads_the_ledger_in_launch_order(self):
+        """Ledger durations equal a ``launch_time`` recompute, in order."""
+        model = GpuModel(GTX_1660_TI)
+        launches = [
+            _launch(),
+            KernelLaunch(
+                name="assign_points", phase="assign", grid_blocks=3,
+                threads_per_block=64, flops=5e8, atomic_ops=1e4,
+            ),
+            _launch(),
+        ]
+        for launch in launches:
+            model.launch(launch)
+        model.account("transfer", "h2d:data", "transfer", 1e-3)
+        registry = MetricsRegistry()
+        registry.absorb_kernel_times(model)
+        recomputed = MetricsRegistry()
+        for launch in launches:
+            recomputed.histogram(f"kernel.{launch.name}.seconds").observe(
+                model.launch_time(launch)
+            )
+        assert registry.as_dict() == recomputed.as_dict()
+
+    def test_absorb_kernel_times_ignores_cpu_ledgers(self):
+        model = ScalarCpuModel(INTEL_I7_9750H)
+        model.work("compute_l", scalar_ops=1e6)
+        registry = MetricsRegistry()
+        registry.absorb_kernel_times(model)
         assert len(registry) == 0
 
 
