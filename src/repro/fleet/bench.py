@@ -8,9 +8,8 @@ per-device ledgers — as the schema-versioned ``BENCH_fleet.json``.
 The D = 1 fleet is an anchor: it issues the solo kernel geometry with
 no collectives, so its modeled time matches the solo run's (to float
 round-off) and its speedup is 1.0.  Every point on the curve also
-re-checks the
-determinism contract (labels / dimensions / cost / counters equal to
-solo) so a bench run doubles as an end-to-end equivalence sweep.
+re-checks the determinism contract (:func:`~repro.result.bit_identical`
+to solo) so a bench run doubles as an end-to-end equivalence sweep.
 
 The default workload (n = 16384, d = 64) sits where the model says
 multi-device starts to pay: per-point kernel time comfortably above
@@ -33,6 +32,7 @@ from ..data.normalize import minmax_normalize
 from ..data.synthetic import generate_subspace_data
 from ..obs.export import report_envelope
 from ..params import ProclusParams
+from ..result import bit_identical
 from .fleet import Fleet, default_fleet
 from .model import FleetModel, fleet_report
 
@@ -100,11 +100,6 @@ def run_fleet_bench(
             assert isinstance(engine.model, FleetModel)
             report = fleet_report(engine.model)
             seconds = result.stats.modeled_seconds
-            identical = (
-                np.array_equal(solo.labels, result.labels)
-                and solo.dimensions == result.dimensions
-                and solo.cost == result.cost
-            )
             curve.append(
                 {
                     "devices": count,
@@ -116,7 +111,7 @@ def run_fleet_bench(
                     "comm_bytes": report["comm_bytes"],
                     "allreduce_steps": report["allreduce_steps"],
                     "broadcast_steps": report["broadcast_steps"],
-                    "identical_to_solo": bool(identical),
+                    "identical_to_solo": bit_identical(result, solo),
                     "straggler_index": report["attribution"]["straggler_index"],
                     "imbalance": report["attribution"]["imbalance"],
                     "attribution": report["attribution"],

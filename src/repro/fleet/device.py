@@ -33,7 +33,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..exceptions import ParameterError
 from ..gpu.device import Device
 from ..gpu.memory import DeviceArray
 from ..hardware.cost_model import to_units
@@ -150,8 +149,6 @@ class FleetDevice:
         #: Collective seconds accrued inside the current launch() call,
         #: in exact ledger units, feeding the fleet ledger's comm component.
         self._comm_this_call = 0
-        #: Speculative-execution straggler threshold (None = disabled).
-        self._spec_threshold: float | None = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -172,26 +169,6 @@ class FleetDevice:
         self._reduce_bytes = dict(reduce_bytes)
         self._bcast_bytes = dict(bcast_bytes)
         self._default_bcast = float(default_bcast)
-
-    def configure_speculation(self, threshold: float | None) -> None:
-        """Enable speculative straggler re-execution.
-
-        When one member's share of a sharded launch takes more than
-        ``threshold`` times the mean member launch time, its split is
-        replayed as a backup on the fastest member (fault site
-        ``{name}+spec@dev{j}``); if the backup finishes before the
-        straggler, the straggler's completion is capped at the backup's
-        and the win is counted.  This is purely a timing-model feature:
-        results come off the logical book either way, so speculation
-        never changes the clustering — only the modeled makespan and
-        the ``fleet.speculative_*`` counters.  ``None`` disables it
-        (the default, keeping benchmark baselines unchanged).
-        """
-        if threshold is not None and not float(threshold) > 1.0:
-            raise ParameterError(
-                f"speculation threshold must be > 1.0, got {threshold}"
-            )
-        self._spec_threshold = None if threshold is None else float(threshold)
 
     # ------------------------------------------------------------------
     # Clocks
@@ -368,10 +345,9 @@ class FleetDevice:
             gmem_split = self._split_work(gmem_bytes, self._active_counts)
             atomic_split = self._split_work(atomic_ops, self._active_counts)
             total_rows = sum(self._active_counts)
-            launch_secs = []
             for i, shard in enumerate(self._active):
                 fraction = self._active_counts[i] / total_rows
-                launch_secs.append(shard.launch(
+                shard.launch(
                     f"{name}@dev{shard.index}",
                     phase,
                     grid_blocks=max(
@@ -384,13 +360,7 @@ class FleetDevice:
                     smem_bytes_per_block=smem_bytes_per_block,
                     registers_per_thread=registers_per_thread,
                     ipc=ipc,
-                ))
-            self._maybe_speculate(
-                name, phase, launch_secs,
-                (flops_split, gmem_split, atomic_split),
-                grid_blocks, threads_per_block,
-                smem_bytes_per_block, registers_per_thread, ipc,
-            )
+                )
             self._pending_reduce += self._reduce_bytes.get(name, 0.0)
         else:
             if self._pending_reduce > 0:
@@ -419,70 +389,6 @@ class FleetDevice:
             "fleet", name, phase, delta,
             parts=(("comm", comm),), residual="compute",
         )
-
-    def _maybe_speculate(
-        self,
-        name: str,
-        phase: str,
-        launch_secs: list[float],
-        splits: tuple[tuple[float, ...], ...],
-        grid_blocks: int,
-        threads_per_block: int,
-        smem_bytes_per_block: int,
-        registers_per_thread: int,
-        ipc: float,
-    ) -> None:
-        """Re-execute the straggler's split on the fastest member.
-
-        Fires only when speculation is configured, at least two members
-        hold points, and the slowest member's launch exceeded
-        ``threshold`` times the mean.  The backup runs under the fault
-        site ``{name}+spec@dev{j}`` (the ``@dev{j}`` suffix stays last
-        so injector device tags still resolve); a backup that finishes
-        before the straggler caps the straggler's completion clock,
-        which is exactly the makespan the barrier collectives observe.
-        """
-        if self._spec_threshold is None or len(self._active) < 2:
-            return
-        mean = sum(launch_secs) / len(launch_secs)
-        if mean <= 0:
-            return
-        slow = max(range(len(launch_secs)), key=launch_secs.__getitem__)
-        if launch_secs[slow] / mean <= self._spec_threshold:
-            return
-        fast = min(
-            (i for i in range(len(launch_secs)) if i != slow),
-            key=launch_secs.__getitem__,
-        )
-        straggler = self._active[slow]
-        backup = self._active[fast]
-        counter = self.model.counter
-        counter.add("fleet.speculative_launches", 1)
-        fraction = self._active_counts[slow] / sum(self._active_counts)
-        backup.launch(
-            f"{name}+spec@dev{backup.index}",
-            phase,
-            grid_blocks=max(1, int(np.ceil(grid_blocks * fraction))),
-            threads_per_block=threads_per_block,
-            flops=splits[0][slow],
-            gmem_bytes=splits[1][slow],
-            atomic_ops=splits[2][slow],
-            smem_bytes_per_block=smem_bytes_per_block,
-            registers_per_thread=registers_per_thread,
-            ipc=ipc,
-        )
-        straggler_done = self._elapsed(straggler)
-        backup_done = self._elapsed(backup)
-        if backup_done < straggler_done:
-            counter.add("fleet.speculative_wins", 1)
-            counter.add(
-                "fleet.speculative_saved_seconds",
-                straggler_done - backup_done,
-            )
-            straggler.clock_offset = (
-                self.clock_offset + backup_done
-                - straggler.model.total_seconds
-            )
 
     @property
     def total_seconds(self) -> float:

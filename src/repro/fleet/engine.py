@@ -60,15 +60,10 @@ class FleetEngineMixin(GpuEngineMixin):
         self,
         *args,
         fleet: Fleet | int | None = None,
-        speculation: float | None = None,
         **kwargs,
     ) -> None:
         """``fleet``: the devices to shard across — a :class:`Fleet`,
         an int (that many default cards), or ``None`` for two.
-        ``speculation``: straggler-index threshold above which a
-        sharded launch's slowest split is speculatively re-executed on
-        the fastest member (``None`` disables; see
-        :meth:`~repro.fleet.device.FleetDevice.configure_speculation`).
         """
         if fleet is None:
             fleet = default_fleet(2)
@@ -79,7 +74,6 @@ class FleetEngineMixin(GpuEngineMixin):
                 f"fleet must be a Fleet or int, got {type(fleet).__name__}"
             )
         self.fleet = fleet
-        self.speculation = None if speculation is None else float(speculation)
         self._plan = None
         super().__init__(*args, **kwargs)
 
@@ -124,7 +118,6 @@ class FleetEngineMixin(GpuEngineMixin):
             # Any other root -> shard transition ships the medoid points.
             default_bcast=k * d * F32,
         )
-        device.configure_speculation(self.speculation)
         return device
 
     # ------------------------------------------------------------------

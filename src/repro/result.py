@@ -18,7 +18,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from .core.trace import RunTrace
 
-__all__ = ["ProclusResult", "RunStats", "OUTLIER_LABEL"]
+__all__ = ["ProclusResult", "RunStats", "OUTLIER_LABEL", "bit_identical"]
 
 #: Label used for points classified as outliers in the refinement phase.
 OUTLIER_LABEL = -1
@@ -179,6 +179,24 @@ class ProclusResult:
                 f"dims=({dims})"
             )
         return "\n".join(lines)
+
+
+def bit_identical(result: ProclusResult, reference: ProclusResult) -> bool:
+    """True when ``result`` reproduces ``reference`` bit for bit.
+
+    The solo bit-identity contract of sharded, recovered, served and
+    replayed runs: labels, medoids, subspaces, both costs and the
+    iteration trajectory must all match exactly.
+    """
+    return (
+        np.array_equal(result.labels, reference.labels)
+        and np.array_equal(result.medoids, reference.medoids)
+        and result.dimensions == reference.dimensions
+        and result.cost == reference.cost
+        and result.refined_cost == reference.refined_cost
+        and result.iterations == reference.iterations
+        and result.best_iteration == reference.best_iteration
+    )
 
 
 def counters_as_table(counters: Mapping[str, float]) -> str:

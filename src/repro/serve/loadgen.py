@@ -31,26 +31,13 @@ from ..exceptions import ParameterError
 from ..hardware.specs import GTX_1660_TI, GpuSpec
 from ..obs.export import report_envelope
 from ..params import ProclusParams
-from ..result import ProclusResult, RunStats
+from ..result import ProclusResult, RunStats, bit_identical
 from .service import ClusterService
 
 __all__ = ["SERVE_BENCH_SCHEMA", "run_loadgen"]
 
 #: Schema identifier of the loadgen report (bump on breaking changes).
 SERVE_BENCH_SCHEMA = "repro.serve_bench/1"
-
-
-def _identical(served: ProclusResult, reference: ProclusResult) -> bool:
-    """Full bit-identity: clustering outputs plus run trajectory."""
-    return (
-        np.array_equal(served.labels, reference.labels)
-        and np.array_equal(served.medoids, reference.medoids)
-        and served.dimensions == reference.dimensions
-        and served.cost == reference.cost
-        and served.refined_cost == reference.refined_cost
-        and served.iterations == reference.iterations
-        and served.best_iteration == reference.best_iteration
-    )
 
 
 def run_loadgen(
@@ -185,7 +172,7 @@ def run_loadgen(
     for index, (handle, result) in enumerate(zip(handles, served)):
         reference = references[handle.request.cache_key]
         naive_stats = naive_stats.merge(reference.stats)
-        if not _identical(result, reference):
+        if not bit_identical(result, reference):
             violations.append(
                 {
                     "request": index,

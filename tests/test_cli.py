@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.bench.runner import ALL_EXPERIMENTS
+from repro.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -24,7 +25,7 @@ class TestInfo:
 
     def test_lists_experiments(self, capsys):
         _, out = run(capsys, "info")
-        for name in EXPERIMENTS:
+        for name in ALL_EXPERIMENTS:
             assert name in out
 
 
@@ -117,7 +118,7 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_every_registered_experiment_is_callable(self):
-        for fn in EXPERIMENTS.values():
+        for fn in ALL_EXPERIMENTS.values():
             assert callable(fn)
 
 

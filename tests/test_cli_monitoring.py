@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 
-from repro.cli import REGRESS_INJECTIONS, main
+from repro.cli import main
+from repro.cli.regress import REGRESS_INJECTIONS
 from repro.obs import validate_bench_report
 
 

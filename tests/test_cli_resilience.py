@@ -46,14 +46,13 @@ class TestErrorHandling:
 
     def test_keyboard_interrupt_exits_130(self, capsys, monkeypatch):
         import repro.cli as cli
+        from repro.cli import info
 
         def interrupted(args):
             raise KeyboardInterrupt
 
-        monkeypatch.setitem(
-            cli.__dict__, "_cmd_info", interrupted
-        )
-        # Rebuild the parser so the patched handler is bound.
+        monkeypatch.setattr(info, "run", interrupted)
+        # main() rebuilds the parser, so the patched handler is bound.
         code = cli.main(["info"])
         assert code == 130
         assert "interrupted" in capsys.readouterr().err
@@ -120,6 +119,56 @@ class TestChaos:
         )
         assert code == 0
         assert "custom" in out
+
+    def test_clean_fleet_sweep_records_nothing(self, capsys, tmp_path):
+        log, record = tmp_path / "fleet_chaos.json", tmp_path / "pm"
+        code, out, _ = run(
+            capsys, "chaos", "--fleet", "--devices", "2", *SMALL,
+            "--json", str(log), "--record-dir", str(record),
+        )
+        assert code == 0
+        assert "all 8 device-loss runs recovered" in out
+        payload = json.loads(log.read_text())
+        assert payload["mode"] == "fleet" and payload["devices"] == 2
+        assert [row["scenario"] for row in payload["rows"][:4]] == [
+            "down-dev0@upload", "down-dev0@iterate",
+            "down-dev1@upload", "down-dev1@iterate",
+        ]
+        for row in payload["rows"]:
+            assert row["ok"] and row["identical"] and row["fired"] >= 1
+            assert row["resharded"] or row["degraded"]
+        assert not list(record.glob("postmortem-*.json"))
+
+    @pytest.mark.parametrize("mode,backend,rows", [
+        ((), "gpu-fast", 5),
+        (("--fleet", "--devices", "2"), "fleet-gpu-fast", 4),
+    ], ids=["solo", "fleet"])
+    def test_record_dir_dumps_a_bundle_per_violation(
+        self, capsys, tmp_path, monkeypatch, mode, backend, rows
+    ):
+        import dataclasses
+
+        import repro.core.api as api
+
+        real = api.proclus
+
+        def wrong_reference(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, cost=result.cost + 1.0)
+
+        # Every row now differs from its fault-free reference.
+        monkeypatch.setattr(api, "proclus", wrong_reference)
+        record = tmp_path / "pm"
+        code, out, _ = run(
+            capsys, "chaos", *mode, *SMALL, "--backends", backend,
+            "--record-dir", str(record),
+        )
+        assert code == 1
+        assert f"{rows}/{rows}" in out
+        bundles = sorted(record.glob("postmortem-chaos-contract-*.json"))
+        assert len(bundles) == rows
+        bundle = json.loads(bundles[0].read_text())
+        assert bundle["failure"]["reason"] == "chaos-contract"
 
     def test_unparseable_fault_exits_2(self, capsys):
         code, _, err = run(

@@ -180,7 +180,7 @@ class TestPostmortemCli:
         import repro.serve.loadgen as loadgen_module
 
         monkeypatch.setattr(
-            loadgen_module, "_identical", lambda served, reference: False
+            loadgen_module, "bit_identical", lambda served, reference: False
         )
         directory = str(tmp_path / "pm")
         code, out = run(

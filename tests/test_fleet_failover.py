@@ -1,10 +1,9 @@
-"""Health-aware failover: DeviceHealth, speculation, quarantine serving,
+"""Health-aware failover: DeviceHealth, quarantine serving,
 event-log determinism, and graceful shutdown of a fleet-backed service.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import signal
@@ -16,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import BACKENDS, proclus
+from repro import proclus
 from repro.exceptions import ParameterError, ServeError
-from repro.fleet import DeviceHealth, Fleet, default_fleet
-from repro.hardware.specs import GTX_1660_TI
+from repro.fleet import DeviceHealth, default_fleet
 from repro.params import ProclusParams
 from repro.resilience import (
     FaultInjector,
@@ -124,66 +122,6 @@ class TestDeviceHealth:
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
             DeviceHealth(**kwargs)
-
-
-class TestSpeculation:
-    #: Equal weights on wildly unequal cards make the slower card's
-    #: shard the persistent straggler.  A backup only wins when the
-    #: fast member can replay the straggler's split (own launch + the
-    #: backup launch) before the straggler finishes, which needs a
-    #: speed gap well beyond real sibling cards — so the fast member is
-    #: a synthetic 10x variant of the 1660 Ti.
-    FAST = dataclasses.replace(
-        GTX_1660_TI, name="synthetic-10x", sm_count=240,
-        mem_bandwidth_bytes_per_s=2.88e12, atomic_ops_per_s=2.0e10,
-    )
-    UNBALANCED = Fleet(specs=(GTX_1660_TI, FAST), weights=(1.0, 1.0))
-
-    @pytest.fixture(scope="class")
-    def big_data(self):
-        rng = np.random.default_rng(3)
-        return rng.normal(size=(20000, 16)).astype(np.float32)
-
-    def test_speculative_backups_fire_and_win(self, big_data):
-        engine = BACKENDS["fleet-gpu-fast"](
-            params=PARAMS, seed=0, fleet=self.UNBALANCED, speculation=1.15,
-        )
-        result = engine.fit(big_data)
-        counters = result.stats.counters
-        assert counters["fleet.speculative_launches"] >= 1
-        assert counters["fleet.speculative_wins"] >= 1
-        assert counters["fleet.speculative_saved_seconds"] > 0.0
-
-    def test_speculation_never_changes_the_clustering(self, big_data):
-        plain = BACKENDS["fleet-gpu-fast"](
-            params=PARAMS, seed=0, fleet=self.UNBALANCED,
-        ).fit(big_data)
-        speculative = BACKENDS["fleet-gpu-fast"](
-            params=PARAMS, seed=0, fleet=self.UNBALANCED, speculation=1.15,
-        ).fit(big_data)
-        assert np.array_equal(speculative.labels, plain.labels)
-        assert speculative.dimensions == plain.dimensions
-        assert speculative.cost == plain.cost
-        exact = {
-            name: value
-            for name, value in plain.stats.counters.items()
-            if name.startswith("gpu.")
-        }
-        for name, value in exact.items():
-            assert speculative.stats.counters[name] == value
-
-    def test_default_is_off(self, data):
-        result = BACKENDS["fleet-gpu-fast"](
-            params=PARAMS, seed=0, fleet=3,
-        ).fit(data)
-        assert "fleet.speculative_launches" not in result.stats.counters
-
-    def test_threshold_validation(self, data):
-        engine = BACKENDS["fleet-gpu-fast"](
-            params=PARAMS, seed=0, fleet=2, speculation=0.5,
-        )
-        with pytest.raises(ParameterError, match="speculation"):
-            engine.fit(data)
 
 
 class TestQuarantineServing:

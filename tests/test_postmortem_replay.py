@@ -160,8 +160,8 @@ class TestDeterminismViolationReplay:
         from repro.serve import run_loadgen
 
         directory = tmp_path_factory.mktemp("determinism")
-        original = loadgen_module._identical
-        loadgen_module._identical = lambda served, reference: False
+        original = loadgen_module.bit_identical
+        loadgen_module.bit_identical = lambda served, reference: False
         try:
             report = run_loadgen(
                 num_requests=4,
@@ -173,7 +173,7 @@ class TestDeterminismViolationReplay:
                 postmortem_dir=directory,
             )
         finally:
-            loadgen_module._identical = original
+            loadgen_module.bit_identical = original
         return report, load_bundle(directory)
 
     def test_loadgen_report_names_the_bundle(self, report_and_bundle):
