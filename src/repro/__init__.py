@@ -52,7 +52,6 @@ from .resilience import (
     RetryPolicy,
     ResilientRunner,
     resilient_fit,
-    run_resilient_study,
     use_injector,
 )
 from .data.fingerprint import dataset_fingerprint
@@ -100,7 +99,6 @@ __all__ = [
     "RetryPolicy",
     "ResilientRunner",
     "resilient_fit",
-    "run_resilient_study",
     "ClusterService",
     "ServeError",
     "AdmissionError",

@@ -159,22 +159,23 @@ def run_parameter_study(
     default grid of 9 (k, l) combinations is used when ``grid`` is
     omitted.
 
-    ``checkpoint_dir``, ``resume``, and ``resilience`` route the study
-    through the fault-tolerant driver (:mod:`repro.resilience`):
+    ``checkpoint_dir``, ``resume``, and ``resilience`` run every
+    setting through a :class:`~repro.resilience.ResilientRunner`:
     ``checkpoint_dir`` persists each completed setting so a killed study
     resumes (``resume=True``) with identical output; ``resilience`` is a
     :class:`~repro.resilience.RetryPolicy` (or ``True`` for defaults)
     enabling retry and backend degradation on device errors.  Plain
-    studies take the original driver and pay zero overhead.
+    studies build and fit each engine directly and pay zero overhead.
     """
     factory = _resolve_backend(backend)
     if normalize:
         data = minmax_normalize(data)
     if resume and checkpoint_dir is None:
         raise ParameterError("resume=True requires a checkpoint_dir")
-    if checkpoint_dir is not None or resume or resilience:
+    runner = checkpoint = None
+    if checkpoint_dir is not None or resilience:
         # Deferred import: the resilience layer imports this module.
-        from ..resilience import RetryPolicy, run_resilient_study
+        from ..resilience import ResilientRunner, RetryPolicy, StudyCheckpoint
 
         if resilience is None or isinstance(resilience, bool):
             policy = None
@@ -185,11 +186,10 @@ def run_parameter_study(
                 f"resilience must be a RetryPolicy or bool, "
                 f"got {type(resilience).__name__}"
             )
-        return run_resilient_study(
-            data, backend=backend, grid=grid, level=level, seed=seed,
-            policy=policy, checkpoint_dir=checkpoint_dir, resume=resume,
-            **engine_kwargs,
-        )
+        runner = ResilientRunner(policy)
+        if checkpoint_dir is not None:
+            checkpoint = StudyCheckpoint(checkpoint_dir)
     return run_study(
-        data, factory, grid=grid, level=level, seed=seed, **engine_kwargs
+        data, factory, grid=grid, level=level, seed=seed, backend=backend,
+        runner=runner, checkpoint=checkpoint, resume=resume, **engine_kwargs,
     )

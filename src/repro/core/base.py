@@ -33,7 +33,7 @@ from ..params import ProclusParams
 from ..result import OUTLIER_LABEL, ProclusResult, RunStats
 from ..rng import RandomSource
 from .distance import abs_diff_dim_sums, euclidean_to_point
-from .greedy import greedy_select
+from .greedy import draw_potential_medoids
 from .phases import (
     assign_points,
     cluster_sizes_from_labels,
@@ -348,20 +348,17 @@ class EngineBase(abc.ABC):
 
     def _initialization_phase(self, data: np.ndarray) -> np.ndarray:
         """Sample ``Data'``, greedily pick ``M``; returns point ids of M."""
-        n, d = data.shape
-        p = self.params
+        d = data.shape[1]
         if self.shared_state is not None:
             if self.charge_greedy:
                 s = len(self.shared_state.sample_indices)
                 self._account_greedy(s, self.shared_state.num_potential_medoids, d)
             return self.shared_state.medoid_ids
-        sample_size = p.effective_sample_size(n)
-        count = p.effective_num_potential(n)
-        sample_indices = self.rng.sample_indices(n, sample_size)
-        seed_index = self.rng.greedy_seed(sample_size)
-        local = greedy_select(data[sample_indices], count, seed_index)
-        self._account_greedy(sample_size, count, d)
-        return sample_indices[local]
+        sample_indices, medoid_ids = draw_potential_medoids(
+            data, self.params, self.rng
+        )
+        self._account_greedy(len(sample_indices), len(medoid_ids), d)
+        return medoid_ids
 
     def _resolve_resume(self, n: int, d: int) -> IterativeState | None:
         """Load and validate the ``resume_from`` snapshot, if any."""

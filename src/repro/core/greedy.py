@@ -21,7 +21,7 @@ import numpy as np
 from ..exceptions import ParameterError
 from .distance import euclidean_to_point
 
-__all__ = ["greedy_select"]
+__all__ = ["greedy_select", "draw_potential_medoids"]
 
 
 def greedy_select(sample: np.ndarray, count: int, seed_index: int) -> np.ndarray:
@@ -57,3 +57,27 @@ def greedy_select(sample: np.ndarray, count: int, seed_index: int) -> np.ndarray
         chosen[i] = nxt
         np.minimum(min_dist, euclidean_to_point(sample, sample[nxt]), out=min_dist)
     return chosen
+
+
+def draw_potential_medoids(
+    data: np.ndarray, params, rng
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``Data'`` and greedily pick ``M`` for one parameter set.
+
+    The initialization protocol of every run: ``rng`` (a
+    :class:`~repro.rng.RandomSource`) makes exactly two draws, the
+    sample and then the greedy seed.  Serving's coalesced groups call
+    this with a fresh source of the request's seed, so they pick the
+    very ``M`` a solo run with that seed would.
+
+    Returns ``(sample_indices, medoid_ids)``: the point ids of
+    ``Data'`` and of ``M``.
+    """
+    n = data.shape[0]
+    sample_size = params.effective_sample_size(n)
+    sample_indices = rng.sample_indices(n, sample_size)
+    seed_index = rng.greedy_seed(sample_size)
+    local = greedy_select(
+        data[sample_indices], params.effective_num_potential(n), seed_index
+    )
+    return sample_indices, sample_indices[local]

@@ -16,6 +16,13 @@ of settings.  The paper layers three reuse strategies on top of
 
 The paper measures ~1.4x, ~1.6x and ~2.3x speedups for the three levels
 over running GPU-FAST-PROCLUS one setting at a time.
+
+:func:`run_study` is the one study loop.  Given a
+:class:`~repro.resilience.ResilientRunner` it fits every setting under
+retry and degradation, and given a
+:class:`~repro.resilience.StudyCheckpoint` it saves each completed
+setting and can resume a killed study; the random protocol is the same
+either way, so every route returns the plain study's results.
 """
 
 from __future__ import annotations
@@ -32,16 +39,14 @@ from ..params import ParameterGrid, ProclusParams
 from ..result import ProclusResult, RunStats
 from ..rng import RandomSource
 from .base import EngineBase, validate_data
-from .greedy import greedy_select
+from .greedy import draw_potential_medoids
 from .state import MedoidCache, SharedStudyState
 
 __all__ = [
     "ReuseLevel",
     "MultiParamResult",
     "run_study",
-    "build_shared_state",
     "build_solo_shared_state",
-    "run_coalesced_group",
 ]
 
 
@@ -90,146 +95,33 @@ class MultiParamResult:
         return min(self.results, key=lambda key: self.results[key].cost)
 
 
-def build_shared_state(
-    data: np.ndarray, grid: ParameterGrid, rng: RandomSource
-) -> SharedStudyState:
-    """Sample Data' and greedily pick M once, for the largest k."""
-    n, d = data.shape
-    base = grid.base
-    k_max = grid.max_k
-    sample_size = min(base.a * k_max, n)
-    count = min(base.b * k_max, sample_size)
-    if count < k_max:
-        raise ParameterError(
-            f"dataset of {n} points cannot supply {k_max} medoids"
-        )
-    sample_indices = rng.sample_indices(n, sample_size)
-    seed_index = rng.greedy_seed(sample_size)
-    local = greedy_select(data[sample_indices], count, seed_index)
-    return SharedStudyState(
-        sample_indices=sample_indices,
-        medoid_ids=sample_indices[local],
-        cache=MedoidCache.create(count, n, d),
-    )
-
-
 def build_solo_shared_state(
     data: np.ndarray, params: ProclusParams, rng: RandomSource
 ) -> SharedStudyState:
-    """Build shared state by replaying a *solo* run's initialization.
+    """Draw the sample and greedy pick once, to share across runs.
 
-    Unlike :func:`build_shared_state` (which sizes the sample for the
-    grid's largest ``k``), this draws the sample and greedy pick with
-    exactly the random protocol of
+    ``rng`` makes exactly the draws of
     :meth:`EngineBase._initialization_phase <repro.core.base.EngineBase>`
-    for one parameter set: ``rng`` consumes the same two draws a solo
-    engine with the same seed would, and the returned medoid set ``M``
-    is bit-identical to the solo run's.  An engine constructed with this
-    shared state and the *advanced* ``rng`` therefore produces the
-    identical clustering to a direct solo run — the sharing contract
-    the serving layer's request coalescer relies on (requests agreeing
-    on seed, ``k``, ``A`` and ``B`` share sample, greedy pick, and FAST
-    caches without changing any request's result).
+    for ``params`` (:func:`~repro.core.greedy.draw_potential_medoids`),
+    so the medoid set ``M`` is bit-identical to a solo run's with the
+    same seed.  An engine constructed with this shared state and the
+    *advanced* ``rng`` therefore produces the identical clustering to a
+    direct solo run — the sharing contract the serving layer's request
+    coalescer relies on (requests agreeing on seed, ``k``, ``A`` and
+    ``B`` share sample, greedy pick, and FAST caches without changing
+    any request's result).  A study passes its grid's largest ``k``.
     """
     n, d = data.shape
-    sample_size = params.effective_sample_size(n)
-    count = params.effective_num_potential(n)
-    if count < params.k:
+    if params.effective_num_potential(n) < params.k:
         raise ParameterError(
             f"dataset of {n} points cannot supply {params.k} medoids"
         )
-    sample_indices = rng.sample_indices(n, sample_size)
-    seed_index = rng.greedy_seed(sample_size)
-    local = greedy_select(data[sample_indices], count, seed_index)
+    sample_indices, medoid_ids = draw_potential_medoids(data, params, rng)
     return SharedStudyState(
         sample_indices=sample_indices,
-        medoid_ids=sample_indices[local],
-        cache=MedoidCache.create(count, n, d),
+        medoid_ids=medoid_ids,
+        cache=MedoidCache.create(len(medoid_ids), n, d),
     )
-
-
-def _require_shareable(settings: list[ProclusParams]) -> None:
-    """All settings of a coalesced group must agree on (k, A, B).
-
-    The shared sample is sized ``A*k`` and the greedy pick ``B*k``, so
-    any divergence in these changes the medoid set ``M`` — and with it
-    the results — which would break the solo-equivalence contract.
-    """
-    if not settings:
-        raise ParameterError("a coalesced group needs at least one setting")
-    head = settings[0]
-    for params in settings[1:]:
-        if (params.k, params.a, params.b) != (head.k, head.a, head.b):
-            raise ParameterError(
-                f"coalesced settings must share (k, A, B); got "
-                f"({head.k}, {head.a}, {head.b}) and "
-                f"({params.k}, {params.a}, {params.b})"
-            )
-
-
-def run_coalesced_group(
-    data: np.ndarray,
-    engine_factory: type[EngineBase],
-    settings: list[ProclusParams],
-    seed: int | None = 0,
-    **engine_kwargs,
-) -> list[ProclusResult]:
-    """Run several same-seed settings sharing solo-equivalent state.
-
-    The serving counterpart of :func:`run_study`: every setting is
-    served from one shared sample / greedy pick / FAST cache (built by
-    :func:`build_solo_shared_state`), but — unlike a study, whose
-    per-setting seeds derive from a master source — every setting's RNG
-    is restored to the *post-initialization state of a solo run with
-    ``seed``* before its engine runs.  Each returned clustering is
-    therefore bit-identical to ``engine_factory(params=p, seed=seed)``
-    run alone, while the group pays the initialization, the data
-    upload, and cold ``Dist`` rows only once.
-
-    All settings must agree on ``(k, A, B)`` (:class:`ParameterError`
-    otherwise); they typically differ in ``l``.
-    """
-    data = validate_data(data)
-    _require_shareable(settings)
-    obs = current_tracer()
-    rng = RandomSource(seed)
-    with obs.span(
-        "coalesced_group", category="study",
-        backend=engine_factory.backend_name, settings=len(settings),
-    ):
-        with obs.span("shared_state", category="study"):
-            shared = build_solo_shared_state(data, settings[0], rng)
-        post_init_state = rng.get_state()
-        results: list[ProclusResult] = []
-        for index, params in enumerate(settings):
-            rng.set_state(post_init_state)
-            with obs.span(
-                "setting", category="study",
-                k=params.k, l=params.l, coalesced=True,
-                charge_greedy=index == 0,
-            ):
-                engine = engine_factory(
-                    params=params,
-                    seed=rng,
-                    shared_state=shared,
-                    charge_greedy=index == 0,
-                    **engine_kwargs,
-                )
-                results.append(engine.fit(data))
-        return results
-
-
-def _count_duplicate_setting(obs) -> None:
-    """Record one skipped duplicate (k, l) grid entry on the metrics.
-
-    A grid like ``ks=(10, 10, 8)`` used to run the (10, l) settings
-    twice — the second run silently overwrote the first in ``results``
-    while double-counting its work in ``total_stats``.  Duplicates are
-    now executed once; each skip increments the
-    ``study.duplicate_settings`` metrics counter.
-    """
-    if obs.enabled:
-        obs.metrics.counter("study.duplicate_settings").inc()
 
 
 def _warn_duplicate_settings(duplicates: list[tuple[int, int]]) -> None:
@@ -257,6 +149,10 @@ def run_study(
     grid: ParameterGrid | None = None,
     level: ReuseLevel | int = ReuseLevel.WARM_START,
     seed: int | None = 0,
+    backend: str | None = None,
+    runner=None,
+    checkpoint=None,
+    resume: bool = False,
     **engine_kwargs,
 ) -> MultiParamResult:
     """Run one PROCLUS variant over a grid of (k, l) settings.
@@ -273,37 +169,76 @@ def run_study(
         Reuse strategy, see :class:`ReuseLevel`.
     seed:
         Master seed; per-setting randomness derives from it.
+    backend:
+        The :data:`~repro.core.api.BACKENDS` name of ``engine_factory``;
+        ``runner`` degrades and ``checkpoint`` validates by this name.
+    runner:
+        A :class:`~repro.resilience.ResilientRunner` to fit every
+        setting under (retry and degradation); without one each engine
+        is built and fitted directly.
+    checkpoint:
+        A :class:`~repro.resilience.StudyCheckpoint` that persists every
+        completed setting (requires ``runner``).
+    resume:
+        Continue from ``checkpoint`` when it holds a manifest (a fresh
+        study otherwise).  The master RNG, warm-start medoids and shared
+        state are restored, so the output equals an uninterrupted run's.
     engine_kwargs:
         Extra keyword arguments passed to every engine (e.g.
         ``gpu_spec=...``).
     """
+    if checkpoint is not None and runner is None:
+        raise ParameterError("a checkpointed study needs a runner")
     data = validate_data(data)
     grid = grid if grid is not None else ParameterGrid()
     level = ReuseLevel(level)
     master = RandomSource(seed)
     obs = current_tracer()
+    study = MultiParamResult(level=level, backend=engine_factory.backend_name)
+    shared: SharedStudyState | None = None
+    previous_best: np.ndarray | None = None
+    #: Settings an interrupted run already saved, by (k, l).
+    completed: dict[tuple[int, int], ProclusResult] = {}
+    if checkpoint is not None and resume and checkpoint.exists():
+        completed, master, previous_best, shared = checkpoint.resume(
+            data, grid, backend, level, master, study.events
+        )
+    elif checkpoint is not None:
+        checkpoint.begin(data, grid, backend, level, seed)
+    resilient = {"resilient": True} if runner is not None else {}
 
     with obs.span(
         "study", category="study",
         backend=engine_factory.backend_name,
-        level=int(level), settings=len(grid),
+        level=int(level), settings=len(grid), **resilient,
     ):
-        shared: SharedStudyState | None = None
         shared_span_id = None
-        if level >= ReuseLevel.PARTIAL_RESULTS:
+        if level >= ReuseLevel.PARTIAL_RESULTS and not completed:
             with obs.span("shared_state", category="study") as shared_span:
-                shared = build_shared_state(data, grid, master)
+                shared = build_solo_shared_state(
+                    data, grid.base.with_(k=grid.max_k), master
+                )
             shared_span_id = shared_span.span_id
 
-        study = MultiParamResult(level=level, backend=engine_factory.backend_name)
-        previous_best: np.ndarray | None = None
         previous_span_id = None
-        first = True
+        first = not completed
         duplicates: list[tuple[int, int]] = []
         for params in grid:
-            if (params.k, params.l) in study.results:
-                duplicates.append((params.k, params.l))
-                _count_duplicate_setting(obs)
+            key = (params.k, params.l)
+            if key in study.results:
+                # A grid like ks=(10, 10, 8) repeats settings: each runs
+                # once, and every skip is counted on the metrics.
+                duplicates.append(key)
+                if obs.enabled:
+                    obs.metrics.counter("study.duplicate_settings").inc()
+                continue
+            if key in completed:
+                # Saved by the interrupted run; the master RNG restored
+                # from its manifest already reflects this setting's draws.
+                study.results[key] = completed[key]
+                study.total_stats = study.total_stats.merge(
+                    completed[key].stats
+                )
                 continue
             initial = None
             if (
@@ -331,21 +266,39 @@ def run_study(
             if initial is not None:
                 setting_span.link(previous_span_id)
             with setting_span:
-                engine = engine_factory(
+                setting = dict(
                     params=params,
                     seed=master.spawn(),
                     shared_state=shared,
                     initial_medoids=initial,
                     charge_greedy=charge_greedy,
-                    **engine_kwargs,
                 )
-                result = engine.fit(data)
-            study.results[(params.k, params.l)] = result
+                if runner is None:
+                    engine = engine_factory(**setting, **engine_kwargs)
+                    result = engine.fit(data)
+                    best = engine.best_positions_
+                else:
+                    outcome = runner.fit(
+                        data, backend=backend, engine_kwargs=engine_kwargs,
+                        **setting,
+                    )
+                    setting_span.set(
+                        attempts=outcome.attempts,
+                        degraded=outcome.degraded,
+                        backend_used=outcome.backend,
+                    )
+                    study.events.extend(outcome.events)
+                    result, best = outcome.result, outcome.best_positions
+            study.results[key] = result
             study.total_stats = study.total_stats.merge(result.stats)
             if level >= ReuseLevel.WARM_START:
-                previous_best = engine.best_positions_
+                previous_best = best
             previous_span_id = setting_span.span_id
             first = False
+            if checkpoint is not None:
+                study.events.append(checkpoint.record_setting(
+                    params.k, params.l, outcome, master, previous_best, shared,
+                ))
         _warn_duplicate_settings(duplicates)
         study.total_stats.backend = engine_factory.backend_name
         return study

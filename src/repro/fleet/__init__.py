@@ -11,8 +11,7 @@ Public surface:
   ``repro bench fleet``;
 * :mod:`repro.fleet.recovery` — elastic fault tolerance: re-shard
   plans after device loss (:func:`plan_recovery`,
-  :func:`degraded_fleet`) and the :class:`DeviceHealth`
-  quarantine/readmit tracker.
+  :func:`degraded_fleet`).
 
 See ``docs/fleet.md`` for the sharding model and determinism contract.
 """
@@ -34,7 +33,6 @@ from .interconnect import (
 from .model import FleetModel, fleet_report
 from .partition import ShardPlan, split_exact, tree_merge
 from .recovery import (
-    DeviceHealth,
     RecoveryPlan,
     active_devices,
     dead_device_indices,
@@ -64,7 +62,6 @@ __all__ = [
     "link_bandwidth",
     "link_latency",
     "run_fleet_bench",
-    "DeviceHealth",
     "RecoveryPlan",
     "active_devices",
     "dead_device_indices",

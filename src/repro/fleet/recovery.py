@@ -2,7 +2,7 @@
 
 The fleet backends (:mod:`repro.fleet.engine`) shard one job across D
 modeled devices; this module is what happens when one of them dies.
-Three pieces:
+Two pieces:
 
 * :func:`degraded_fleet` / :func:`plan_recovery` — rebuild the shard
   plan over the surviving members.  The degraded fleet keeps the dead
@@ -13,11 +13,6 @@ Three pieces:
   original plan used.  By the exact-partial-sum + fixed
   ``tree_merge`` determinism contract, the re-sharded run returns the
   bit-identical clustering;
-* :class:`DeviceHealth` — the health-aware serving tracker: counts
-  consecutive transient errors per member and straggler strikes from
-  :func:`~repro.obs.explain.fleetattr.fleet_attribution` output,
-  quarantines a member that crosses either threshold, and readmits it
-  after a probation period;
 * the recovery path itself lives in
   :class:`~repro.resilience.runner.ResilientRunner`: on
   :class:`~repro.exceptions.DeviceLostError` it snapshots what the
@@ -31,9 +26,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from ..exceptions import ParameterError
 from .fleet import Fleet
 from .partition import ShardPlan
 
@@ -43,7 +37,6 @@ __all__ = [
     "degraded_fleet",
     "RecoveryPlan",
     "plan_recovery",
-    "DeviceHealth",
 ]
 
 _TAG_RE = re.compile(r"^dev(\d+)$")
@@ -124,185 +117,3 @@ def plan_recovery(fleet: Fleet, dead: Iterable[int]) -> RecoveryPlan | None:
     if survivors is None:
         return None
     return RecoveryPlan(fleet=fleet, dead=dead_tuple, survivors=survivors)
-
-
-@dataclass(slots=True)
-class _MemberHealth:
-    """Mutable per-member health record."""
-
-    consecutive_transients: int = 0
-    straggler_strikes: int = 0
-    quarantined: bool = False
-    probation_left: int = 0
-    quarantines: int = 0
-
-
-class DeviceHealth:
-    """Quarantine/readmit tracker for fleet members.
-
-    Two independent triggers quarantine a member:
-
-    * ``transient_threshold`` consecutive transient errors attributed
-      to it (a flaky card), reset by any success;
-    * ``straggler_strikes`` consecutive fleet runs in which
-      :func:`~repro.obs.explain.fleetattr.fleet_attribution` names it
-      the straggler with ``straggler_index`` above
-      ``straggler_threshold`` (a slow card dragging the barrier).
-
-    A quarantined member sits out ``probation`` observed healthy rounds
-    (calls to :meth:`observe_round` — typically one per completed fleet
-    job), then is readmitted with cleared counters.  The tracker never
-    touches a fleet itself; :meth:`healthy_fleet` derives the degraded
-    fleet serving should use, and
-    :meth:`~repro.serve.service.ClusterService.quarantine_device`
-    applies the same decisions to admission capacity.
-    """
-
-    def __init__(
-        self,
-        devices: int,
-        transient_threshold: int = 3,
-        straggler_threshold: float = 1.5,
-        straggler_strikes: int = 3,
-        probation: int = 2,
-    ) -> None:
-        if devices < 1:
-            raise ParameterError(f"devices must be >= 1, got {devices}")
-        if transient_threshold < 1:
-            raise ParameterError(
-                f"transient_threshold must be >= 1, got {transient_threshold}"
-            )
-        if not straggler_threshold >= 1.0:
-            raise ParameterError(
-                f"straggler_threshold must be >= 1.0, "
-                f"got {straggler_threshold}"
-            )
-        if straggler_strikes < 1:
-            raise ParameterError(
-                f"straggler_strikes must be >= 1, got {straggler_strikes}"
-            )
-        if probation < 1:
-            raise ParameterError(f"probation must be >= 1, got {probation}")
-        self.devices = devices
-        self.transient_threshold = transient_threshold
-        self.straggler_threshold = straggler_threshold
-        self.straggler_strikes = straggler_strikes
-        self.probation = probation
-        self._members = [_MemberHealth() for _ in range(devices)]
-
-    # ------------------------------------------------------------------
-    # Signals
-    # ------------------------------------------------------------------
-    def _member(self, index: int) -> _MemberHealth:
-        if not 0 <= index < self.devices:
-            raise ParameterError(
-                f"device index {index} out of range for {self.devices} members"
-            )
-        return self._members[index]
-
-    def record_transient(self, index: int) -> bool:
-        """One transient error on member ``index``; True if it just
-        crossed the threshold into quarantine."""
-        member = self._member(index)
-        member.consecutive_transients += 1
-        if (
-            not member.quarantined
-            and member.consecutive_transients >= self.transient_threshold
-        ):
-            self._quarantine(member)
-            return True
-        return False
-
-    def record_success(self, index: int) -> None:
-        """A successful operation on member ``index`` (resets the
-        consecutive-transient count)."""
-        member = self._member(index)
-        member.consecutive_transients = 0
-
-    def observe_attribution(self, attribution: Mapping) -> int | None:
-        """Fold one fleet run's attribution block in.
-
-        Returns the member index just quarantined for straggling, or
-        ``None``.  Members other than the named straggler get their
-        strike count cleared (straggling must be persistent to strike).
-        """
-        device = str(attribution.get("straggler_device", "") or "")
-        index = None
-        match = _TAG_RE.match(device)
-        if match:
-            index = int(match.group(1))
-        over = (
-            float(attribution.get("straggler_index", 1.0) or 1.0)
-            > self.straggler_threshold
-        )
-        quarantined = None
-        for i, member in enumerate(self._members):
-            if i == index and over:
-                member.straggler_strikes += 1
-                if (
-                    not member.quarantined
-                    and member.straggler_strikes >= self.straggler_strikes
-                ):
-                    self._quarantine(member)
-                    quarantined = i
-            else:
-                member.straggler_strikes = 0
-        return quarantined
-
-    def observe_round(self) -> tuple[int, ...]:
-        """One healthy fleet round completed; advance probation.
-
-        Returns the indices readmitted this round (probation expired).
-        """
-        readmitted = []
-        for index, member in enumerate(self._members):
-            if not member.quarantined:
-                continue
-            member.probation_left -= 1
-            if member.probation_left <= 0:
-                self.readmit(index)
-                readmitted.append(index)
-        return tuple(readmitted)
-
-    def _quarantine(self, member: _MemberHealth) -> None:
-        member.quarantined = True
-        member.probation_left = self.probation
-        member.quarantines += 1
-
-    def readmit(self, index: int) -> None:
-        """Readmit member ``index`` with cleared counters."""
-        member = self._member(index)
-        member.quarantined = False
-        member.probation_left = 0
-        member.consecutive_transients = 0
-        member.straggler_strikes = 0
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    @property
-    def quarantined(self) -> frozenset[int]:
-        """Indices currently quarantined."""
-        return frozenset(
-            i for i, member in enumerate(self._members) if member.quarantined
-        )
-
-    def healthy_fleet(self, fleet: Fleet) -> Fleet | None:
-        """``fleet`` minus the quarantined members (None if nobody's left)."""
-        if not self.quarantined:
-            return fleet
-        return degraded_fleet(fleet, self.quarantined)
-
-    def status(self) -> list[dict]:
-        """JSON-ready per-member health (for health reports / CLI)."""
-        return [
-            {
-                "device": f"dev{i}",
-                "quarantined": member.quarantined,
-                "consecutive_transients": member.consecutive_transients,
-                "straggler_strikes": member.straggler_strikes,
-                "probation_left": member.probation_left,
-                "quarantines": member.quarantines,
-            }
-            for i, member in enumerate(self._members)
-        ]

@@ -209,6 +209,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._next_id = 1
         self._local = threading.local()
+        #: Largest ``start + duration`` over modeled kernel events.
+        self._modeled_end = 0.0
 
     # ------------------------------------------------------------------
     # Clock
@@ -296,6 +298,8 @@ class Tracer:
         )
         with self._lock:
             self.kernel_events.append(event)
+            if clock == "modeled":
+                self._modeled_end = max(self._modeled_end, start + duration)
         recorder = current_recorder()
         if recorder is not None:
             recorder.record_kernel(event)
@@ -306,17 +310,11 @@ class Tracer:
         Each engine's cost model starts its modeled clock at zero; a
         device created mid-trace (e.g. the second setting of a study)
         shifts its events by this offset so successive device timelines
-        concatenate instead of overlapping on the pipeline tracks.
+        concatenate instead of overlapping on the pipeline tracks.  Kept
+        as a running maximum, so the cost does not grow with the trace.
         """
         with self._lock:
-            return max(
-                (
-                    event.start + event.duration
-                    for event in self.kernel_events
-                    if event.clock == "modeled"
-                ),
-                default=0.0,
-            )
+            return self._modeled_end
 
     def counter(self, track: str, value: float, ts: float) -> None:
         """Record one sample of a counter track (device clock)."""

@@ -11,8 +11,9 @@ package provides the three layers (see ``docs/robustness.md``):
   typed-error classification, bounded retry with RNG-state
   restoration, and the degradation ladder
   (GPU-FAST → chunked cache → GPU-PROCLUS → CPU FAST-PROCLUS);
-* :mod:`repro.resilience.checkpoint` / :mod:`repro.resilience.study` —
-  checkpoint/resume for multi-parameter studies.
+* :mod:`repro.resilience.checkpoint` — checkpoint/resume for
+  multi-parameter studies (driven by
+  :func:`repro.core.multiparam.run_study`).
 
 Quickstart::
 
@@ -46,7 +47,6 @@ from .policy import (
     RetryPolicy,
     classify_error,
     default_ladder,
-    reshard_ladder,
 )
 from .runner import (
     ResilienceEvent,
@@ -54,7 +54,6 @@ from .runner import (
     ResilientRunner,
     resilient_fit,
 )
-from .study import run_resilient_study
 
 __all__ = [
     "FAULT_KINDS",
@@ -70,12 +69,10 @@ __all__ = [
     "RetryPolicy",
     "DEFAULT_LADDERS",
     "default_ladder",
-    "reshard_ladder",
     "ResilienceEvent",
     "ResilientOutcome",
     "ResilientRunner",
     "resilient_fit",
     "StudyCheckpoint",
     "data_fingerprint",
-    "run_resilient_study",
 ]

@@ -13,14 +13,15 @@ A :class:`StudyCheckpoint` is a directory:
 
 The manifest is written *after* the setting's result file via an
 atomic ``os.replace``, so a kill at any point leaves the manifest
-referencing only complete files.  On resume the driver validates the
-data fingerprint, grid, backend, and reuse level against the manifest
-(raising :class:`~repro.exceptions.CheckpointError` on mismatch),
-reloads the completed settings, restores the master RNG — including
-its spawn counter, so later settings draw the same per-setting seeds —
-the shared study state, and the warm-start medoids, and continues from
-the first incomplete setting.  The resumed study's saved results are
-identical to an uninterrupted run's.
+referencing only complete files.  :meth:`StudyCheckpoint.resume`, which
+the study loop (:func:`repro.core.multiparam.run_study`) calls, validates
+the data fingerprint, grid, backend, and reuse level against the
+manifest (raising :class:`~repro.exceptions.CheckpointError` on
+mismatch), reloads the completed settings, and restores the master RNG
+— including its spawn counter, so later settings draw the same
+per-setting seeds — the shared study state, and the warm-start medoids;
+the loop continues from the first incomplete setting.  The resumed
+study's saved results are identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from ..core.serialization import load_result, save_result
 from ..core.state import MedoidCache, SharedStudyState
 from ..data.fingerprint import dataset_fingerprint
 from ..exceptions import CheckpointError, DataValidationError
+from ..obs.tracer import current_tracer
 from ..params import ParameterGrid
 from ..result import ProclusResult
 from ..rng import RandomSource
+from .runner import ResilienceEvent, ResilientOutcome
 
 __all__ = ["StudyCheckpoint", "data_fingerprint"]
 
@@ -111,29 +114,39 @@ class StudyCheckpoint:
         self,
         k: int,
         l: int,
-        result: ProclusResult,
+        outcome: ResilientOutcome,
         master: RandomSource,
         previous_best: np.ndarray | None,
         shared: SharedStudyState | None,
-    ) -> Path:
+    ) -> ResilienceEvent:
         """Persist one completed setting + the state to continue after it.
 
         Write order matters for crash consistency: the result file and
         shared-state snapshot land first, the manifest (which is what a
-        resume trusts) is atomically replaced last.
+        resume trusts) is atomically replaced last.  Returns the
+        ``checkpoint`` event naming the setting file.
         """
-        path = save_result(result, self.setting_path(k, l))
-        if shared is not None:
-            self._save_shared(shared)
-        manifest = self._manifest
-        manifest["completed"].append([int(k), int(l)])
-        manifest["rng_state"] = master.get_state()
-        manifest["previous_best"] = (
-            None if previous_best is None
-            else [int(p) for p in previous_best]
+        obs = current_tracer()
+        with obs.span("checkpoint", category="resilience", k=k, l=l):
+            path = save_result(outcome.result, self.setting_path(k, l))
+            if shared is not None:
+                self._save_shared(shared)
+            manifest = self._manifest
+            manifest["completed"].append([int(k), int(l)])
+            manifest["rng_state"] = master.get_state()
+            manifest["previous_best"] = (
+                None if previous_best is None
+                else [int(p) for p in previous_best]
+            )
+            self._write_manifest()
+        if obs.enabled:
+            obs.metrics.counter("resilience.checkpoints").inc()
+        return ResilienceEvent(
+            kind="checkpoint",
+            rung=outcome.rung,
+            attempt=outcome.attempts,
+            detail=str(path),
         )
-        self._write_manifest()
-        return path
 
     def _write_manifest(self) -> None:
         tmp = self.manifest_path.with_suffix(".json.tmp")
@@ -226,6 +239,57 @@ class StudyCheckpoint:
                 f"got backend={backend!r} level={int(level)}"
             )
         return manifest
+
+    def resume(
+        self,
+        data: np.ndarray,
+        grid: ParameterGrid,
+        backend: str,
+        level: int,
+        master: RandomSource,
+        events: list,
+    ) -> tuple[
+        dict[tuple[int, int], ProclusResult],
+        RandomSource,
+        np.ndarray | None,
+        SharedStudyState | None,
+    ]:
+        """Reload an interrupted study so the driver can continue it.
+
+        Returns the completed results by ``(k, l)``, the master RNG
+        (``master`` itself when no setting had completed), the
+        warm-start medoids and the shared study state.  Appends a
+        ``resume`` event to ``events``.
+        """
+        manifest = self.validate_resume(data, grid, backend, level)
+        completed = {
+            (int(k), int(l)): self.load_setting(k, l)
+            for k, l in manifest["completed"]
+        }
+        if manifest["rng_state"] is not None:
+            master = RandomSource.from_state(manifest["rng_state"])
+        previous_best = manifest["previous_best"]
+        if previous_best is not None:
+            previous_best = np.asarray(previous_best, dtype=np.int64)
+        shared = self.load_shared()
+        events.append(
+            ResilienceEvent(
+                kind="resume",
+                rung=backend,
+                attempt=0,
+                detail=f"{len(completed)} completed settings loaded from "
+                       f"{self.directory}",
+            )
+        )
+        obs = current_tracer()
+        with obs.span(
+            "resume", category="resilience",
+            completed=len(completed), directory=str(self.directory),
+        ):
+            pass
+        if obs.enabled:
+            obs.metrics.counter("resilience.resumes").inc()
+        return completed, master, previous_best, shared
 
     def load_setting(self, k: int, l: int) -> ProclusResult:
         """Load one completed setting's result.

@@ -59,7 +59,6 @@ __all__ = [
     "LadderStep",
     "RetryPolicy",
     "default_ladder",
-    "reshard_ladder",
 ]
 
 
@@ -170,32 +169,6 @@ DEFAULT_LADDERS: dict[str, tuple[LadderStep, ...]] = {
 def default_ladder(backend: str) -> tuple[LadderStep, ...]:
     """The documented ladder for ``backend`` (one rung when unknown)."""
     return DEFAULT_LADDERS.get(backend, (LadderStep(backend),))
-
-
-def reshard_ladder(backend: str, devices: int) -> tuple[LadderStep, ...]:
-    """An explicit elastic ladder for a ``fleet-*`` backend.
-
-    ``fleet(D)`` -> ``fleet(D-1)`` -> ... -> ``fleet(2)`` -> the
-    backend's default ladder minus its fleet rungs (solo GPU, then
-    CPU).  Every rung returns the bit-identical clustering; the fleet
-    rungs carry ``{"fleet": d}`` so the engine builds a ``d``-card
-    default fleet.  :class:`~repro.resilience.runner.ResilientRunner`
-    additionally re-shards *within* a rung on device loss — this ladder
-    is the static fallback for schedulers that want the shrinkage
-    spelled out.
-    """
-    if not backend.startswith("fleet-"):
-        raise ParameterError(
-            f"reshard_ladder needs a fleet-* backend, got {backend!r}"
-        )
-    if devices < 1:
-        raise ParameterError(f"devices must be >= 1, got {devices}")
-    rungs = [LadderStep(backend, {"fleet": d}) for d in range(devices, 1, -1)]
-    tail = [
-        step for step in default_ladder(backend)
-        if not step.backend.startswith("fleet-")
-    ]
-    return tuple(rungs) + tuple(tail)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,11 +13,12 @@ serving layer:
   admission control (queue depth, modeled-backlog, device-memory
   feasibility against the modeled card);
 * the request **coalescer** — concurrently queued requests agreeing on
-  ``(fingerprint, backend, seed, k, A, B)`` execute as one
-  :func:`~repro.core.multiparam.run_coalesced_group`-style group,
-  sharing initialization and caches while every response stays
-  bit-identical to a direct solo run (the determinism contract the
-  differential tests assert);
+  ``(fingerprint, backend, seed, k, A, B)`` execute as one group
+  (``ClusterService._run_coalesced`` over
+  :func:`~repro.core.multiparam.build_solo_shared_state`), sharing
+  initialization and caches while every response stays bit-identical
+  to a direct solo run (the determinism contract the differential
+  tests assert);
 * :class:`~repro.serve.cache.ResultCache` — memoizes full results per
   ``(fingerprint, backend, seed, params)`` with LRU eviction;
 * :class:`~repro.serve.service.ClusterService` — worker threads tying

@@ -6,9 +6,9 @@ The two keys defined here encode the serving layer's sharing rules:
   execute as one coalesced group.  The key covers everything the
   initialization phase depends on — dataset fingerprint, backend, seed,
   and ``(k, A, B)`` (which size the sample and the greedy pick) — so
-  group members draw the identical sample and medoid set ``M`` and the
-  solo-equivalence contract of
-  :func:`repro.core.multiparam.run_coalesced_group` applies.
+  group members draw the identical sample and medoid set ``M``
+  (:func:`repro.core.multiparam.build_solo_shared_state`) and each
+  member's result equals its solo run's.
 * :attr:`ClusterRequest.cache_key` — requests with equal cache keys
   produce the identical :class:`~repro.result.ProclusResult`, so the
   second one can be answered from the result cache (or attached to the

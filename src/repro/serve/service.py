@@ -624,6 +624,12 @@ class ClusterService:
                 )
                 self.obs.metrics.counter("serve.cache.evictions").inc()
             now = self._clock()
+            if self.monitor is not None:
+                # The runner already counted fleet.recovery.mttr_seconds
+                # on the shared registry; only the SLO still needs it.
+                for event in outcome.events:
+                    if event.kind == "reshard":
+                        self.monitor.slo.record_recovery(event.recovery_s, now)
             self._event(
                 "complete", job.job_id, job.request,
                 detail=f"{stats.modeled_seconds * 1e3:.3f}ms modeled, "

@@ -181,20 +181,17 @@ class TestFleetRecoveryDoc:
         text = read("docs/fleet.md")
         assert "## Device loss & quarantine" in text
         for surface in ("quarantine_device", "readmit_device",
-                        "DeviceHealth",
                         "fleet-availability", "fleet-mttr",
                         "repro chaos --fleet", "--devices"):
             assert surface in text, surface
 
     def test_entry_points_exist(self):
         import repro.fleet as fleet
-        import repro.resilience as resilience
 
-        for symbol in ("DeviceHealth", "RecoveryPlan", "plan_recovery",
+        for symbol in ("RecoveryPlan", "plan_recovery",
                        "degraded_fleet", "active_devices",
                        "dead_device_indices"):
             assert hasattr(fleet, symbol), symbol
-        assert hasattr(resilience, "reshard_ladder")
 
     def test_fault_table_lists_every_kind(self):
         from repro.resilience import FAULT_KINDS

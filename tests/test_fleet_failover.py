@@ -1,4 +1,4 @@
-"""Health-aware failover: DeviceHealth, quarantine serving,
+"""Health-aware failover: quarantine serving, re-shard recovery SLOs,
 event-log determinism, and graceful shutdown of a fleet-backed service.
 """
 
@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro import proclus
-from repro.exceptions import ParameterError, ServeError
-from repro.fleet import DeviceHealth, default_fleet
+from repro.exceptions import ServeError
+from repro.fleet import default_fleet
 from repro.params import ProclusParams
 from repro.resilience import (
     FaultInjector,
@@ -33,95 +33,6 @@ PARAMS = ProclusParams(k=4, l=3)
 def data():
     rng = np.random.default_rng(11)
     return rng.normal(size=(400, 8)).astype(np.float32)
-
-
-class TestDeviceHealth:
-    def test_transient_threshold_quarantines(self):
-        health = DeviceHealth(3, transient_threshold=3)
-        assert health.record_transient(1) is False
-        assert health.record_transient(1) is False
-        assert health.record_transient(1) is True
-        assert health.quarantined == frozenset({1})
-
-    def test_success_resets_the_streak(self):
-        health = DeviceHealth(2, transient_threshold=3)
-        health.record_transient(0)
-        health.record_transient(0)
-        health.record_success(0)
-        assert health.record_transient(0) is False
-        assert health.quarantined == frozenset()
-
-    def test_persistent_straggler_quarantined(self):
-        health = DeviceHealth(3, straggler_threshold=1.5, straggler_strikes=3)
-        block = {"straggler_device": "dev2", "straggler_index": 2.0}
-        assert health.observe_attribution(block) is None
-        assert health.observe_attribution(block) is None
-        assert health.observe_attribution(block) == 2
-        assert health.quarantined == frozenset({2})
-
-    def test_straggling_must_be_persistent(self):
-        health = DeviceHealth(3, straggler_strikes=2)
-        health.observe_attribution(
-            {"straggler_device": "dev2", "straggler_index": 2.0}
-        )
-        # A different straggler clears dev2's strike.
-        health.observe_attribution(
-            {"straggler_device": "dev0", "straggler_index": 2.0}
-        )
-        assert health.observe_attribution(
-            {"straggler_device": "dev2", "straggler_index": 2.0}
-        ) is None
-        assert health.quarantined == frozenset()
-
-    def test_mild_imbalance_never_strikes(self):
-        health = DeviceHealth(2, straggler_threshold=1.5, straggler_strikes=1)
-        quarantined = health.observe_attribution(
-            {"straggler_device": "dev1", "straggler_index": 1.2}
-        )
-        assert quarantined is None
-        assert health.quarantined == frozenset()
-
-    def test_probation_then_readmission(self):
-        health = DeviceHealth(2, transient_threshold=1, probation=2)
-        health.record_transient(1)
-        assert health.quarantined == frozenset({1})
-        assert health.observe_round() == ()
-        assert health.observe_round() == (1,)
-        assert health.quarantined == frozenset()
-        status = health.status()[1]
-        assert status["consecutive_transients"] == 0
-        assert status["quarantines"] == 1
-
-    def test_healthy_fleet_drops_quarantined_weight(self):
-        health = DeviceHealth(3, transient_threshold=1)
-        fleet = default_fleet(3)
-        assert health.healthy_fleet(fleet) is fleet
-        health.record_transient(2)
-        degraded = health.healthy_fleet(fleet)
-        assert degraded.num_devices == 3
-        assert degraded.effective_weights()[2] == 0.0
-
-    def test_healthy_fleet_none_when_everyone_is_out(self):
-        health = DeviceHealth(1, transient_threshold=1)
-        health.record_transient(0)
-        assert health.healthy_fleet(default_fleet(1)) is None
-
-    def test_status_is_json_ready(self):
-        health = DeviceHealth(2)
-        payload = health.status()
-        json.dumps(payload)
-        assert [entry["device"] for entry in payload] == ["dev0", "dev1"]
-
-    @pytest.mark.parametrize("kwargs", [
-        {"devices": 0},
-        {"devices": 2, "transient_threshold": 0},
-        {"devices": 2, "straggler_threshold": 0.9},
-        {"devices": 2, "straggler_strikes": 0},
-        {"devices": 2, "probation": 0},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ParameterError):
-            DeviceHealth(**kwargs)
 
 
 class TestQuarantineServing:
@@ -197,6 +108,41 @@ class TestQuarantineServing:
         counters = health["service"]["counters"]
         assert counters["fleet.quarantined"] == 1
         assert counters["fleet.readmitted"] == 1
+
+    def test_reshard_recovery_reaches_the_mttr_slo(self, data, tmp_path):
+        """Regression: a job that re-sharded after a device loss counted
+        its recovery on the metrics but left ``fleet-mttr`` at 0.0."""
+        from repro.serve import ClusterService
+
+        service = ClusterService(
+            fleet=default_fleet(3), monitor_dir=tmp_path / "mon",
+            injector=FaultInjector(["device-down@dev1#3"]),
+        )
+        outcomes = []
+        fit = service.runner.fit
+
+        def recording_fit(*args, **kwargs):
+            outcomes.append(fit(*args, **kwargs))
+            return outcomes[-1]
+
+        service.runner.fit = recording_fit
+        try:
+            service.submit(
+                data, backend="fleet-gpu-fast",
+                k=PARAMS.k, l=PARAMS.l, seed=0,
+            ).result(timeout=60)
+        finally:
+            health = service.shutdown()
+        (reshard,) = [
+            event for outcome in outcomes for event in outcome.events
+            if event.kind == "reshard"
+        ]
+        assert reshard.recovery_s > 0.0
+        by_name = {slo["name"]: slo for slo in health["slos"]}
+        assert by_name["fleet-mttr"]["value"] == reshard.recovery_s
+        counters = health["service"]["counters"]
+        assert counters["fleet.recovery.reshards"] == 1
+        assert counters["fleet.recovery.mttr_seconds"] == reshard.recovery_s
 
     def test_device_events_logged(self, tmp_path):
         from repro.obs.monitor import read_monitor_events

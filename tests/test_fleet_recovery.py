@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import proclus
-from repro.exceptions import DeviceLostError, ParameterError
+from repro.exceptions import DeviceLostError
 from repro.fleet import (
     Fleet,
     RecoveryPlan,
@@ -28,11 +28,9 @@ from repro.params import ProclusParams
 from repro.resilience import (
     ErrorClass,
     FaultInjector,
-    LadderStep,
     ResilientRunner,
     RetryPolicy,
     classify_error,
-    reshard_ladder,
     use_injector,
 )
 
@@ -117,21 +115,6 @@ class TestErrorClassification:
         error = DeviceLostError("gone", device="dev1")
         assert classify_error(error) is ErrorClass.DEVICE_LOSS
         assert error.device == "dev1"
-
-    def test_reshard_ladder_shrinks_then_goes_solo(self):
-        ladder = reshard_ladder("fleet-gpu-fast", 4)
-        assert ladder[0] == LadderStep("fleet-gpu-fast", {"fleet": 4})
-        assert ladder[1] == LadderStep("fleet-gpu-fast", {"fleet": 3})
-        assert ladder[2] == LadderStep("fleet-gpu-fast", {"fleet": 2})
-        # Tail: the default ladder minus its fleet rungs.
-        assert all(
-            not step.backend.startswith("fleet-") for step in ladder[3:]
-        )
-        assert ladder[-1].backend == "fast"
-
-    def test_reshard_ladder_rejects_non_fleet_backend(self):
-        with pytest.raises(ParameterError):
-            reshard_ladder("gpu-fast", 2)
 
 
 class TestDeviceDownDifferential:

@@ -213,12 +213,11 @@ class TestDuplicateGridEntries:
     def test_resilient_warning_fires_once_per_study(self, data, dup_grid):
         import warnings
 
-        from repro.resilience import run_resilient_study
-
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_resilient_study(
-                data, grid=dup_grid, backend="fast", level=1, seed=0
+            run_parameter_study(
+                data, grid=dup_grid, backend="fast", level=1, seed=0,
+                resilience=True,
             )
         dup_warnings = [
             w for w in caught if "duplicate setting" in str(w.message)
@@ -226,11 +225,10 @@ class TestDuplicateGridEntries:
         assert len(dup_warnings) == 1, [str(w.message) for w in caught]
 
     def test_resilient_study_also_dedupes(self, data, dup_grid, clean_grid):
-        from repro.resilience import run_resilient_study
-
         with pytest.warns(UserWarning, match="duplicate setting"):
-            duplicated = run_resilient_study(
-                data, grid=dup_grid, backend="fast", level=1, seed=0
+            duplicated = run_parameter_study(
+                data, grid=dup_grid, backend="fast", level=1, seed=0,
+                resilience=True,
             )
         clean = run_parameter_study(
             data, grid=clean_grid, backend="fast", level=1, seed=0

@@ -179,6 +179,45 @@ class TestKernelEvents:
         )
 
 
+class TestDeviceOffset:
+    def test_zero_without_events(self):
+        assert Tracer().device_offset() == 0.0
+
+    def test_max_modeled_end_ignores_wall_clock_events(self):
+        import random
+
+        rng = random.Random(5)
+        tracer = Tracer()
+        for index in range(200):
+            clock = "wall" if index % 3 == 0 else "modeled"
+            tracer.kernel(
+                "k", "compute_l", "compute_l",
+                rng.uniform(0.0, 1e-3), rng.uniform(0.0, 1e-3), clock=clock,
+            )
+            ends = [
+                event.start + event.duration
+                for event in tracer.kernel_events
+                if event.clock == "modeled"
+            ]
+            assert tracer.device_offset() == max(ends, default=0.0)
+        # A wall-clock event ending later does not move the offset.
+        before = tracer.device_offset()
+        tracer.kernel("emu", "emulated", "compute_l", 1.0, 1.0, clock="wall")
+        assert tracer.device_offset() == before
+
+    def test_never_scans_the_recorded_events(self):
+        class Unscannable(list):
+            def __iter__(self):
+                raise AssertionError("kernel_events was iterated")
+
+        tracer = Tracer()
+        tracer.kernel_events = Unscannable()
+        tracer.kernel("a", "compute_l", "compute_l", 0.0, 2e-6)
+        tracer.kernel("b", "compute_l", "compute_l", 1e-6, 5e-6)
+        tracer.kernel("c", "compute_l", "compute_l", 3e-6, 1e-6)
+        assert tracer.device_offset() == 1e-6 + 5e-6
+
+
 class TestDisabledOverhead:
     """Satellite: pin the <=2% disabled-overhead claim of the tracer."""
 

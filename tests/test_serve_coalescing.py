@@ -5,76 +5,25 @@ sharing, Section 3.1, applied to concurrent requests): requests that
 agree on ``(dataset, backend, seed, k, A, B)`` execute as one group —
 sharing the sample, the greedy medoid pick, and the FAST caches — yet
 every response must be **bit-identical** to running that request alone.
-Checked here both at the driver level (:func:`run_coalesced_group`,
-deterministic) and end-to-end through the threaded service, across the
-three GPU variants of the paper.
+Checked here end-to-end through the threaded service, across the three
+GPU variants of the paper.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro import BACKENDS, proclus
-from repro.core.multiparam import run_coalesced_group
-from repro.exceptions import ParameterError
+from repro import proclus
 from repro.params import ProclusParams
+from repro.result import bit_identical
 from repro.serve import ClusterService
 
 GPU_VARIANTS = ("gpu", "gpu-fast", "gpu-fast-star")
 
 
-def identical(a, b) -> bool:
-    return (
-        np.array_equal(a.labels, b.labels)
-        and np.array_equal(a.medoids, b.medoids)
-        and a.dimensions == b.dimensions
-        and a.cost == b.cost
-        and a.refined_cost == b.refined_cost
-        and a.iterations == b.iterations
-        and a.best_iteration == b.best_iteration
-    )
-
-
 @pytest.fixture(scope="module")
 def base_params():
     return ProclusParams(k=4, l=3, a=30, b=5)
-
-
-class TestDriverLevel:
-    @pytest.mark.parametrize("backend", GPU_VARIANTS)
-    def test_group_matches_solo_runs(self, small_dataset, base_params, backend):
-        data, _ = small_dataset
-        settings = [base_params.with_(l=l) for l in (3, 4, 5)]
-        group = run_coalesced_group(
-            data, BACKENDS[backend], settings, seed=0
-        )
-        for params, result in zip(settings, group):
-            solo = proclus(data, backend=backend, params=params, seed=0)
-            assert identical(result, solo), (backend, params.l)
-
-    def test_group_saves_modeled_time(self, small_dataset, base_params):
-        data, _ = small_dataset
-        settings = [base_params.with_(l=l) for l in (3, 4, 5)]
-        group = run_coalesced_group(
-            data, BACKENDS["gpu-fast"], settings, seed=0
-        )
-        solo_total = sum(
-            proclus(
-                data, backend="gpu-fast", params=params, seed=0
-            ).stats.modeled_seconds
-            for params in settings
-        )
-        group_total = sum(result.stats.modeled_seconds for result in group)
-        assert group_total < solo_total
-
-    def test_mismatched_k_a_b_rejected(self, small_dataset, base_params):
-        data, _ = small_dataset
-        with pytest.raises(ParameterError, match="share"):
-            run_coalesced_group(
-                data, BACKENDS["gpu-fast"],
-                [base_params, base_params.with_(k=5)], seed=0,
-            )
 
 
 class TestServiceLevel:
@@ -113,7 +62,7 @@ class TestServiceLevel:
                 data, backend=backend,
                 params=base_params.with_(l=l), seed=0,
             )
-            assert identical(result, solo), (backend, l)
+            assert bit_identical(result, solo), (backend, l)
 
     def test_mixed_share_keys_still_all_identical(
         self, small_dataset, base_params
@@ -138,4 +87,4 @@ class TestServiceLevel:
                 data, backend=backend,
                 params=base_params.with_(l=l), seed=seed,
             )
-            assert identical(result, solo), (backend, seed, l)
+            assert bit_identical(result, solo), (backend, seed, l)

@@ -74,6 +74,16 @@ class TestRequestKeys:
         ):
             assert other.share_key != base.share_key
 
+    def test_share_key_separates_a_and_b(self):
+        # A and B size the shared sample and greedy pick, so a group
+        # mixing them would hand some member the wrong medoid set M.
+        base = ClusterRequest("f" * 64, "gpu-fast", small_params())
+        for other in (
+            ClusterRequest("f" * 64, "gpu-fast", small_params(a=31)),
+            ClusterRequest("f" * 64, "gpu-fast", small_params(b=6)),
+        ):
+            assert other.share_key != base.share_key
+
     def test_fingerprint_validated(self):
         with pytest.raises(ParameterError):
             ClusterRequest("", "gpu-fast", small_params())
