@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .base import EngineBase
-from .distance import abs_diff_dim_sums, euclidean_to_point
 from .state import MedoidCache
 
 __all__ = ["FastDistOnlyEngine", "FastHOnlyEngine"]
@@ -55,7 +54,7 @@ class FastDistOnlyEngine(EngineBase):
 
         missing = mcur[~cache.dist_found[mcur]]
         for mi in missing:
-            cache.dist[mi] = euclidean_to_point(data, data[self._medoid_ids[mi]])
+            cache.dist[mi] = self._distance_row(data[self._medoid_ids[mi]])
         self._account_distance_rows(len(missing), n, d)
         cache.dist_found[missing] = True
 
@@ -73,7 +72,7 @@ class FastDistOnlyEngine(EngineBase):
             count = int(np.count_nonzero(mask))
             sizes[i] = count
             total_in_l += count
-            x[i] = abs_diff_dim_sums(data[mask], data[self._medoid_ids[mi]]) / count
+            x[i] = self._dim_sums(mask, data[self._medoid_ids[mi]]) / count
         self._account_scan_l(n, k, total_in_l)
         self._account_x_sums(total_in_l, d, k)
         self._account_x_finalize(k, d)
@@ -113,7 +112,7 @@ class FastHOnlyEngine(EngineBase):
         # Distances recomputed from scratch for all current medoids —
         # but stored per potential medoid so DeltaL can be derived.
         for mi in mcur:
-            cache.dist[mi] = euclidean_to_point(data, data[self._medoid_ids[mi]])
+            cache.dist[mi] = self._distance_row(data[self._medoid_ids[mi]])
         self._account_distance_rows(k, n, d)
 
         medoid_dist = cache.dist[mcur][:, medoid_ids]
@@ -138,7 +137,7 @@ class FastHOnlyEngine(EngineBase):
             total_changed += count
             if count:
                 point = data[self._medoid_ids[mi]]
-                cache.h[mi] += lam * abs_diff_dim_sums(data[mask], point)
+                cache.h[mi] += lam * self._dim_sums(mask, point)
                 cache.size_l[mi] += lam * count
             cache.prev_delta[mi] = current
             sizes[i] = cache.size_l[mi]

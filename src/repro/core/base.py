@@ -287,24 +287,26 @@ class EngineBase(abc.ABC):
     # Every primitive is row-local over the n points, so a sharded
     # override may compute per-shard pieces and concatenate (rows) or
     # merge exact partial sums (dim sums) and remain bit-identical to
-    # the solo implementation.
+    # the solo implementation.  All of them read the fit's column-major
+    # copy ``self._columns`` (or a row range of it).
     def _distance_row(self, point: np.ndarray) -> np.ndarray:
         """Euclidean distances from every data point to ``point``."""
-        return euclidean_to_point(self._data, point)
+        return euclidean_to_point(self._columns, point)
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
         """Per-dimension |x - point| sums over ``data[mask]`` (exact)."""
-        return abs_diff_dim_sums(self._data[mask], point)
+        rows = self._columns.T.take(np.flatnonzero(mask), axis=1)
+        return abs_diff_dim_sums(rows.T, point)
 
     def _assign_points(
         self, medoid_points: np.ndarray, dims: list
     ) -> tuple[np.ndarray, np.ndarray]:
         """Assign every point to its nearest medoid's subspace."""
-        return assign_points(self._data, medoid_points, dims)
+        return assign_points(self._columns, medoid_points, dims)
 
     def _evaluate_clusters(self, labels: np.ndarray, dims: list) -> float:
         """Average within-cluster subspace deviation (Definition 1)."""
-        return evaluate_clusters(self._data, labels, dims)
+        return evaluate_clusters(self._columns, labels, dims)
 
     # ------------------------------------------------------------------
     # The algorithm (Algorithm 1)
@@ -323,6 +325,10 @@ class EngineBase(abc.ABC):
         p = self.params
         p.validate_against_data(n, d)
         self._data = data
+        # One column-major copy per fit, dropped with it: ``.T`` is a
+        # free (d, n) view with contiguous dimension rows, the layout
+        # the data-parallel primitives read (repro.core.distance).
+        self._columns = np.asfortranarray(data)
         obs = self._tracer if self._tracer is not None else current_tracer()
         self._obs = obs
         with obs.span(
@@ -336,6 +342,7 @@ class EngineBase(abc.ABC):
                 result = self._run(data, started)
             finally:
                 self._teardown()
+                self._columns = None
             fit_span.set(
                 cost=result.cost,
                 iterations=result.iterations,

@@ -48,6 +48,9 @@ def greedy_select(sample: np.ndarray, count: int, seed_index: int) -> np.ndarray
     if not 0 <= seed_index < s:
         raise ParameterError(f"seed index {seed_index} out of range [0, {s})")
 
+    # Column-major like the engines' copy of the dataset, so every
+    # pick's distances combine contiguous dimension rows.
+    sample = np.asfortranarray(sample)
     chosen = np.empty(count, dtype=np.int64)
     chosen[0] = seed_index
     # Distance from every sample point to its closest chosen medoid.

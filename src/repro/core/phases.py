@@ -118,14 +118,17 @@ def evaluate_clusters(
     dataset size, matching Eq. 2.
     """
     n = data.shape[0]
-    k = len(dimensions)
+    columns = data.T
     total = 0.0
-    for i in range(k):
-        dims = list(dimensions[i])
-        members = data[labels == i][:, dims]
-        size = members.shape[0]
+    for i, dims in enumerate(dimensions):
+        rows = np.flatnonzero(labels == i)
+        size = rows.size
         if size == 0:
             continue
+        # (size, |D_i|) with contiguous columns for any input layout:
+        # these sums are not exact, and NumPy's pairwise column sums
+        # depend on the strides they see.
+        members = columns[np.ix_(dims, rows)].T
         centroid = np.sum(members, axis=0, dtype=np.float64) / size
         v = np.sum(np.abs(members - centroid), axis=0, dtype=np.float64) / size
         w = float(v.mean())

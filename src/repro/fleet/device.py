@@ -75,6 +75,10 @@ class ShardDevice(Device):
     ) -> None:
         super().__init__(spec, model=model, tracer=tracer)
         self.index = index
+        #: Barrier waits this shard's clock carries beyond its own
+        #: ledger, relative to zero (the trace offset is added only
+        #: where events are placed, so tracing cannot round it).
+        self.skew = 0.0
 
     def _pipeline(self, name: str) -> str:
         base = name.split("@", 1)[0]
@@ -174,9 +178,7 @@ class FleetDevice:
     # Clocks
     # ------------------------------------------------------------------
     def _elapsed(self, shard: ShardDevice) -> float:
-        return (
-            shard.clock_offset - self.clock_offset + shard.model.total_seconds
-        )
+        return shard.skew + shard.model.total_seconds
 
     def _fleet_elapsed(self) -> float:
         if not self._active:
@@ -207,9 +209,8 @@ class FleetDevice:
                     clock="modeled",
                 )
             self.model.sync_seconds[shard.index] += wait
-            shard.clock_offset = (
-                self.clock_offset + target - shard.model.total_seconds
-            )
+            shard.skew = target - shard.model.total_seconds
+            shard.clock_offset = self.clock_offset + shard.skew
         counter = self.model.counter
         counter.add("fleet.comm_bytes", nbytes)
         counter.add("fleet.comm_seconds", seconds)

@@ -128,14 +128,16 @@ class FleetEngineMixin(GpuEngineMixin):
         for start, stop in self._plan.ranges():
             if stop > start:
                 out[start:stop] = euclidean_to_point(
-                    self._data[start:stop], point
+                    self._columns[start:stop], point
                 )
         return out
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
+        columns = self._columns.T
         partials = [
             abs_diff_dim_sums(
-                self._data[start:stop][mask[start:stop]], point
+                columns.take(start + np.flatnonzero(mask[start:stop]), axis=1).T,
+                point,
             )
             for start, stop in self._plan.ranges()
             if stop > start
@@ -150,7 +152,7 @@ class FleetEngineMixin(GpuEngineMixin):
         for start, stop in self._plan.ranges():
             if stop > start:
                 labels_part, seg_part = assign_points(
-                    self._data[start:stop], medoid_points, dims
+                    self._columns[start:stop], medoid_points, dims
                 )
                 labels_parts.append(labels_part)
                 seg_parts.append(seg_part)

@@ -20,6 +20,7 @@ from repro.data.normalize import minmax_normalize
 from repro.data.synthetic import generate_subspace_data
 from repro.fleet import Fleet, FleetModel, default_fleet, fleet_report, mixed_fleet
 from repro.hardware.specs import GTX_1660_TI, RTX_3090
+from repro.obs import Tracer
 from repro.params import ProclusParams
 from repro.resilience import ResilientRunner, RetryPolicy
 from repro.resilience.faults import FaultInjector, use_injector
@@ -200,3 +201,41 @@ class TestFleetValidation:
         assert fleet.shard_plan(len(data)).counts[1] == 0
         _, result = run_fleet(data, params, "gpu-fast", fleet)
         assert_identical(result, solo["gpu-fast"])
+
+
+class TestTracedEqualsUntraced:
+    """Tracing places kernel events; it must not move a modeled second.
+
+    A tracer that already ran a device hands the fleet a non-zero
+    ``device_offset()``.  The shards' barrier skew still accrues from
+    zero, so the traced run reports the untraced run's exact figures.
+    """
+
+    @pytest.mark.parametrize("backend", GPU_BACKENDS)
+    def test_offset_tracer_keeps_modeled_figures(self, backend):
+        data = minmax_normalize(
+            generate_subspace_data(n=1500, d=8, n_clusters=4, seed=1).data
+        )
+        params = ProclusParams(k=5, l=3, a=25, b=5)
+        engine = BACKENDS[f"fleet-{backend}"]
+        untraced = engine(params=params, seed=1, fleet=default_fleet(3)).fit(data)
+
+        tracer = Tracer()
+        BACKENDS["gpu-fast"](params=params, seed=1, tracer=tracer).fit(data)
+        offset = tracer.device_offset()
+        assert offset > 0
+        before = len(tracer.kernel_events)
+        traced = engine(
+            params=params, seed=1, tracer=tracer, fleet=default_fleet(3)
+        ).fit(data)
+
+        assert traced.stats.modeled_seconds == untraced.stats.modeled_seconds
+        assert traced.stats.phase_seconds == untraced.stats.phase_seconds
+        assert traced.stats.counters == untraced.stats.counters
+        # The offset still shifts where the fleet's events are placed.
+        shard_events = [
+            event for event in tracer.kernel_events[before:]
+            if "@dev" in event.name
+        ]
+        assert shard_events
+        assert min(event.start for event in shard_events) >= offset
