@@ -4,8 +4,10 @@ The GPU engines talk to exactly one device object: they allocate named
 arrays, upload the dataset, and record kernel launches.  A
 :class:`FleetDevice` satisfies that contract while running two books:
 
-* a **logical device** replays every call unchanged (full geometry,
-  solo spec, no tracing, no fault injection), so the run's
+* a **logical book** keeps the solo run's view: every launch is
+  recorded unchanged (full geometry) on the run's counter without being
+  costed, and a logical device holds the solo allocations and
+  transfers (solo spec, no tracing, no fault injection), so the run's
   ``RunStats.counters`` are bit-identical to the solo run's;
 * **shard devices** — one :class:`ShardDevice` per fleet member with a
   non-empty point range — receive the physically sharded version:
@@ -33,9 +35,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..gpu.device import Device
+from ..gpu.device import Device, kernel_launch
 from ..gpu.memory import DeviceArray
 from ..hardware.cost_model import to_units
+from ..hardware.counters import KernelLaunch
 from ..hardware.specs import GpuSpec
 from ..obs.export import kernel_pipeline
 from ..obs.tracer import NULL_TRACER, Tracer
@@ -89,12 +92,13 @@ class ShardDevice(Device):
 
 
 class LogicalDevice(Device):
-    """Accounting-only replay of the solo run's device activity.
+    """The solo run's allocations and transfers, for the counter book.
 
     Never traces, never consults the fault injector (faults fire on
     the physical shards), and its memory capacity is widened to the
-    fleet's total so a job only a *fleet* can hold still replays its
-    solo launch stream for the counter book.
+    fleet's total so a job only a *fleet* can hold still books its
+    solo allocations.  Launches never reach it: :class:`FleetDevice`
+    records them on the run's counter directly.
     """
 
     fires_injector = False
@@ -153,6 +157,8 @@ class FleetDevice:
         #: Collective seconds accrued inside the current launch() call,
         #: in exact ledger units, feeding the fleet ledger's comm component.
         self._comm_this_call = 0
+        #: Each distinct logical launch's dispatch (see _dispatch_of).
+        self._dispatch: dict[KernelLaunch, tuple[bool, tuple]] = {}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -315,6 +321,41 @@ class FleetDevice:
             float(part) for part in split_exact(total, [float(c) for c in counts])
         )
 
+    def _dispatch_of(self, launch: KernelLaunch) -> tuple[bool, tuple]:
+        """Whether ``launch`` shards, and each target shard's arguments.
+
+        A sharded kernel splits its blocks and work by rows over the
+        active shards; any other kernel runs whole on the root shard.
+        The arguments are :meth:`Device.launch`'s, in positional order.
+        """
+        sharded = launch.name in SHARDED_KERNELS
+        if sharded:
+            counts = self._active_counts
+            total_rows = sum(counts)
+            blocks = [
+                max(1, int(np.ceil(launch.grid_blocks * (count / total_rows))))
+                for count in counts
+            ]
+            targets = zip(self._active, zip(
+                blocks,
+                self._split_work(launch.flops, counts),
+                self._split_work(launch.gmem_bytes, counts),
+                self._split_work(launch.atomic_ops, counts),
+            ))
+        else:
+            whole = (launch.grid_blocks, launch.flops, launch.gmem_bytes,
+                     launch.atomic_ops)
+            targets = [(self._active[0], whole)]
+        return sharded, tuple(
+            (shard, (
+                f"{launch.name}@dev{shard.index}", launch.phase, grid_blocks,
+                launch.threads_per_block, flops, gmem_bytes, atomic_ops,
+                launch.smem_bytes_per_block, launch.registers_per_thread,
+                launch.ipc,
+            ))
+            for shard, (grid_blocks, flops, gmem_bytes, atomic_ops) in targets
+        )
+
     def launch(
         self,
         name: str,
@@ -328,58 +369,33 @@ class FleetDevice:
         registers_per_thread: int = 32,
         ipc: float = 1.0,
     ) -> float:
-        """Replay logically; dispatch physically; accrue fleet time."""
+        """Record logically; dispatch physically; accrue fleet time."""
         before = self._fleet_elapsed()
         self._comm_this_call = 0
-        self.logical.launch(
-            name, phase, grid_blocks, threads_per_block,
-            flops=flops, gmem_bytes=gmem_bytes, atomic_ops=atomic_ops,
-            smem_bytes_per_block=smem_bytes_per_block,
-            registers_per_thread=registers_per_thread, ipc=ipc,
+        launch = kernel_launch(
+            name, phase, grid_blocks, threads_per_block, flops, gmem_bytes,
+            atomic_ops, smem_bytes_per_block, registers_per_thread, ipc,
         )
-        if name in SHARDED_KERNELS and len(self._active) > 0:
-            if self._root_fresh:
-                payload = self._bcast_bytes.get(name, self._default_bcast)
-                self._collective("broadcast", payload, phase)
-                self._root_fresh = False
-            flops_split = self._split_work(flops, self._active_counts)
-            gmem_split = self._split_work(gmem_bytes, self._active_counts)
-            atomic_split = self._split_work(atomic_ops, self._active_counts)
-            total_rows = sum(self._active_counts)
-            for i, shard in enumerate(self._active):
-                fraction = self._active_counts[i] / total_rows
-                shard.launch(
-                    f"{name}@dev{shard.index}",
-                    phase,
-                    grid_blocks=max(
-                        1, int(np.ceil(grid_blocks * fraction))
-                    ),
-                    threads_per_block=threads_per_block,
-                    flops=flops_split[i],
-                    gmem_bytes=gmem_split[i],
-                    atomic_ops=atomic_split[i],
-                    smem_bytes_per_block=smem_bytes_per_block,
-                    registers_per_thread=registers_per_thread,
-                    ipc=ipc,
-                )
+        # The logical book counts the solo launch stream; nothing reads
+        # a cost for it.  Recorded before any collective, so the counter
+        # keeps the solo run's insertion order.
+        self.model.counter.record_launch(launch)
+        entry = self._dispatch.get(launch)
+        if entry is None:
+            entry = self._dispatch[launch] = self._dispatch_of(launch)
+        sharded, dispatch = entry
+        if sharded and self._root_fresh:
+            payload = self._bcast_bytes.get(name, self._default_bcast)
+            self._collective("broadcast", payload, phase)
+            self._root_fresh = False
+        elif not sharded and self._pending_reduce > 0:
+            self._collective("allreduce", self._pending_reduce, phase)
+            self._pending_reduce = 0.0
+        for shard, args in dispatch:
+            shard.launch(*args)
+        if sharded:
             self._pending_reduce += self._reduce_bytes.get(name, 0.0)
         else:
-            if self._pending_reduce > 0:
-                self._collective("allreduce", self._pending_reduce, phase)
-                self._pending_reduce = 0.0
-            root = self._active[0]
-            root.launch(
-                f"{name}@dev{root.index}",
-                phase,
-                grid_blocks=grid_blocks,
-                threads_per_block=threads_per_block,
-                flops=flops,
-                gmem_bytes=gmem_bytes,
-                atomic_ops=atomic_ops,
-                smem_bytes_per_block=smem_bytes_per_block,
-                registers_per_thread=registers_per_thread,
-                ipc=ipc,
-            )
             self._root_fresh = True
         delta = self._fleet_elapsed() - before
         # The makespan delta splits exactly into collective time (the

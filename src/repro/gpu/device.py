@@ -20,7 +20,7 @@ from ..obs.export import kernel_pipeline
 from ..obs.tracer import Tracer, current_tracer
 from .memory import DeviceArray, MemoryManager, ambient_injector
 
-__all__ = ["Device"]
+__all__ = ["Device", "kernel_launch"]
 
 #: Sustained host<->device PCIe bandwidth (B/s); PROCLUS transfers the
 #: dataset once and the labels back once, so this barely matters — the
@@ -30,13 +30,44 @@ _PCIE_BANDWIDTH = 12e9
 _TRANSFER_LATENCY_S = 10e-6
 
 
+def kernel_launch(
+    name: str,
+    phase: str,
+    grid_blocks: int,
+    threads_per_block: int,
+    flops: float = 0.0,
+    gmem_bytes: float = 0.0,
+    atomic_ops: float = 0.0,
+    smem_bytes_per_block: int = 0,
+    registers_per_thread: int = 32,
+    ipc: float = 1.0,
+) -> KernelLaunch:
+    """The :class:`KernelLaunch` a ``launch(...)`` call records.
+
+    Counts are coerced to ``int`` and work amounts to ``float``, so
+    equal calls give equal (and equally hashed) launches.
+    """
+    return KernelLaunch(
+        name=name,
+        phase=phase,
+        grid_blocks=int(grid_blocks),
+        threads_per_block=int(threads_per_block),
+        flops=float(flops),
+        gmem_bytes=float(gmem_bytes),
+        atomic_ops=float(atomic_ops),
+        smem_bytes_per_block=int(smem_bytes_per_block),
+        registers_per_thread=int(registers_per_thread),
+        ipc=float(ipc),
+    )
+
+
 class Device:
     """A simulated CUDA device with a calibrated performance model."""
 
     #: Whether this device consults the ambient fault injector.  The
-    #: fleet's *logical* device replays the solo launch stream purely
-    #: for accounting and must not double-fire faults already injected
-    #: on the physical shard devices.
+    #: fleet's *logical* device holds the solo run's allocations and
+    #: transfers purely for accounting and must not double-fire faults
+    #: already injected on the physical shard devices.
     fires_injector = True
 
     def __init__(
@@ -145,17 +176,9 @@ class Device:
         injector = ambient_injector() if self.fires_injector else None
         if injector is not None:
             injector.on_launch(name, phase)
-        launch = KernelLaunch(
-            name=name,
-            phase=phase,
-            grid_blocks=int(grid_blocks),
-            threads_per_block=int(threads_per_block),
-            flops=float(flops),
-            gmem_bytes=float(gmem_bytes),
-            atomic_ops=float(atomic_ops),
-            smem_bytes_per_block=int(smem_bytes_per_block),
-            registers_per_thread=int(registers_per_thread),
-            ipc=float(ipc),
+        launch = kernel_launch(
+            name, phase, grid_blocks, threads_per_block, flops, gmem_bytes,
+            atomic_ops, smem_bytes_per_block, registers_per_thread, ipc,
         )
         start = self.clock_offset + self.model.total_seconds
         seconds = self.model.launch(launch)

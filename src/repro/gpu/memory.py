@@ -20,18 +20,24 @@ from ..exceptions import DeviceError, DeviceOutOfMemoryError, ParameterError
 __all__ = ["DeviceArray", "MemoryManager", "MemoryBudget"]
 
 
+#: ``repro.resilience.faults.current_injector``, resolved on first use.
+_current_injector = None
+
+
 def ambient_injector():
     """Resolve the ambient fault injector (None when none is installed).
 
-    Imported lazily: :mod:`repro.resilience` imports the engine stack
-    (which imports this module), so a module-level import would be
-    circular.  By the time any device operation runs the import below
-    is a cached ``sys.modules`` hit, and the common no-injector path is
-    a single ``ContextVar`` read.
+    Imported lazily, once: :mod:`repro.resilience` imports the engine
+    stack (which imports this module), so a module-level import would
+    be circular.  After the first call the common no-injector path is a
+    single ``ContextVar`` read.
     """
-    from ..resilience.faults import current_injector
+    global _current_injector
+    if _current_injector is None:
+        from ..resilience.faults import current_injector
 
-    return current_injector()
+        _current_injector = current_injector
+    return _current_injector()
 
 
 class DeviceArray:

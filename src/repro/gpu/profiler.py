@@ -56,17 +56,17 @@ class KernelProfile:
 
 
 def _bound_by(model: GpuModel, launch: KernelLaunch) -> str:
-    """Which roofline term dominates this launch."""
-    spec = model.spec
-    mem_util, compute_util = model._utilization(launch)
+    """Which term dominates this launch: launch overhead or roofline.
+
+    Ties resolve in ``launch > memory > compute > atomics`` order.
+    """
     terms = {
-        "launch": spec.kernel_launch_overhead_s,
-        "memory": launch.gmem_bytes / (spec.effective_bandwidth * mem_util),
-        "compute": launch.flops
-        / (spec.core_count * spec.clock_hz * launch.ipc * compute_util),
-        "atomics": launch.atomic_ops / spec.atomic_ops_per_s,
+        "launch": model.spec.kernel_launch_overhead_s,
+        **model.roofline_terms(launch),
     }
-    return max(terms, key=terms.get)  # type: ignore[arg-type]
+    bound = max(terms, key=terms.get)  # type: ignore[arg-type]
+    # The profile records have always spelled this bucket "atomics".
+    return "atomics" if bound == "atomic" else bound
 
 
 def _ledger_components(model: GpuModel) -> dict[str, dict[str, float]]:

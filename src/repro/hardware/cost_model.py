@@ -22,7 +22,11 @@ Three models mirror the paper's three execution platforms:
   paper's Section 5.4 discusses.
 
 Models are stateful per run: they accumulate per-phase seconds and hold
-the run's :class:`~repro.hardware.counters.WorkCounter`.
+the run's :class:`~repro.hardware.counters.WorkCounter`.  A
+``GpuModel`` evaluates the roofline once per distinct
+:class:`~repro.hardware.counters.KernelLaunch` it sees (the engines
+repeat the same small launches every iteration); each repeat ledgers
+that first cost again, as its own event.
 
 Cost ledger
 -----------
@@ -165,25 +169,23 @@ class HardwareModel(ABC):
         """
         seconds = float(seconds)
         units = to_units(seconds)
-        self._phase_units[phase] = self._phase_units.get(phase, 0) + units
-        self._total_units += units
-        self._total_seconds = to_seconds(self._total_units)
         remaining = units - sum(value for _, value in parts)
         components = tuple((c, value) for c, value in parts if value)
         if remaining:
             components += ((residual, remaining),)
-        self.events.append(
-            CostEvent(
-                kind=kind,
-                name=name,
-                phase=phase,
-                units=units,
-                components=components,
-                launch=launch,
-            )
-        )
+        self._record(CostEvent(kind, name, phase, units, components, launch))
         # A zero accrual reads back as 0.0, never -0.0.
         return seconds if units else 0.0
+
+    def _record(self, event: CostEvent) -> None:
+        """Ledger ``event`` and accrue its units into its phase."""
+        units = event.units
+        self._phase_units[event.phase] = (
+            self._phase_units.get(event.phase, 0) + units
+        )
+        self._total_units += units
+        self._total_seconds = to_seconds(self._total_units)
+        self.events.append(event)
 
 
 class ScalarCpuModel(HardwareModel):
@@ -281,6 +283,11 @@ class GpuModel(HardwareModel):
     def __init__(self, spec: GpuSpec) -> None:
         super().__init__()
         self.spec = spec
+        #: Seconds, ledger units and components of each distinct launch
+        #: this model has costed (see :meth:`launch`).
+        self._costs: dict[
+            KernelLaunch, tuple[float, int, tuple[tuple[str, int], ...]]
+        ] = {}
 
     @property
     def name(self) -> str:
@@ -357,17 +364,35 @@ class GpuModel(HardwareModel):
         return self.spec.kernel_launch_overhead_s + max(terms.values())
 
     def launch(self, launch: KernelLaunch) -> float:
-        """Account one kernel launch; returns its modeled seconds."""
+        """Account one kernel launch; returns its modeled seconds.
+
+        Equal launches cost the same, so the roofline is evaluated on a
+        launch's first sighting only; every launch still ledgers its
+        own :class:`CostEvent`.
+        """
         self.counter.record_launch(launch)
-        seconds = self.launch_time(launch)
-        # Exact decomposition: the fixed launch overhead, then the
-        # whole roofline max on its dominant component.
-        return self.account(
-            "kernel",
-            launch.name,
-            launch.phase,
-            seconds,
-            parts=(("launch", to_units(self.spec.kernel_launch_overhead_s)),),
-            residual=self.dominant_component(launch),
-            launch=launch,
+        cost = self._costs.get(launch)
+        if cost is None:
+            # Exact decomposition: the fixed launch overhead, then the
+            # whole roofline max on its dominant component.
+            seconds = self.account(
+                "kernel",
+                launch.name,
+                launch.phase,
+                self.launch_time(launch),
+                parts=(
+                    ("launch", to_units(self.spec.kernel_launch_overhead_s)),
+                ),
+                residual=self.dominant_component(launch),
+                launch=launch,
+            )
+            event = self.events[-1]
+            self._costs[launch] = (seconds, event.units, event.components)
+            return seconds
+        seconds, units, components = cost
+        self._record(
+            CostEvent(
+                "kernel", launch.name, launch.phase, units, components, launch
+            )
         )
+        return seconds
