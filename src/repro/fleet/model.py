@@ -3,10 +3,13 @@
 A :class:`FleetModel` runs *two* books in parallel:
 
 * the **logical** book — a :class:`~repro.hardware.cost_model.GpuModel`
-  that replays exactly the kernel-launch stream a solo run would issue.
-  Its :class:`~repro.hardware.counters.WorkCounter` is therefore
-  bit-identical to the solo run's (the differential equivalence suite
-  pins this), and ``RunStats.counters`` reports it.
+  whose :class:`~repro.hardware.counters.WorkCounter` records exactly
+  the kernel-launch stream a solo run would issue, plus the solo
+  transfers.  That counter is therefore bit-identical to the solo
+  run's (the differential equivalence suite pins this), and
+  ``RunStats.counters`` reports it.  Launches are counted, not costed:
+  this book's readers (``RunStats``, explain's occupancy rollup) use
+  its counter, spec and roofline, never its ledger.
 * the **physical** book — one ``GpuModel`` per fleet member, holding
   that device's sharded launches.  Per-device busy seconds and work
   counters feed the ``fleet.*`` metrics and :func:`fleet_report`.
@@ -35,7 +38,7 @@ class FleetModel(HardwareModel):
     def __init__(self, fleet: Fleet, logical_spec: GpuSpec) -> None:
         super().__init__()
         self.fleet = fleet
-        #: Replays the solo launch stream; its counter IS this model's
+        #: Counts the solo launch stream; its counter IS this model's
         #: counter, so RunStats matches the solo run bit for bit.
         self.logical = GpuModel(logical_spec)
         self.counter = self.logical.counter
