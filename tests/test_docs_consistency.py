@@ -7,6 +7,7 @@ experiment fails loudly until the docs follow.
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -20,6 +21,26 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def read(name: str) -> str:
     return (ROOT / name).read_text()
+
+
+DOC_FILES = sorted((ROOT / "docs").glob("*.md")) + [
+    ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 
 class TestReadme:
@@ -99,6 +120,43 @@ class TestDocsDirectory:
                        "ParameterGrid", "ReuseLevel"):
             assert symbol in text
             assert hasattr(repro, symbol)
+
+    def test_dotted_names_resolve(self):
+        """Every backticked `repro.x.y` in the docs is a module or attribute.
+
+        Schema ids such as `repro.health/1` are names, not code, and are
+        skipped by the ``/`` lookahead.
+        """
+        pattern = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?![\w/])")
+        stale = [f"{doc.name}: {name}" for doc in DOC_FILES
+                 for name in sorted(set(pattern.findall(doc.read_text())))
+                 if not _resolves(name)]
+        assert not stale, stale
+
+    def test_python_fence_imports_resolve(self):
+        """Every name a ``from repro... import`` statement in a python fence
+        imports exists.  Statements are scanned one by one rather than
+        parsing whole blocks, which may hold placeholders like
+        ``<measured>``."""
+        fence = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+        statement = re.compile(
+            r"^\s*from\s+(repro[\w.]*)\s+import\s+(\([^)]*\)|[^\n]*)", re.M)
+        stale = []
+        for doc in DOC_FILES:
+            for block in fence.findall(doc.read_text()):
+                for module, names in statement.findall(block):
+                    names = re.sub(r"#[^\n]*", "", names).strip().strip("()")
+                    for name in names.split(","):
+                        name = name.split(" as ")[0].strip()
+                        if name and not _resolves(f"{module}.{name}"):
+                            stale.append(f"{doc.name}: {module}.{name}")
+        assert not stale, stale
+
+    def test_readme_examples_exist(self):
+        names = set(re.findall(r"examples/(\w+\.py)", read("README.md")))
+        missing = sorted(n for n in names
+                         if not (ROOT / "examples" / n).exists())
+        assert not missing, missing
 
 
 class TestServingDoc:
