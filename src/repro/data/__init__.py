@@ -10,11 +10,6 @@ with the published sizes and dimensionalities (see ``DESIGN.md``).
 
 from .fingerprint import dataset_fingerprint
 from .synthetic import SyntheticDataset, generate_subspace_data, default_dataset
-from .generators_ext import (
-    generate_correlated_subspace_data,
-    generate_imbalanced_subspace_data,
-    generate_overlapping_subspace_data,
-)
 from .normalize import minmax_normalize
 from .realworld import REAL_WORLD_SIZES, load_dataset, dataset_names
 from .io import save_dataset, load_saved_dataset
@@ -25,9 +20,6 @@ __all__ = [
     "SyntheticDataset",
     "generate_subspace_data",
     "default_dataset",
-    "generate_overlapping_subspace_data",
-    "generate_correlated_subspace_data",
-    "generate_imbalanced_subspace_data",
     "minmax_normalize",
     "REAL_WORLD_SIZES",
     "load_dataset",

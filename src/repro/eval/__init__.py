@@ -16,10 +16,6 @@ from .metrics import (
     subspace_recovery,
 )
 from .timing import TimingResult, time_backend, time_parameter_study
-from .speedup import SpeedupRow, speedup_table
-from .profiling import PhaseBreakdown, compare_breakdowns, phase_breakdown
-from .scaling import ScalingFit, extrapolate_speedup, fit_linear_scaling
-from .stability import StabilityReport, stability_analysis
 from .validation import ValidationReport, validate_equivalence
 
 __all__ = [
@@ -31,16 +27,6 @@ __all__ = [
     "TimingResult",
     "time_backend",
     "time_parameter_study",
-    "SpeedupRow",
-    "speedup_table",
-    "PhaseBreakdown",
-    "phase_breakdown",
-    "compare_breakdowns",
-    "ScalingFit",
-    "fit_linear_scaling",
-    "extrapolate_speedup",
     "ValidationReport",
     "validate_equivalence",
-    "StabilityReport",
-    "stability_analysis",
 ]

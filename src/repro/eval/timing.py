@@ -16,7 +16,7 @@ import numpy as np
 from ..core.api import proclus, run_parameter_study
 from ..core.multiparam import ReuseLevel
 from ..data.normalize import minmax_normalize
-from ..data.synthetic import SyntheticDataset, generate_subspace_data
+from ..data.synthetic import SyntheticDataset
 from ..params import ParameterGrid, ProclusParams
 
 __all__ = ["TimingResult", "time_backend", "time_parameter_study"]
@@ -39,15 +39,6 @@ class TimingResult:
     @property
     def modeled_milliseconds(self) -> float:
         return self.modeled_seconds * 1e3
-
-
-def default_workload(n: int = 64_000, d: int = 15, **kwargs) -> DatasetFactory:
-    """The paper's default synthetic workload as a dataset factory."""
-
-    def factory(seed: int) -> SyntheticDataset:
-        return generate_subspace_data(n=n, d=d, seed=seed, **kwargs)
-
-    return factory
 
 
 def time_backend(

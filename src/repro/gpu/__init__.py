@@ -20,8 +20,7 @@ no GPU, so the package provides:
 from .device import Device
 from .memory import DeviceArray, MemoryManager
 from .emulator import SimtEmulator, ThreadContext
-from .occupancy import OccupancyReport, best_block_size, occupancy_report
-from .streams import StreamPlan, overlap_analysis
+from .occupancy import OccupancyReport, occupancy_report
 from .profiler import KernelProfile, format_kernel_profile, profile_kernels
 from .checker import ScheduleCheckResult, check_schedule_independence
 from .sanitizer import (
@@ -41,9 +40,6 @@ __all__ = [
     "ThreadContext",
     "OccupancyReport",
     "occupancy_report",
-    "best_block_size",
-    "StreamPlan",
-    "overlap_analysis",
     "KernelProfile",
     "profile_kernels",
     "format_kernel_profile",

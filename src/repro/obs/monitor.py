@@ -474,18 +474,6 @@ class ServiceMonitor:
             (self.directory / name).rename(self.directory / f"{name}.1")
         self._log_sizes[name] = 0
 
-    def record_violations(self, count: int = 1) -> None:
-        """Forward determinism violations to the tracker and metrics."""
-        self.slo.record_violations(count)
-        self.metrics.counter("serve.determinism.violations").inc(count)
-
-    def record_recovery(self, seconds: float, now: float | None = None) -> None:
-        """Forward one fleet recovery (MTTR sample) to the tracker and
-        metrics."""
-        self.slo.record_recovery(seconds, now)
-        self.metrics.counter("fleet.recovery.mttr_seconds").inc(seconds)
-        self.metrics.histogram("fleet.recovery.mttr").observe(seconds)
-
     # ------------------------------------------------------------------
     # Snapshots and health
     # ------------------------------------------------------------------

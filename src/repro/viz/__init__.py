@@ -1,12 +1,6 @@
 """Terminal visualization: ASCII charts for benchmark series and traces."""
 
-from .ascii import (
-    bar_chart,
-    fleet_utilization_chart,
-    line_chart,
-    log_line_chart,
-    sparkline,
-)
+from .ascii import fleet_utilization_chart, line_chart, log_line_chart
 from .explain import (
     render_attribution,
     render_diff,
@@ -22,11 +16,9 @@ from .timeline import (
 )
 
 __all__ = [
-    "bar_chart",
     "fleet_utilization_chart",
     "line_chart",
     "log_line_chart",
-    "sparkline",
     "render_attribution",
     "render_diff",
     "render_fleet_attribution",

@@ -12,57 +12,10 @@ import math
 from typing import Sequence
 
 __all__ = [
-    "sparkline",
-    "bar_chart",
     "line_chart",
     "log_line_chart",
     "fleet_utilization_chart",
 ]
-
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line chart: each value becomes one block character."""
-    values = list(values)
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span == 0:
-        return _SPARK_LEVELS[0] * len(values)
-    out = []
-    for v in values:
-        level = int((v - lo) / span * (len(_SPARK_LEVELS) - 1))
-        out.append(_SPARK_LEVELS[level])
-    return "".join(out)
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 48,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart, one row per (label, value)."""
-    labels = [str(x) for x in labels]
-    values = list(values)
-    if len(labels) != len(values):
-        raise ValueError(
-            f"{len(labels)} labels for {len(values)} values"
-        )
-    if not values:
-        return "(no data)"
-    peak = max(values)
-    label_width = max(len(x) for x in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar = "#" * (round(value / peak * width) if peak > 0 else 0)
-        lines.append(
-            f"{label.rjust(label_width)} |{bar.ljust(width)}| "
-            f"{value:g}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def fleet_utilization_chart(report: dict, width: int = 40) -> str:

@@ -1,4 +1,4 @@
-"""Tests for the timing harness, speedup tables, and bench plumbing."""
+"""Tests for the timing harness and bench plumbing."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pytest
 from repro.bench.reporting import ExperimentReport, format_seconds
 from repro.bench import workloads
 from repro.data.synthetic import generate_subspace_data
-from repro.eval.speedup import format_speedup_table, speedup_table
-from repro.eval.timing import TimingResult, time_backend, time_parameter_study
+from repro.eval.timing import time_backend, time_parameter_study
 from repro.params import ParameterGrid, ProclusParams
 
 
@@ -46,34 +45,6 @@ class TestTimeBackend:
         t = time_parameter_study("fast", factory, grid=grid, level=1, repeats=2)
         assert "multi-param 1" in t.backend
         assert t.modeled_seconds > 0
-
-
-class TestSpeedupTable:
-    def make(self, name, secs):
-        return TimingResult(
-            backend=name, modeled_seconds=secs, wall_seconds=0.0,
-            peak_bytes=0, iterations=1, repeats=1,
-        )
-
-    def test_speedups_relative_to_reference(self):
-        rows = speedup_table(
-            [self.make("a", 10.0), self.make("b", 2.0)], reference="a"
-        )
-        by_name = {r.backend: r.speedup for r in rows}
-        assert by_name["a"] == pytest.approx(1.0)
-        assert by_name["b"] == pytest.approx(5.0)
-
-    def test_unknown_reference_rejected(self):
-        with pytest.raises(ValueError, match="reference backend"):
-            speedup_table([self.make("a", 1.0)], reference="zzz")
-
-    def test_format_contains_backends(self):
-        rows = speedup_table(
-            [self.make("alpha", 2.0), self.make("beta", 0.001)], reference="alpha"
-        )
-        text = format_speedup_table(rows, title="T")
-        assert "alpha" in text and "beta" in text and "T" in text
-        assert "ms" in text  # sub-second formatting
 
 
 class TestReporting:

@@ -157,18 +157,6 @@ class TestQuarantineServing:
         kinds = [record["kind"] for record in records]
         assert "device_down" in kinds and "device_recovered" in kinds
 
-    def test_record_recovery_feeds_mttr_directly(self, tmp_path):
-        from repro.obs import ServiceMonitor
-
-        monitor = ServiceMonitor(tmp_path)
-        monitor.record_recovery(5.0, now=10.0)
-        value = monitor.slo.metric_value(
-            "fleet_mttr_seconds", window=3600.0, now=10.0
-        )
-        assert value == pytest.approx(5.0)
-        registry = monitor.metrics.as_dict()["counters"]
-        assert registry["fleet.recovery.mttr_seconds"] == pytest.approx(5.0)
-
 
 class TestEventLogDeterminism:
     """Identical seeds + schedules produce identical resilience event

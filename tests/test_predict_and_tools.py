@@ -1,4 +1,4 @@
-"""Tests for assign_new_points, scaling fits, validation, kernel profiler."""
+"""Tests for assign_new_points, validation, kernel profiler."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro import assign_new_points, proclus
 from repro.data.normalize import minmax_normalize
 from repro.data.synthetic import generate_subspace_data
-from repro.eval.scaling import extrapolate_speedup, fit_linear_scaling
 from repro.eval.validation import validate_equivalence
 from repro.exceptions import DataValidationError
 from repro.gpu.profiler import format_kernel_profile, profile_kernels
@@ -69,55 +68,6 @@ class TestAssignNewPoints:
         tiny = data[:5]
         with pytest.raises(DataValidationError, match="medoid index"):
             assign_new_points(result, tiny, data[:3])
-
-
-class TestScalingFits:
-    def test_perfect_linear_data(self):
-        fit = fit_linear_scaling([100, 200, 400], [1.0, 2.0, 4.0])
-        assert fit.slope == pytest.approx(0.01)
-        assert fit.intercept == pytest.approx(0.0, abs=1e-9)
-        assert fit.r_squared == pytest.approx(1.0)
-        assert fit.is_linear
-        assert fit.predict(800) == pytest.approx(8.0)
-
-    def test_affine_with_overhead(self):
-        fit = fit_linear_scaling([10, 20, 40], [1.1, 1.2, 1.4])
-        assert fit.intercept == pytest.approx(1.0)
-        assert fit.predict(0) == pytest.approx(1.0)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            fit_linear_scaling([10], [1.0])
-
-    def test_extrapolated_speedup_grows_with_n(self):
-        sizes = [1_000, 4_000, 16_000]
-        base = [0.1 * n / 1000 for n in sizes]  # pure linear
-        fast = [0.001 + 1e-6 * n / 1000 for n in sizes]  # overhead-dominated
-        speedup, base_fit, fast_fit = extrapolate_speedup(
-            sizes, base, fast, target_n=1_000_000
-        )
-        small_speedup = base[0] / fast[0]
-        assert speedup > small_speedup
-        assert base_fit.is_linear
-
-    def test_real_measurements_fit_linearly(self):
-        """Modeled baseline times really are affine in n."""
-        from repro.eval.timing import time_backend
-
-        sizes = [1024, 4096, 16384]
-        times = []
-        for n in sizes:
-            def factory(seed, n=n):
-                return generate_subspace_data(n=n, d=10, seed=seed, n_clusters=5)
-
-            times.append(
-                time_backend(
-                    "proclus", factory,
-                    params=ProclusParams(k=5, l=4, a=20, b=4), repeats=1,
-                ).modeled_seconds
-            )
-        fit = fit_linear_scaling(sizes, times)
-        assert fit.r_squared > 0.95
 
 
 class TestValidation:

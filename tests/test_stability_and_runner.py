@@ -1,63 +1,9 @@
-"""Tests for stability analysis and the batch experiment runner."""
+"""Tests for the batch experiment runner."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.bench.figures import sec54_utilization
 from repro.bench.runner import run_all_experiments, write_summary
-from repro.eval.stability import stability_analysis
-from repro.params import ProclusParams
-
-
-@pytest.fixture(scope="module")
-def workload():
-    from repro.data.normalize import minmax_normalize
-    from repro.data.synthetic import generate_subspace_data
-
-    ds = generate_subspace_data(n=1200, d=8, n_clusters=4, subspace_dims=4, seed=0)
-    return minmax_normalize(ds.data)
-
-
-class TestStability:
-    @pytest.fixture(scope="class")
-    def report(self, workload):
-        return stability_analysis(
-            workload,
-            params=ProclusParams(k=4, l=3, a=20, b=4),
-            seeds=tuple(range(5)),
-        )
-
-    def test_one_run_per_seed(self, report):
-        assert len(report.costs) == 5
-        assert len(report.results) == 5
-
-    def test_cost_statistics_consistent(self, report):
-        assert report.best_cost <= report.mean_cost <= report.worst_cost
-        assert report.std_cost >= 0
-        assert report.relative_spread >= 0
-
-    def test_best_result_has_best_cost(self, report):
-        assert report.best_result().cost == report.best_cost
-
-    def test_pairwise_agreement_bounded(self, report):
-        assert -1.0 <= report.pairwise_agreement() <= 1.0
-
-    def test_seeds_to_reach_monotone_in_tolerance(self, report):
-        loose = report.seeds_to_reach(tolerance=1.0)
-        tight = report.seeds_to_reach(tolerance=0.0)
-        assert 1 <= loose <= tight <= 5
-
-    def test_single_seed_agreement_is_one(self, workload):
-        report = stability_analysis(
-            workload, params=ProclusParams(k=4, l=3, a=20, b=4), seeds=(0,)
-        )
-        assert report.pairwise_agreement() == 1.0
-
-    def test_render_mentions_statistics(self, report):
-        text = report.render()
-        assert "best" in text and "spread" in text
 
 
 class TestRunner:

@@ -4,54 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.viz import bar_chart, line_chart, log_line_chart, sparkline
-
-
-class TestSparkline:
-    def test_length_matches_input(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_monotone_series_monotone_blocks(self):
-        s = sparkline([1, 2, 3, 4, 5])
-        assert list(s) == sorted(s)
-
-    def test_constant_series(self):
-        assert sparkline([3, 3, 3]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_extremes_hit_first_and_last_level(self):
-        s = sparkline([0.0, 1.0])
-        assert s[0] == "▁" and s[1] == "█"
-
-
-class TestBarChart:
-    def test_rows_and_proportions(self):
-        text = bar_chart(["a", "bb"], [2.0, 4.0], width=10)
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
-
-    def test_labels_aligned(self):
-        text = bar_chart(["x", "longer"], [1, 1])
-        lines = text.splitlines()
-        assert lines[0].index("|") == lines[1].index("|")
-
-    def test_unit_appended(self):
-        assert "ms" in bar_chart(["a"], [3.5], unit="ms")
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1, 2])
-
-    def test_empty(self):
-        assert bar_chart([], []) == "(no data)"
-
-    def test_zero_values(self):
-        text = bar_chart(["a"], [0.0])
-        assert "#" not in text
+from repro.viz import line_chart, log_line_chart
 
 
 class TestLineCharts:
