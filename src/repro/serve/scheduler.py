@@ -177,7 +177,6 @@ class JobScheduler:
         max_queue_depth: int = 64,
         max_backlog_seconds: float = math.inf,
         capacity_bytes: int | None = None,
-        coalesce: bool = True,
         device_capacities: "tuple[int, ...] | None" = None,
     ) -> None:
         if max_queue_depth < 1:
@@ -195,7 +194,6 @@ class JobScheduler:
         #: carrying per-shard estimates are admitted componentwise
         #: against these instead of against ``capacity_bytes``.
         self.device_capacities = device_capacities
-        self.coalesce = coalesce
         self._lock = threading.Lock()
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = itertools.count()
@@ -286,17 +284,14 @@ class JobScheduler:
     def pop_group(self) -> list[Job]:
         """Dequeue the best job plus every queued share-key sibling.
 
-        Returns ``[]`` when the queue is empty.  With coalescing off,
-        returns at most one job.  Group members keep their
-        priority/submission order, so the leader (which pays the greedy
-        charge) is deterministic.
+        Returns ``[]`` when the queue is empty.  Group members keep
+        their priority/submission order, so the leader (which pays the
+        greedy charge) is deterministic.
         """
         with self._lock:
             if not self._heap:
                 return []
             priority, seq, leader = heapq.heappop(self._heap)
-            if not self.coalesce:
-                return [leader]
             group = [(priority, seq, leader)]
             remaining = []
             for entry in self._heap:

@@ -41,7 +41,7 @@ from ..fleet.fleet import Fleet
 from ..fleet.recovery import degraded_fleet
 from ..gpu.memory import MemoryBudget
 from ..hardware.specs import GTX_1660_TI, GpuSpec
-from ..obs.monitor import ServiceMonitor, SloObjective
+from ..obs.monitor import ServiceMonitor
 from ..obs.recorder import FlightRecorder, use_correlation, use_recorder
 from ..obs.tracer import Tracer, current_tracer, use_tracer
 from ..resilience.faults import FaultInjector, use_injector
@@ -85,38 +85,29 @@ class ClusterService:
     max_queue_depth, max_backlog_seconds:
         Admission-control bounds (see
         :class:`~repro.serve.scheduler.JobScheduler`).
-    coalesce:
-        Merge share-key-compatible queued requests into groups
-        (disable to measure the naive baseline).
-    tracer:
-        Where spans/metrics go.  Defaults to the ambient tracer when
-        one is installed, else a private always-on
-        :class:`~repro.obs.tracer.Tracer` so ``serve.*`` metrics are
-        always recorded.
     monitor_dir:
         When set, the service writes live monitoring output there via a
         :class:`~repro.obs.monitor.ServiceMonitor` — one structured
-        JSON log record per event (with trace/span ids), periodic
-        metric snapshots, a Prometheus scrape, and a ``health.json``
-        SLO report.  ``repro monitor`` reads this directory.
-    slos, snapshot_every:
-        Objectives and snapshot cadence for that monitor (ignored
-        without ``monitor_dir``).
+        JSON log record per event (with trace/span ids), metric
+        snapshots at most once a second, a Prometheus scrape, and a
+        ``health.json`` report on the default SLOs.  ``repro monitor``
+        reads this directory.
     recorder, postmortem_dir:
         Attach a :class:`~repro.obs.recorder.FlightRecorder`.  Every
         serve event, span, kernel, fault, and resilience action flows
         into its bounded rings (correlated per job), and terminal
-        failures — exhausted resilience, unexpected job errors, and
-        SLO breaches crossing ``postmortem_slos`` — auto-dump a
+        failures — exhausted resilience, unexpected job errors, and a
+        ``determinism-violations`` SLO breach — auto-dump a
         ``repro.postmortem/1`` bundle into ``postmortem_dir`` (which,
         given alone, creates a default recorder).
-    postmortem_slos:
-        SLO names whose breach triggers a bundle dump (once per name,
-        and only when nothing else already captured a failure).
     injector:
         A :class:`~repro.resilience.faults.FaultInjector` installed
         around every job the workers run — fault drills under real
         serving load (``repro serve --fault``).
+
+    Spans and metrics go to the ambient tracer when one is installed,
+    else to a private always-on :class:`~repro.obs.tracer.Tracer`, so
+    ``serve.*`` metrics are always recorded.
     """
 
     def __init__(
@@ -128,24 +119,16 @@ class ClusterService:
         cache_entries: int = 64,
         max_queue_depth: int = 64,
         max_backlog_seconds: float = float("inf"),
-        coalesce: bool = True,
-        tracer: Tracer | None = None,
         monitor_dir: "str | None" = None,
-        slos: "tuple[SloObjective, ...] | None" = None,
-        snapshot_every: float = 1.0,
         recorder: "FlightRecorder | None" = None,
         postmortem_dir: "str | None" = None,
-        postmortem_slos: "tuple[str, ...]" = ("determinism-violations",),
         injector: "FaultInjector | None" = None,
     ) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
         self.gpu_spec = gpu_spec if gpu_spec is not None else GTX_1660_TI
-        if tracer is not None:
-            self.obs = tracer
-        else:
-            ambient = current_tracer()
-            self.obs = ambient if ambient.enabled else Tracer()
+        ambient = current_tracer()
+        self.obs = ambient if ambient.enabled else Tracer()
         self.registry = DatasetRegistry()
         self.cache = ResultCache(cache_entries)
         self.fleet = fleet
@@ -171,7 +154,6 @@ class ClusterService:
             max_queue_depth=max_queue_depth,
             max_backlog_seconds=max_backlog_seconds,
             capacity_bytes=capacity_bytes,
-            coalesce=coalesce,
             device_capacities=device_capacities,
         )
         self.log = ServeLog()
@@ -179,12 +161,7 @@ class ClusterService:
         #: Shares the tracer's registry so the Prometheus scrape carries
         #: the same ``serve.*`` instruments the service increments.
         self.monitor: ServiceMonitor | None = (
-            ServiceMonitor(
-                monitor_dir,
-                metrics=self.obs.metrics,
-                objectives=slos,
-                snapshot_every=snapshot_every,
-            )
+            ServiceMonitor(monitor_dir, metrics=self.obs.metrics)
             if monitor_dir is not None
             else None
         )
@@ -199,8 +176,7 @@ class ClusterService:
         #: Flight recorder fed by every layer of the service (None
         #: disables recording entirely).
         self.recorder = recorder
-        self.postmortem_slos = tuple(postmortem_slos)
-        self._slo_dumped: set[str] = set()
+        self._slo_dumped = False
         if self.monitor is not None and recorder is not None:
             self.monitor.on_unhealthy = self._on_slo_breach
         #: Fault injector installed around every job (fault drills).
@@ -797,28 +773,29 @@ class ClusterService:
             )
 
     def _on_slo_breach(self, report: dict) -> None:
-        """Monitor callback: last-resort bundle dump on an SLO breach.
+        """Monitor callback: last-resort bundle dump when the
+        ``determinism-violations`` SLO breaches.
 
-        Fires once per configured SLO name, and only when no other
-        trigger already captured a bundle — a breach caused by an
-        exhausted job should yield that job's forensics, not a second
-        bundle for the symptom.
+        Fires once, and only when no other trigger already captured a
+        bundle — a breach caused by an exhausted job should yield that
+        job's forensics, not a second bundle for the symptom.
         """
-        if self.recorder is None or self.recorder.dump_count > 0:
+        if (
+            self.recorder is None
+            or self.recorder.dump_count > 0
+            or self._slo_dumped
+        ):
             return
-        failing = [
-            str(slo.get("name"))
-            for slo in report.get("slos", [])
-            if isinstance(slo, dict)
+        if not any(
+            isinstance(slo, dict)
             and not slo.get("ok", True)
-            and slo.get("name") in self.postmortem_slos
-            and slo.get("name") not in self._slo_dumped
-        ]
-        if not failing:
+            and slo.get("name") == "determinism-violations"
+            for slo in report.get("slos", [])
+        ):
             return
-        self._slo_dumped.update(failing)
+        self._slo_dumped = True
         self.recorder.record_failure(
-            "slo-breach", detail="failing: " + ", ".join(failing)
+            "slo-breach", detail="failing: determinism-violations"
         )
         self.recorder.auto_dump("slo-breach", health=report)
 

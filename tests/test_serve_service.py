@@ -123,7 +123,7 @@ class TestEstimateDeviceBytes:
 
 class TestJobScheduler:
     def test_priority_order_with_fifo_tiebreak(self):
-        scheduler = JobScheduler(coalesce=False)
+        scheduler = JobScheduler()
         scheduler.push(make_job(0, seed=0, priority=2))
         scheduler.push(make_job(1, seed=1, priority=1))
         scheduler.push(make_job(2, seed=2, priority=1))
@@ -166,13 +166,6 @@ class TestJobScheduler:
         with pytest.raises(AdmissionError) as info:
             scheduler.admit(make_job(1))
         assert info.value.reason == "backlog"
-
-    def test_coalesce_off_pops_singletons(self):
-        scheduler = JobScheduler(coalesce=False)
-        scheduler.push(make_job(0, l=3))
-        scheduler.push(make_job(1, l=4))
-        assert len(scheduler.pop_group()) == 1
-        assert len(scheduler.pop_group()) == 1
 
 
 class TestResultCache:
