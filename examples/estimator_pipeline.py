@@ -45,7 +45,11 @@ def fabricate_csv(path: Path, n_per_class: int = 800, seed: int = 0) -> None:
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="proclus-pipeline-"))
+    with tempfile.TemporaryDirectory(prefix="proclus-pipeline-") as tmp:
+        run_pipeline(Path(tmp))
+
+
+def run_pipeline(workdir: Path) -> None:
     csv_path = workdir / "sensors.csv"
     fabricate_csv(csv_path)
 

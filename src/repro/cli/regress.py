@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from ..bench.baseline import DEFAULT_BASELINE_DIR
 from ._common import write_json
@@ -49,12 +50,15 @@ def run(args: argparse.Namespace) -> int:
     from ..bench.baseline import load_baselines, run_quick_tier
     from ..bench.regress import run_regression_check
 
-    baselines = load_baselines(args.baseline_dir)
+    store = Path(args.baseline_dir).resolve()
+    baselines = load_baselines(store)
     backend_map = REGRESS_INJECTIONS[args.inject] if args.inject else None
-    if args.inject:
-        print(f"injecting slowdown {args.inject!r}: "
-              + ", ".join(f"{a}->{b}" for a, b in backend_map.items()))
-    fresh = run_quick_tier(backend_map=backend_map, progress=print)
+    fresh = []  # an empty store fails the gate without running the tier
+    if baselines:
+        if args.inject:
+            print(f"injecting slowdown {args.inject!r}: "
+                  + ", ".join(f"{a}->{b}" for a, b in backend_map.items()))
+        fresh = run_quick_tier(backend_map=backend_map, progress=print)
     verdict = run_regression_check(
         baselines, fresh,
         rel_threshold=args.rel_threshold, alpha=args.alpha,
@@ -84,7 +88,7 @@ def run(args: argparse.Namespace) -> int:
         for line in verdict.get("triage", []):
             print(f"  triage: {line}", file=sys.stderr)
     else:
-        print("baseline store is unusable — regenerate it with "
+        print(f"baseline store {store} is unusable — regenerate it with "
               "'repro bench quick --save-baseline'", file=sys.stderr)
     if args.json:
         write_json(verdict, args.json, "verdict")

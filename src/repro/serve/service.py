@@ -3,10 +3,11 @@
 :class:`ClusterService` ties the serving pieces together: datasets are
 registered once and referenced by fingerprint, submissions pass
 admission control and wait in a priority queue, worker threads drain
-the queue in coalesced groups, every job runs under the resilience
-policies (:class:`~repro.resilience.runner.ResilientRunner`), and
-concurrent device use is bounded by a
-:class:`~repro.gpu.memory.MemoryBudget` sized to the modeled card.
+the queue in coalesced groups (one group executing at a time), every
+job runs under the resilience policies
+(:class:`~repro.resilience.runner.ResilientRunner`), and device use is
+booked against a :class:`~repro.gpu.memory.MemoryBudget` sized to the
+modeled card.
 
 **Determinism contract.**  Every response is bit-identical to the
 direct solo call ``proclus(data, params=..., backend=..., seed=...)``:
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +61,30 @@ from .scheduler import JobScheduler, estimate_device_bytes, estimate_shard_bytes
 __all__ = ["ClusterService"]
 
 
+def _metrics_tracer() -> Tracer:
+    """The service's private tracer: metrics, but no event history.
+
+    Spans still get ids and still reach an ambient recorder, and
+    :meth:`~repro.obs.tracer.Tracer.device_offset` still advances, but
+    closed root spans, kernel events and counter samples go to
+    zero-length rings.  Nothing reads them from a private tracer, and a
+    long-lived service would otherwise keep every request's.
+    """
+    tracer = Tracer()
+    tracer.roots = deque(maxlen=0)
+    tracer.kernel_events = deque(maxlen=0)
+    tracer.counter_samples = deque(maxlen=0)
+    return tracer
+
+
 class ClusterService:
     """Multi-tenant clustering service with request coalescing.
 
     Parameters
     ----------
     workers:
-        Worker threads draining the queue.
+        Worker threads draining the queue.  One group executes at a
+        time per service (see :meth:`_worker`).
     gpu_spec:
         The modeled card (default: the paper's GTX 1660 Ti).  Its
         usable memory sizes the device budget; GPU jobs run against it.
@@ -75,8 +94,10 @@ class ClusterService:
         :class:`MemoryBudget` ledger; ``fleet-*`` jobs shard across the
         fleet (reserving per-shard footprints componentwise), solo GPU
         jobs are placed on the member with the most free modeled
-        memory.  Admission then bounds solo jobs by the largest member
-        and sharded jobs by the componentwise per-device capacities.
+        memory (with one group executing at a time, the largest
+        healthy member, lowest index first).  Admission then bounds
+        solo jobs by the largest member and sharded jobs by the
+        componentwise per-device capacities.
     policy:
         Retry/degradation policy for every job (default
         :class:`RetryPolicy`).
@@ -107,7 +128,8 @@ class ClusterService:
 
     Spans and metrics go to the ambient tracer when one is installed,
     else to a private always-on :class:`~repro.obs.tracer.Tracer`, so
-    ``serve.*`` metrics are always recorded.
+    ``serve.*`` metrics are always recorded.  The private tracer keeps
+    no span, kernel or counter history (see :func:`_metrics_tracer`).
     """
 
     def __init__(
@@ -128,7 +150,7 @@ class ClusterService:
             raise ServeError(f"workers must be >= 1, got {workers}")
         self.gpu_spec = gpu_spec if gpu_spec is not None else GTX_1660_TI
         ambient = current_tracer()
-        self.obs = ambient if ambient.enabled else Tracer()
+        self.obs = ambient if ambient.enabled else _metrics_tracer()
         self.registry = DatasetRegistry()
         self.cache = ResultCache(cache_entries)
         self.fleet = fleet
@@ -193,7 +215,8 @@ class ClusterService:
         self._closed = False
         self._running = 0
         self._next_job_id = 0
-        self._stats_lock = threading.Lock()
+        #: Held by the worker whose group is executing (see _worker).
+        self._exec_lock = threading.Lock()
         self._workers = [
             threading.Thread(
                 target=self._worker, name=f"serve-worker-{index}", daemon=True
@@ -488,23 +511,32 @@ class ClusterService:
     # Workers
     # ------------------------------------------------------------------
     def _worker(self) -> None:
+        # One group executes at a time: the engines make many short
+        # NumPy calls, so two executing threads contend for the
+        # interpreter lock and each runs slower than one alone.  Taking
+        # the execution lock before popping keeps waiting work in the
+        # queue, where a later duplicate can still dedupe onto it, a
+        # share-key sibling can still join its group, and a more urgent
+        # job can still overtake it.  It also keeps the recorder's
+        # pinned job context and the injector's launch count per group.
         while True:
-            with self._cond:
-                self._cond.wait_for(
-                    lambda: self._closed or self.scheduler.depth > 0
-                )
-                if self._closed:
-                    return
-                group = self.scheduler.pop_group()
-                if not group:
-                    continue
-                self._running += len(group)
-            try:
-                self._run_group(group)
-            finally:
+            with self._exec_lock:
                 with self._cond:
-                    self._running -= len(group)
-                    self._cond.notify_all()
+                    self._cond.wait_for(
+                        lambda: self._closed or self.scheduler.depth > 0
+                    )
+                    if self._closed:
+                        return
+                    group = self.scheduler.pop_group()
+                    if not group:
+                        continue
+                    self._running += len(group)
+                try:
+                    self._run_group(group)
+                finally:
+                    with self._cond:
+                        self._running -= len(group)
+                        self._cond.notify_all()
 
     def _run_group(self, group: list[Job]) -> None:
         leader = group[0].request
@@ -579,8 +611,7 @@ class ClusterService:
         for job, outcome in zip(group, outcomes):
             result = outcome.result
             stats = result.stats
-            with self._stats_lock:
-                self.executed_stats = self.executed_stats.merge(stats)
+            self.executed_stats = self.executed_stats.merge(stats)
             self.scheduler.observe(
                 job.request.backend, stats.modeled_seconds
             )
@@ -641,9 +672,10 @@ class ClusterService:
         reserve each shard's footprint on its device ledger; on a fleet
         service, solo GPU jobs are placed on the device with the most
         free modeled memory (ties to the lowest index).  ``self.budget``
-        stays the aggregate book either way.  Per-device budgets are
-        always acquired in index order, so concurrent workers cannot
-        deadlock against each other.
+        stays the aggregate book either way.  The previous group has
+        released its reservations before this one is popped, so a
+        reservation never waits.  Per-device budgets are acquired in
+        index order.
         """
         backend = leader.backend
         reservations: "list[tuple[MemoryBudget, int]]" = []

@@ -47,13 +47,17 @@ class TestBenchQuickCli:
 
 
 class TestRegressCli:
-    def test_missing_store_exits_2(self, capsys, tmp_path):
-        code = main([
-            "regress", "--baseline-dir", str(tmp_path / "nothing"),
-        ])
+    def test_missing_store_exits_2(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the quick tier ran without a store")
+
+        monkeypatch.setattr("repro.bench.baseline.run_quick_tier", never)
+        monkeypatch.chdir(tmp_path)
+        code = main(["regress", "--baseline-dir", "nothing"])
         captured = capsys.readouterr()
         assert code == 2
         assert "store is empty" in captured.err
+        assert str((tmp_path / "nothing").resolve()) in captured.err
 
     def test_injections_cover_headline_backends(self):
         remap = REGRESS_INJECTIONS["no-dist-cache"]

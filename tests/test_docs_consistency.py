@@ -8,6 +8,7 @@ experiment fails loudly until the docs follow.
 from __future__ import annotations
 
 import importlib
+import itertools
 import re
 from pathlib import Path
 
@@ -73,6 +74,33 @@ class TestDesignDoc:
         text = read("DESIGN.md")
         assert "Substitutions" in text
         assert "GTX 1660 Ti" in text
+
+    def test_layout_block_lists_every_module(self):
+        """The "Repository layout" block names each ``src/repro``
+        module under its package (package ``__init__.py`` aside)."""
+        block = read("DESIGN.md").split("## Repository layout", 1)[1]
+        lines = block.split("```")[1].split("src/repro/\n", 1)[1]
+        listed, top, sub, sub_col = set(), "", "", 0
+        for line in itertools.takewhile(
+            lambda line: line.startswith(" "), lines.splitlines()
+        ):
+            col = len(line) - len(line.lstrip())
+            if col == 2 and line.split()[0].endswith("/"):
+                top, sub = line.split()[0], ""
+            elif sub and col <= sub_col:
+                sub = ""
+            for word in line.split():
+                if word.endswith("/") and word != top:
+                    sub, sub_col = word, line.index(word)
+                elif word.endswith(".py"):
+                    listed.add(top + sub + word)
+        src = ROOT / "src" / "repro"
+        modules = {
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            if path.name != "__init__.py" or path.parent == src
+        }
+        assert listed == modules
 
 
 class TestExperimentsDoc:

@@ -3,17 +3,28 @@
 The end-to-end determinism contract lives in
 ``test_serve_coalescing.py``; these tests cover the parts: registry,
 request keys, scheduler admission/coalescing, the result cache, the
-event log, and the service's caching/dedup/observability behavior.
+event log, the service's caching/dedup/observability behavior, its
+one-group-at-a-time execution, and its private tracer's retention.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro import proclus
+from repro.core.base import EngineBase
 from repro.exceptions import AdmissionError, ParameterError, ServeError
 from repro.hardware.specs import GTX_1660_TI
+from repro.obs import FlightRecorder, Tracer, use_tracer
 from repro.params import ProclusParams
+from repro.result import bit_identical
 from repro.serve import (
     ClusterRequest,
     ClusterService,
@@ -303,3 +314,168 @@ class TestClusterService:
                 data=data, backend="fast",
                 params=ProclusParams(k=4, l=3, a=30, b=5),
             )
+
+
+def gate_fit(service, before):
+    """Make the service's runner call ``before(seed)`` ahead of each fit."""
+    fit = service.runner.fit
+
+    def gated(data, *, seed, **kwargs):
+        before(seed)
+        return fit(data, seed=seed, **kwargs)
+
+    service.runner.fit = gated
+
+
+class TestOneGroupAtATime:
+    """Each service executes one group at a time; the rest stay queued."""
+
+    def test_waiting_work_stays_queued(self, small_dataset):
+        """While one group executes, a later urgent job overtakes a
+        queued one, a duplicate dedupes onto it and a sibling joins it."""
+        data, _ = small_dataset
+        running, release = threading.Event(), threading.Event()
+
+        def hold_first(seed):
+            if seed == 0:
+                running.set()
+                assert release.wait(timeout=60)
+
+        def submit(seed, priority=1, **params):
+            return service.submit(data=data, params=small_params(**params),
+                                  seed=seed, priority=priority)
+
+        with ClusterService(workers=2) as service:
+            gate_fit(service, hold_first)
+            first = submit(0)
+            assert running.wait(timeout=60)
+            low = submit(1, priority=5)
+            # A free worker allowed to pop would take ``low`` now.
+            time.sleep(0.2)
+            urgent = submit(2, priority=0)
+            duplicate = submit(1, priority=5)
+            sibling = submit(1, priority=5, l=2)
+            release.set()
+            service.drain(timeout=120)
+            starts = [event["job_id"] for event in service.log.as_dicts()
+                      if event["kind"] == "start"]
+        assert starts == [first.job_id, urgent.job_id, low.job_id,
+                          sibling.job_id]
+        assert duplicate.deduped and sibling.coalesced
+
+    def test_failure_bundle_carries_the_failing_job(
+        self, small_dataset, tmp_path
+    ):
+        data, _ = small_dataset
+        other = np.ascontiguousarray(data[:400])
+        other_pinned = threading.Event()
+
+        def fail_seed_3(seed):
+            if seed == 3:
+                # Fail once the other worker has pinned its job, if it can.
+                other_pinned.wait(timeout=0.5)
+                raise RuntimeError("injected job failure")
+            other_pinned.set()
+
+        recorder = FlightRecorder(bundle_dir=tmp_path)
+        params = small_params(l=3)
+        with ClusterService(workers=2, recorder=recorder) as service:
+            gate_fit(service, fail_seed_3)
+            failing = service.submit(data=data, params=params, seed=3)
+            fine = service.submit(
+                data=other, params=small_params(l=2), seed=4
+            )
+            assert fine.result(timeout=120).k == 4
+            with pytest.raises(RuntimeError, match="injected"):
+                failing.result(timeout=120)
+        (path,) = recorder.dumped_paths
+        bundle = json.loads(path.read_text())
+        assert bundle["job"]["seed"] == {"kind": "int", "value": 3}
+        assert bundle["job"]["params"] == dataclasses.asdict(params)
+        assert bundle["job"]["fingerprint"] == failing.request.fingerprint
+        assert bundle["dataset"]["fingerprint"] == failing.request.fingerprint
+
+    def test_stress_many_workers_one_engine_run(
+        self, small_dataset, monkeypatch
+    ):
+        data, _ = small_dataset
+        lock = threading.Lock()
+        in_progress, peak = [0], [0]
+        fit = EngineBase.fit
+
+        def counted_fit(engine, X):
+            with lock:
+                in_progress[0] += 1
+                peak[0] = max(peak[0], in_progress[0])
+            try:
+                return fit(engine, X)
+            finally:
+                with lock:
+                    in_progress[0] -= 1
+
+        monkeypatch.setattr(EngineBase, "fit", counted_fit)
+        # Share-key siblings (l differs) and exact duplicates.
+        mix = [(backend, seed, l)
+               for backend in ("gpu", "gpu-fast", "gpu-fast-star")
+               for seed in (0, 1) for l in (2, 3)]
+        mix += mix[::3]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service = ClusterService(workers=4)
+            handles = [
+                service.submit(data=data, backend=backend,
+                               params=small_params(l=l), seed=seed)
+                for backend, seed, l in mix
+            ]
+            results = [handle.result(timeout=120) for handle in handles]
+            closer = threading.Thread(target=service.close)
+            closer.start()
+            closer.join(timeout=60)
+            assert not closer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak[0] == 1
+        for (backend, seed, l), result in zip(mix, results):
+            solo = proclus(data, params=small_params(l=l), backend=backend,
+                           seed=seed)
+            assert bit_identical(result, solo), (backend, seed, l)
+
+
+class TestPrivateTracer:
+    @staticmethod
+    def serve(service, data, seeds):
+        for seed in seeds:
+            service.submit(
+                data=data, params=small_params(), seed=seed
+            ).result(timeout=120)
+
+    @staticmethod
+    def retained(tracer):
+        return (len(tracer.roots), len(tracer.kernel_events),
+                len(tracer.counter_samples))
+
+    def test_history_does_not_grow_with_requests(self, small_dataset):
+        data, _ = small_dataset
+        recorder = FlightRecorder()
+        with ClusterService(workers=1, recorder=recorder) as service:
+            self.serve(service, data, range(3))
+            after_n = self.retained(service.obs)
+            self.serve(service, data, range(3, 6))
+            after_2n = self.retained(service.obs)
+            assert service.obs.device_offset() > 0.0
+            counters = service.stats()["counters"]
+        assert after_2n == after_n
+        assert counters["serve.completed"] == 6
+        span_ids = [event["span_id"] for event in service.log.as_dicts()]
+        assert None not in span_ids and len(set(span_ids)) == len(span_ids)
+        recorded = recorder.snapshot()["recorded"]
+        assert recorded["spans"] > 0 and recorded["kernels"] > 0
+
+    def test_an_installed_tracer_keeps_everything(self, small_dataset):
+        data, _ = small_dataset
+        tracer = Tracer()
+        with use_tracer(tracer), ClusterService(workers=1) as service:
+            self.serve(service, data, range(2))
+        assert service.obs is tracer
+        assert all(count > 0 for count in self.retained(tracer))
