@@ -295,8 +295,7 @@ class EngineBase(abc.ABC):
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
         """Per-dimension |x - point| sums over ``data[mask]`` (exact)."""
-        rows = self._columns.T.take(np.flatnonzero(mask), axis=1)
-        return abs_diff_dim_sums(rows.T, point)
+        return abs_diff_dim_sums(self._columns, point, np.flatnonzero(mask))
 
     def _assign_points(
         self, medoid_points: np.ndarray, dims: list
@@ -521,7 +520,9 @@ class EngineBase(abc.ABC):
                                 bad_medoids=bad,
                             )
 
-                        candidates = np.setdiff1d(np.arange(m), mbest)
+                        free = np.ones(m, dtype=bool)
+                        free[mbest] = False
+                        candidates = np.flatnonzero(free)
                         replace = min(len(bad), len(candidates))
                         mcur = mbest.copy()
                         if replace > 0:
@@ -544,12 +545,11 @@ class EngineBase(abc.ABC):
         with obs.span("refinement") as refinement_span:
             with obs.span("find_dimensions"):
                 medoid_points = data[self._medoid_ids[mbest]]
+                masks = labels_best == np.arange(k)[:, None]
+                counts = np.count_nonzero(masks, axis=1)
                 x_ref = np.zeros((k, d), dtype=np.float64)
-                for i in range(k):
-                    mask = labels_best == i
-                    count = int(np.count_nonzero(mask))
-                    if count:
-                        x_ref[i] = self._dim_sums(mask, medoid_points[i]) / count
+                for i in np.flatnonzero(counts):
+                    x_ref[i] = self._dim_sums(masks[i], medoid_points[i]) / counts[i]
                 self._account_refinement_x(n, d, k)
 
                 dims = find_dimensions(x_ref, p.l)

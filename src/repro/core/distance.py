@@ -10,18 +10,27 @@ variants and could flip discrete choices (dimension selection, argmin
 assignment).
 
 The trick used throughout this module: every summed *term* is a float32
-value in ``[0, 2)`` (datasets are min-max normalized to ``[0, 1]``), and
-the accumulator is float64.  A float64 accumulation of float32 terms in
-that range is **exact** (no rounding) as long as the partial sums stay
-below ``2^29`` — the terms carry 24-bit mantissas with granularity
-``>= 2^-24``, so any partial sum needs at most ``29 + 24 = 53``
-mantissa bits, precisely what float64 provides.  Exact sums are
-order-independent, so the incremental ``H`` updates, the baseline's
-full recomputation, and any GPU atomic ordering all yield identical
-float64 values, and every downstream discrete choice matches.
+value (datasets are min-max normalized to ``[0, 1]``, so terms lie in
+``[0, 2)``) and the accumulator is float64.  A float32 in
+``[2^e, 2^(e+1))`` is a whole multiple of its finest bit ``2^(e-23)``,
+so every partial sum is a whole multiple of the finest bit of the
+smallest nonzero term, and a float64 sum is **exact** (no rounding)
+while the largest partial sum stays below ``2^53`` times that bit.
+Exact sums are order-independent, so the incremental ``H`` updates,
+the baseline's full recomputation, the fleet's merged shard partials
+and any GPU atomic ordering then yield identical float64 values, and
+every downstream discrete choice matches.
 
-This holds for up to ``2^28`` points per sum — far beyond the paper's
-largest dataset (8.4 M points).
+How far that reaches depends on the smallest term, not only on n.
+Terms of ``0.5`` or more have bits no finer than ``2^-24``, so sums of
+up to ``2^28`` of them (:data:`MAX_EXACT_POINTS`, beyond the paper's
+largest dataset of 8.4 M points) stay below ``2^29`` and are exact.  A
+term below ``0.5`` has finer bits and lowers the bound: one term near
+``1e-6`` (a point and a medoid both that close to a coordinate's
+minimum) allows partial sums of only about ``2^10``.  Sums over such
+data can round, and a rounded sum depends on its order, so the
+guarantee above is not unconditional.  On the generator's data no
+clustering has been seen to change.
 
 Layout contract: every primitive reads its ``(n, d)`` input through the
 ``(d, n)`` view ``data.T``.  The distance primitives build each point's
@@ -37,9 +46,9 @@ temporary is built C-ordered, so a row-major caller pays a transposing
 copy but gets the same bits.
 
 Which sums may be reordered: the distance sums (Euclidean, segmental)
-and the per-dimension sums (``H``, ``X``) add float32 terms exactly, so
-any order — dimension-major here, row-major or atomic on a GPU — gives
-the same bits.  The cost sums of
+and the per-dimension sums (``H``, ``X``) add float32 terms, exactly
+within the bound above, so there any order — dimension-major here,
+row-major or atomic on a GPU — gives the same bits.  The cost sums of
 :func:`~repro.core.phases.evaluate_clusters` are *not* exact (their
 terms are relative to a float64 centroid): that function gathers each
 cluster as a ``(size, |D_i|)`` block with contiguous columns for any
@@ -58,14 +67,15 @@ __all__ = [
     "MAX_EXACT_POINTS",
 ]
 
-#: Sums of this many float32 terms in [0, 2) are exact in float64.
+#: Sums of this many float32 terms in [0.5, 2) are exact in float64
+#: (smaller nonzero terms lower the bound; see the module docstring).
 MAX_EXACT_POINTS = 2**28
 
 #: Rows processed per chunk: bounds the temporary diff buffer to
 #: ~`_CHUNK_ROWS * d * 4` bytes (16 MiB at d = 15), so million-point
 #: datasets never allocate an n x d scratch copy.  Chunking cannot
-#: change any result — every chunk's arithmetic is element-wise and the
-#: accumulation is exact.
+#: change any result — every chunk's arithmetic is element-wise, and
+#: each sum runs within one point or one dimension row of a chunk.
 _CHUNK_ROWS = 262_144
 
 
@@ -89,7 +99,9 @@ def euclidean_to_point(data: np.ndarray, point: np.ndarray) -> np.ndarray:
         stop = start + _CHUNK_ROWS
         diff = np.subtract(columns[:, start:stop], point, order="C")
         np.multiply(diff, diff, out=diff)
-        out[start:stop] = np.sqrt(np.sum(diff, axis=0, dtype=np.float64))
+        np.sqrt(
+            np.add.reduce(diff, axis=0, dtype=np.float64), out=out[start:stop]
+        )
     return out
 
 
@@ -105,25 +117,37 @@ def euclidean_distances(data: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def abs_diff_dim_sums(points: np.ndarray, medoid: np.ndarray) -> np.ndarray:
+def abs_diff_dim_sums(
+    points: np.ndarray, medoid: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Per-dimension sums ``sum_p |p_j - m_j|`` over ``points``.
 
     This is the quantity the ``H`` matrix stores (Eq. 5).  The absolute
-    differences are float32 terms; the sum is exact in float64, so the
-    incremental update of Theorem 3.2 reproduces the full sum bit for
-    bit.
+    differences are float32 terms; within the bound of the module
+    docstring the sum is exact in float64, so the incremental update of
+    Theorem 3.2 reproduces the full sum bit for bit.
+
+    ``rows`` (positions into ``points``) restricts the sums to those
+    points.  They are gathered chunk by chunk into a C-ordered scratch
+    block, which the subtraction and the absolute value then overwrite
+    in place: the same block, and so the same bits, as passing
+    ``points[rows]``, without a second copy.
 
     Returns a float64 array of shape ``(d,)``.
     """
     columns = points.T
     medoid = medoid.astype(np.float32)[:, None]
     total = np.zeros(points.shape[1], dtype=np.float64)
-    for start in range(0, points.shape[0], _CHUNK_ROWS):
-        diff = np.subtract(
-            columns[:, start : start + _CHUNK_ROWS], medoid, order="C"
-        )
+    count = points.shape[0] if rows is None else len(rows)
+    for start in range(0, count, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        if rows is None:
+            diff = np.subtract(columns[:, start:stop], medoid, order="C")
+        else:
+            diff = columns.take(rows[start:stop], axis=1)
+            np.subtract(diff, medoid, out=diff)
         np.abs(diff, out=diff)
-        total += np.sum(diff, axis=1, dtype=np.float64)
+        total += np.add.reduce(diff, axis=1, dtype=np.float64)
     return total
 
 
@@ -137,24 +161,37 @@ def segmental_distances(
     ``dist[p, i] = sum_{j in D_i} |p_j - m_{i,j}| / |D_i|`` — the
     measure AssignPoints and RemoveOutliers use.
 
-    Returns a float64 array of shape ``(n, k)``.
+    All ``sum |D_i|`` subspace rows are gathered into one block, and
+    the subtraction and absolute value run once over it, in place.
+    Each medoid's rows, in its sorted dimension order, then reduce
+    straight into row ``i`` of a ``(k, n)`` float64 buffer.  A chunk
+    holds fewer points when ``sum |D_i| > d``, so the block stays
+    within the ``_CHUNK_ROWS * d`` bound.
+
+    Returns a float64 array of shape ``(n, k)``: the transpose of that
+    buffer.
     """
     columns = data.T
-    n = data.shape[0]
+    n, d = data.shape
     k = medoid_points.shape[0]
-    out = np.empty((n, k), dtype=np.float64)
-    for i in range(k):
-        dims = list(dimensions[i])
-        medoid = medoid_points[i, dims].astype(np.float32)[:, None]
-        for start in range(0, n, _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            # Gathering the |D_i| dimension rows makes a C-ordered copy.
-            diff = columns[dims, start:stop]
-            np.subtract(diff, medoid, out=diff)
-            np.abs(diff, out=diff)
-            np.divide(
-                np.sum(diff, axis=0, dtype=np.float64),
-                len(dims),
-                out=out[start:stop, i],
+    sizes = [len(dims) for dims in dimensions]
+    gather = np.array([j for dims in dimensions for j in dims], dtype=np.intp)
+    owner = np.repeat(np.arange(k), sizes)
+    medoid = medoid_points[owner, gather].astype(np.float32)[:, None]
+    ends = np.cumsum(sizes).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    step = max(1, _CHUNK_ROWS * d // max(d, len(gather)))
+    out = np.empty((k, n), dtype=np.float64)
+    for start in range(0, n, step):
+        stop = start + step
+        # Gathering the subspace rows makes a C-ordered copy.
+        diff = columns[gather, start:stop]
+        np.subtract(diff, medoid, out=diff)
+        np.abs(diff, out=diff)
+        for i, (low, high) in enumerate(spans):
+            np.add.reduce(
+                diff[low:high], axis=0, dtype=np.float64,
+                out=out[i, start:stop],
             )
-    return out
+    np.divide(out, np.array(sizes, dtype=np.float64)[:, None], out=out)
+    return out.T

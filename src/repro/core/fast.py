@@ -62,33 +62,31 @@ class FastProclusEngine(EngineBase):
         cache.dist_found[missing] = True
 
         # delta_i from the cached rows.
-        medoid_dist = cache.dist[mcur][:, medoid_ids]
+        dist = cache.dist[mcur]
+        medoid_dist = dist[:, medoid_ids]
         np.fill_diagonal(medoid_dist, np.inf)
         delta = medoid_dist.min(axis=1)
         self._account_delta(k)
 
-        x = np.zeros((k, d), dtype=np.float64)
-        sizes = np.zeros(k, dtype=np.int64)
-        total_changed = 0
-        for i, mi in enumerate(mcur):
-            row = cache.dist[mi]
-            previous = cache.prev_delta[mi]
-            current = delta[i]
-            if current >= previous:
-                mask = (row > previous) & (row <= current)
-                lam = 1
-            else:
-                mask = (row > current) & (row <= previous)
-                lam = -1
-            count = int(np.count_nonzero(mask))
-            total_changed += count
-            if count:
-                point = data[self._medoid_ids[mi]]
-                cache.h[mi] += lam * self._dim_sums(mask, point)
-                cache.size_l[mi] += lam * count
-            cache.prev_delta[mi] = current
-            sizes[i] = cache.size_l[mi]
-            x[i] = cache.h[mi] / cache.size_l[mi]
+        # Sphere changes of all k medoids in one broadcast: a growing
+        # radius adds the points in (previous, current] (lambda = +1),
+        # a shrinking one removes those in (current, previous].
+        previous = cache.prev_delta[mcur]
+        grows = delta >= previous
+        low = np.where(grows, previous, delta)[:, None]
+        high = np.where(grows, delta, previous)[:, None]
+        masks = dist > low
+        masks &= dist <= high
+        counts = np.count_nonzero(masks, axis=1)
+        lam = np.where(grows, 1, -1)
+        for i in np.flatnonzero(counts):
+            point = data[medoid_ids[i]]
+            cache.h[mcur[i]] += lam[i] * self._dim_sums(masks[i], point)
+        cache.size_l[mcur] += lam * counts
+        cache.prev_delta[mcur] = delta
+        sizes = cache.size_l[mcur]
+        x = cache.h[mcur] / sizes[:, None]
+        total_changed = int(counts.sum())
         self._account_scan_l(n, k, total_changed)
         self._account_x_sums(total_changed, d, k)
         self._account_x_finalize(k, d)

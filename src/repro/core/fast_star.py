@@ -62,28 +62,24 @@ class FastStarProclusEngine(EngineBase):
         delta = medoid_dist.min(axis=1)
         self._account_delta(k)
 
-        x = np.zeros((k, d), dtype=np.float64)
-        sizes = np.zeros(k, dtype=np.int64)
-        total_changed = 0
-        for i in range(k):
-            row = cache.dist[i]
-            previous = cache.prev_delta[i]
-            current = delta[i]
-            if current >= previous:
-                mask = (row > previous) & (row <= current)
-                lam = 1
-            else:
-                mask = (row > current) & (row <= previous)
-                lam = -1
-            count = int(np.count_nonzero(mask))
-            total_changed += count
-            if count:
-                point = data[medoid_ids[i]]
-                cache.h[i] += lam * self._dim_sums(mask, point)
-                cache.size_l[i] += lam * count
-            cache.prev_delta[i] = current
-            sizes[i] = cache.size_l[i]
-            x[i] = cache.h[i] / cache.size_l[i]
+        # Sphere changes of all k slots in one broadcast (see
+        # FastProclusEngine._compute_l_and_x).
+        previous = cache.prev_delta
+        grows = delta >= previous
+        low = np.where(grows, previous, delta)[:, None]
+        high = np.where(grows, delta, previous)[:, None]
+        masks = cache.dist > low
+        masks &= cache.dist <= high
+        counts = np.count_nonzero(masks, axis=1)
+        lam = np.where(grows, 1, -1)
+        for i in np.flatnonzero(counts):
+            point = data[medoid_ids[i]]
+            cache.h[i] += lam[i] * self._dim_sums(masks[i], point)
+        cache.size_l += lam * counts
+        cache.prev_delta[:] = delta
+        sizes = cache.size_l.copy()
+        x = cache.h / sizes[:, None]
+        total_changed = int(counts.sum())
         self._account_scan_l(n, k, total_changed)
         self._account_x_sums(total_changed, d, k)
         self._account_x_finalize(k, d)

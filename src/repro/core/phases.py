@@ -60,9 +60,8 @@ def find_dimensions(x: np.ndarray, l: int) -> tuple[tuple[int, ...], ...]:
 
     picked = np.zeros((k, d), dtype=bool)
     # Two lowest-Z dimensions per medoid (stable sort: ties -> lowest j).
-    for i in range(k):
-        order = np.argsort(z[i], kind="stable")
-        picked[i, order[:2]] = True
+    order = np.argsort(z, axis=1, kind="stable")
+    picked[np.arange(k)[:, None], order[:, :2]] = True
 
     remaining = k * l - 2 * k
     if remaining > 0:
@@ -72,8 +71,10 @@ def find_dimensions(x: np.ndarray, l: int) -> tuple[tuple[int, ...], ...]:
         order = np.lexsort((flat_j, flat_i, flat_z))[:remaining]
         picked[flat_i[order], flat_j[order]] = True
 
+    selected = np.nonzero(picked)[1].tolist()
+    ends = np.cumsum(np.count_nonzero(picked, axis=1)).tolist()
     return tuple(
-        tuple(int(j) for j in np.flatnonzero(picked[i])) for i in range(k)
+        tuple(selected[start:end]) for start, end in zip([0] + ends, ends)
     )
 
 
@@ -97,10 +98,9 @@ def assign_points(
 
 def cluster_sizes_from_labels(labels: np.ndarray, k: int) -> np.ndarray:
     """Size of each of the ``k`` clusters (ignores negative labels)."""
-    sizes = np.zeros(k, dtype=np.int64)
-    valid = labels >= 0
-    np.add.at(sizes, labels[valid], 1)
-    return sizes
+    return np.bincount(labels[labels >= 0], minlength=k).astype(
+        np.int64, copy=False
+    )
 
 
 def evaluate_clusters(
@@ -119,19 +119,32 @@ def evaluate_clusters(
     """
     n = data.shape[0]
     columns = data.T
+    # One stable sort groups the members of each cluster, in row order.
+    # Labels run from -1 to k - 1; on 16-bit keys the sort is a radix
+    # sort, several times faster than on int64 at these sizes.
+    k = len(dimensions)
+    keys = labels.astype(np.int16) if k < 2**15 else labels
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(k + 1)).tolist()
     total = 0.0
     for i, dims in enumerate(dimensions):
-        rows = np.flatnonzero(labels == i)
-        size = rows.size
+        size = bounds[i + 1] - bounds[i]
         if size == 0:
             continue
+        rows = order[bounds[i] : bounds[i + 1]]
         # (size, |D_i|) with contiguous columns for any input layout:
         # these sums are not exact, and NumPy's pairwise column sums
         # depend on the strides they see.
-        members = columns[np.ix_(dims, rows)].T
-        centroid = np.sum(members, axis=0, dtype=np.float64) / size
-        v = np.sum(np.abs(members - centroid), axis=0, dtype=np.float64) / size
-        w = float(v.mean())
+        members = np.empty((len(dims), size), dtype=columns.dtype)
+        for row, j in enumerate(dims):
+            columns[j].take(rows, out=members[row])
+        members = members.T
+        centroid = np.add.reduce(members, axis=0, dtype=np.float64) / size
+        deviation = members - centroid
+        np.abs(deviation, out=deviation)
+        v = np.add.reduce(deviation, axis=0) / size
+        # The mean of v, as ndarray.mean computes it.
+        w = float(np.add.reduce(v)) / len(dims)
         total += size * w
     return total / n
 

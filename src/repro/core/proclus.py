@@ -41,15 +41,12 @@ class ProclusEngine(EngineBase):
         delta = medoid_dist.min(axis=1)
         self._account_delta(k)
 
-        x = np.zeros((k, d), dtype=np.float64)
-        sizes = np.zeros(k, dtype=np.int64)
-        total_in_l = 0
+        masks = dist <= delta[:, None]
+        sizes = np.count_nonzero(masks, axis=1)
+        x = np.empty((k, d), dtype=np.float64)
         for i in range(k):
-            mask = dist[i] <= delta[i]
-            count = int(np.count_nonzero(mask))
-            sizes[i] = count
-            total_in_l += count
-            x[i] = self._dim_sums(mask, medoid_points[i]) / count
+            x[i] = self._dim_sums(masks[i], medoid_points[i]) / sizes[i]
+        total_in_l = int(sizes.sum())
         self._account_scan_l(n, k, total_in_l)
         self._account_x_sums(total_in_l, d, k)
         self._account_x_finalize(k, d)

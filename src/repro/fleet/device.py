@@ -157,8 +157,12 @@ class FleetDevice:
         #: Collective seconds accrued inside the current launch() call,
         #: in exact ledger units, feeding the fleet ledger's comm component.
         self._comm_this_call = 0
-        #: Each distinct logical launch's dispatch (see _dispatch_of).
-        self._dispatch: dict[KernelLaunch, tuple[bool, tuple]] = {}
+        #: Each distinct ``launch(...)`` argument tuple's logical
+        #: KernelLaunch and its dispatch (see _dispatch_of).
+        self._dispatch: dict[tuple, tuple[KernelLaunch, bool, tuple]] = {}
+        #: The fleet makespan, kept equal to :meth:`_fleet_elapsed` as
+        #: launches, collectives and transfers move the shard clocks.
+        self._makespan = self._fleet_elapsed()
 
     # ------------------------------------------------------------------
     # Configuration
@@ -191,6 +195,17 @@ class FleetDevice:
             return 0.0
         return max(self._elapsed(shard) for shard in self._active)
 
+    def _advance(self, shard: ShardDevice) -> None:
+        """Raise the running makespan to ``shard``'s clock.
+
+        Called after ``shard`` ran work.  Running work only moves a
+        shard's clock forward and leaves the others where they were,
+        so the running maximum still equals :meth:`_fleet_elapsed`.
+        """
+        elapsed = self._elapsed(shard)
+        if elapsed > self._makespan:
+            self._makespan = elapsed
+
     def _collective(self, kind: str, nbytes: float, phase: str) -> None:
         """Barrier all shard clocks at ``max + comm`` and account it."""
         if len(self._active) < 2:
@@ -199,7 +214,7 @@ class FleetDevice:
             seconds = allreduce_seconds(nbytes, self._active_specs)
         else:
             seconds = broadcast_seconds(nbytes, self._active_specs)
-        target = self._fleet_elapsed() + seconds
+        target = self._makespan + seconds
         for shard in self._active:
             elapsed = self._elapsed(shard)
             wait = target - elapsed
@@ -217,6 +232,9 @@ class FleetDevice:
             self.model.sync_seconds[shard.index] += wait
             shard.skew = target - shard.model.total_seconds
             shard.clock_offset = self.clock_offset + shard.skew
+        # A skew rounds, so a waiting shard's clock can land a bit off
+        # ``target``: take the maximum afresh.
+        self._makespan = self._fleet_elapsed()
         counter = self.model.counter
         counter.add("fleet.comm_bytes", nbytes)
         counter.add("fleet.comm_seconds", seconds)
@@ -261,7 +279,7 @@ class FleetDevice:
         self, host: np.ndarray, name: str, phase: str = "transfer"
     ) -> DeviceArray:
         """Upload ``host`` — each shard receives its row slice."""
-        before = self._fleet_elapsed()
+        before = self._makespan
         array = self.logical.to_device(host, name, phase)
         axis = next(
             (a for a, size in enumerate(host.shape) if size == self.n), None
@@ -272,18 +290,19 @@ class FleetDevice:
             else:
                 piece = self.plan.shard(host, shard.index, axis=axis)
             shard.to_device(piece, f"{name}@dev{shard.index}", phase)
+            self._advance(shard)
         self.model.account(
             "transfer", f"h2d:{name}", phase,
-            self._fleet_elapsed() - before, residual="transfer",
+            self._makespan - before, residual="transfer",
         )
         return array
 
     def to_host(self, array: DeviceArray, phase: str = "transfer") -> np.ndarray:
-        before = self._fleet_elapsed()
+        # The copy runs on the logical device, so no shard clock moves
+        # and the fleet accrues zero seconds.
         host = self.logical.to_host(array, phase)
         self.model.account(
-            "transfer", f"d2h:{array.name}", phase,
-            self._fleet_elapsed() - before, residual="transfer",
+            "transfer", f"d2h:{array.name}", phase, 0.0, residual="transfer",
         )
         return host
 
@@ -369,21 +388,27 @@ class FleetDevice:
         registers_per_thread: int = 32,
         ipc: float = 1.0,
     ) -> float:
-        """Record logically; dispatch physically; accrue fleet time."""
-        before = self._fleet_elapsed()
-        self._comm_this_call = 0
-        launch = kernel_launch(
+        """Record logically; dispatch physically; accrue fleet time.
+
+        The logical launch and its dispatch are built once per distinct
+        argument tuple; every call still records the launch, runs the
+        collectives it triggers and launches on each target shard.
+        """
+        args = (
             name, phase, grid_blocks, threads_per_block, flops, gmem_bytes,
             atomic_ops, smem_bytes_per_block, registers_per_thread, ipc,
         )
+        entry = self._dispatch.get(args)
+        if entry is None:
+            launch = kernel_launch(*args)
+            entry = self._dispatch[args] = (launch, *self._dispatch_of(launch))
+        launch, sharded, dispatch = entry
+        before = self._makespan
+        self._comm_this_call = 0
         # The logical book counts the solo launch stream; nothing reads
         # a cost for it.  Recorded before any collective, so the counter
         # keeps the solo run's insertion order.
         self.model.counter.record_launch(launch)
-        entry = self._dispatch.get(launch)
-        if entry is None:
-            entry = self._dispatch[launch] = self._dispatch_of(launch)
-        sharded, dispatch = entry
         if sharded and self._root_fresh:
             payload = self._bcast_bytes.get(name, self._default_bcast)
             self._collective("broadcast", payload, phase)
@@ -391,13 +416,14 @@ class FleetDevice:
         elif not sharded and self._pending_reduce > 0:
             self._collective("allreduce", self._pending_reduce, phase)
             self._pending_reduce = 0.0
-        for shard, args in dispatch:
-            shard.launch(*args)
+        for shard, shard_args in dispatch:
+            shard.launch(*shard_args)
+            self._advance(shard)
         if sharded:
             self._pending_reduce += self._reduce_bytes.get(name, 0.0)
         else:
             self._root_fresh = True
-        delta = self._fleet_elapsed() - before
+        delta = self._makespan - before
         # The makespan delta splits exactly into collective time (the
         # barrier pushed every clock forward by the comm seconds) and
         # the critical-path compute growth that followed.

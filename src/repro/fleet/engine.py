@@ -133,11 +133,10 @@ class FleetEngineMixin(GpuEngineMixin):
         return out
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
-        columns = self._columns.T
         partials = [
             abs_diff_dim_sums(
-                columns.take(start + np.flatnonzero(mask[start:stop]), axis=1).T,
-                point,
+                self._columns[start:stop], point,
+                np.flatnonzero(mask[start:stop]),
             )
             for start, stop in self._plan.ranges()
             if stop > start

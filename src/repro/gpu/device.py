@@ -87,6 +87,9 @@ class Device:
         self.clock_offset = (
             self.tracer.device_offset() if self.tracer.enabled else 0.0
         )
+        #: Each distinct ``launch(...)`` argument tuple's KernelLaunch
+        #: and trace pipeline, so a repeated launch is one lookup.
+        self._launches: dict[tuple, tuple[KernelLaunch, str]] = {}
 
     # ------------------------------------------------------------------
     # Memory
@@ -172,26 +175,38 @@ class Device:
         registers_per_thread: int = 32,
         ipc: float = 1.0,
     ) -> float:
-        """Account one kernel launch; returns its modeled seconds."""
+        """Account one kernel launch; returns its modeled seconds.
+
+        Every call fires the fault injector, records the launch on the
+        model and emits its trace event; only building the
+        :class:`KernelLaunch` and its pipeline name is done once per
+        distinct argument tuple.
+        """
         injector = ambient_injector() if self.fires_injector else None
         if injector is not None:
             injector.on_launch(name, phase)
-        launch = kernel_launch(
+        args = (
             name, phase, grid_blocks, threads_per_block, flops, gmem_bytes,
             atomic_ops, smem_bytes_per_block, registers_per_thread, ipc,
         )
+        entry = self._launches.get(args)
+        if entry is None:
+            entry = self._launches[args] = (
+                kernel_launch(*args), self._pipeline(name)
+            )
+        launch, pipeline = entry
         start = self.clock_offset + self.model.total_seconds
         seconds = self.model.launch(launch)
         if self.tracer.enabled:
             self.tracer.kernel(
                 name,
-                self._pipeline(name),
+                pipeline,
                 phase,
                 start,
                 seconds,
                 clock="modeled",
-                grid_blocks=int(grid_blocks),
-                threads_per_block=int(threads_per_block),
+                grid_blocks=launch.grid_blocks,
+                threads_per_block=launch.threads_per_block,
             )
         return seconds
 

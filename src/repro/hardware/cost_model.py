@@ -26,7 +26,7 @@ the run's :class:`~repro.hardware.counters.WorkCounter`.  A
 ``GpuModel`` evaluates the roofline once per distinct
 :class:`~repro.hardware.counters.KernelLaunch` it sees (the engines
 repeat the same small launches every iteration); each repeat ledgers
-that first cost again, as its own event.
+that launch's first, immutable :class:`CostEvent` again.
 
 Cost ledger
 -----------
@@ -283,11 +283,9 @@ class GpuModel(HardwareModel):
     def __init__(self, spec: GpuSpec) -> None:
         super().__init__()
         self.spec = spec
-        #: Seconds, ledger units and components of each distinct launch
-        #: this model has costed (see :meth:`launch`).
-        self._costs: dict[
-            KernelLaunch, tuple[float, int, tuple[tuple[str, int], ...]]
-        ] = {}
+        #: Seconds and first cost event of each distinct launch this
+        #: model has costed (see :meth:`launch`).
+        self._costs: dict[KernelLaunch, tuple[float, CostEvent]] = {}
 
     @property
     def name(self) -> str:
@@ -367,8 +365,9 @@ class GpuModel(HardwareModel):
         """Account one kernel launch; returns its modeled seconds.
 
         Equal launches cost the same, so the roofline is evaluated on a
-        launch's first sighting only; every launch still ledgers its
-        own :class:`CostEvent`.
+        launch's first sighting only.  Every launch still ledgers one
+        :class:`CostEvent`: a repeat ledgers its first (immutable) event
+        again.
         """
         self.counter.record_launch(launch)
         cost = self._costs.get(launch)
@@ -386,13 +385,8 @@ class GpuModel(HardwareModel):
                 residual=self.dominant_component(launch),
                 launch=launch,
             )
-            event = self.events[-1]
-            self._costs[launch] = (seconds, event.units, event.components)
+            self._costs[launch] = (seconds, self.events[-1])
             return seconds
-        seconds, units, components = cost
-        self._record(
-            CostEvent(
-                "kernel", launch.name, launch.phase, units, components, launch
-            )
-        )
+        seconds, event = cost
+        self._record(event)
         return seconds

@@ -38,6 +38,7 @@ import json
 import math
 import threading
 import uuid
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -224,6 +225,10 @@ class SloTracker:
     :meth:`record_violations`.  :meth:`evaluate` computes each
     objective's metric over its trailing window and returns an
     :class:`SloReport`.  Thread-safe.
+
+    Samples older than the longest objective window, counted back from
+    the latest observed ``ts``, are dropped as new ones arrive, so a
+    long-lived service holds one window of samples, not its history.
     """
 
     def __init__(
@@ -239,22 +244,37 @@ class SloTracker:
             tuple(objectives) if objectives is not None else default_slos()
         )
         self.error_budget = error_budget
+        #: Seconds of samples kept behind the latest ``ts``.
+        self._horizon = max(
+            (objective.window_seconds for objective in self.objectives),
+            default=0.0,
+        )
         self._lock = threading.Lock()
         self._last_ts = 0.0
         self._submit_ts: dict[int, float] = {}
         #: (ts, seconds waited in the queue), one per started/shortcut job.
-        self._queued: list[tuple[float, float]] = []
-        self._submits: list[float] = []
-        self._rejects: list[float] = []
+        self._queued: deque[tuple[float, float]] = deque()
+        self._submits: deque[float] = deque()
+        self._rejects: deque[float] = deque()
         #: (ts, succeeded) per terminal outcome (complete/fail).
-        self._outcomes: list[tuple[float, bool]] = []
+        self._outcomes: deque[tuple[float, bool]] = deque()
         self._violations = 0.0
         #: Every device tag ever named in a device_* event.
         self._devices: set[str] = set()
         #: Currently-down device tag -> ts it went down.
         self._down_since: dict[str, float] = {}
         #: (ts, seconds-to-recover) per recovery (event- or direct-fed).
-        self._recoveries: list[tuple[float, float]] = []
+        self._recoveries: deque[tuple[float, float]] = deque()
+
+    def _trim(self) -> None:
+        """Drop samples older than the horizon behind the latest ``ts``."""
+        cutoff = self._last_ts - self._horizon
+        for stamps in (self._submits, self._rejects):
+            while stamps and stamps[0] < cutoff:
+                stamps.popleft()
+        for samples in (self._queued, self._outcomes, self._recoveries):
+            while samples and samples[0][0] < cutoff:
+                samples.popleft()
 
     def observe(self, event: "ServeEvent | dict") -> None:
         record = _event_dict(event)
@@ -290,6 +310,7 @@ class SloTracker:
                 went_down = self._down_since.pop(device, None)
                 if went_down is not None:
                     self._recoveries.append((ts, max(0.0, ts - went_down)))
+            self._trim()
 
     def record_violations(self, count: int = 1) -> None:
         """Register determinism violations found by an external oracle."""
@@ -304,6 +325,7 @@ class SloTracker:
             ts = now if now is not None else self._last_ts
             self._last_ts = max(self._last_ts, ts)
             self._recoveries.append((ts, max(0.0, float(seconds))))
+            self._trim()
 
     def set_devices(self, tags: Sequence[str]) -> None:
         """Declare the fleet-member universe availability is judged over.
@@ -316,7 +338,12 @@ class SloTracker:
             self._devices.update(str(tag) for tag in tags)
 
     def metric_value(self, metric: str, window: float, now: float) -> float:
-        """Compute one metric over ``[now - window, now]``."""
+        """Compute one metric over ``[now - window, now]``.
+
+        The tracker keeps only the samples of its longest objective
+        window before the latest observed ``ts``: a longer ``window``,
+        or an earlier ``now``, sees only that much history.
+        """
         cutoff = now - window
         if metric == "queued_latency_p95_seconds":
             waits = [w for ts, w in self._queued if ts >= cutoff]

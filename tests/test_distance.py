@@ -109,6 +109,29 @@ class TestExactness:
         assert out.shape == (4,)
         assert np.all(out == 0.0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_dim_sums_over_rows_match_the_gathered_points(
+        self, order, chunk_rows, monkeypatch
+    ):
+        """Raw (unnormalized) data, where sums can round: gathering the
+        selected rows inside must add in the same order as passing them."""
+        from repro.core import distance
+
+        if chunk_rows is not None:
+            monkeypatch.setattr(distance, "_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(8)
+        points = np.asarray(
+            rng.lognormal(0.0, 3.0, (300, 6)).astype(np.float32), order=order
+        )
+        medoid = points[3]
+        for fraction in (0.0, 0.05, 0.5, 1.0):
+            rows = np.flatnonzero(rng.random(len(points)) < fraction)
+            assert np.array_equal(
+                abs_diff_dim_sums(points, medoid, rows),
+                abs_diff_dim_sums(points[rows], medoid),
+            )
+
     @given(unit_matrix(max_n=30, max_d=5), st.integers(0, 29))
     @settings(max_examples=30, deadline=None)
     def test_property_split_identity(self, points, cut):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -139,6 +140,76 @@ class TestSloTracker:
         json.dumps(payload)
         assert payload["ok"] is True
         assert len(payload["slos"]) == 6
+
+
+def _an_hour_of_service(requests: int = 10_000) -> list[ServeEvent]:
+    """``requests`` jobs spread over an hour of service clock.
+
+    Every job is submitted; a tenth are refused, a tenth answered from
+    the cache, and the rest start after a short wait and then complete
+    (one in twenty fail).  A device goes down and comes back every five
+    minutes, the last time inside the final minute.
+    """
+    rng = np.random.default_rng(20)
+    events = []
+    for job_id, submitted in enumerate(np.sort(rng.uniform(0, 3600, requests))):
+        submitted = float(submitted)
+        events.append(_event("submit", ts=submitted, job_id=job_id))
+        fate = rng.random()
+        if fate < 0.1:
+            events.append(_event("reject", ts=submitted + 0.01, job_id=job_id))
+        elif fate < 0.2:
+            events.append(_event("cache_hit", ts=submitted, job_id=job_id))
+        else:
+            started = submitted + float(rng.exponential(0.2))
+            events.append(_event("start", ts=started, job_id=job_id))
+            kind = "fail" if rng.random() < 0.05 else "complete"
+            events.append(_event(kind, ts=started + 0.1, job_id=job_id))
+    for down in (*range(100, 3600, 300), 3570):
+        events.append(_event("device_down", ts=down, detail="dev1"))
+        events.append(_event("device_recovered", ts=down + 20, detail="dev1"))
+    return sorted(events, key=lambda event: event.ts)
+
+
+class TestSloTrackerRetention:
+    def test_keeps_one_window_and_reports_as_if_untrimmed(self):
+        events = _an_hour_of_service()
+        tracker = SloTracker()
+        # An objective looking back two hours keeps the whole hour.
+        untrimmed = SloTracker(
+            default_slos() + (
+                SloObjective(
+                    name="long", metric="rejection_rate", op="<=",
+                    threshold=1.0, window_seconds=7200.0,
+                ),
+            )
+        )
+        for event in events:
+            tracker.observe(event)
+            untrimmed.observe(event)
+        latest = events[-1].ts
+        window = max(obj.window_seconds for obj in default_slos())
+        samples = {
+            "queued": [ts for ts, _ in tracker._queued],
+            "submits": list(tracker._submits),
+            "rejects": list(tracker._rejects),
+            "outcomes": [ts for ts, _ in tracker._outcomes],
+            "recoveries": [ts for ts, _ in tracker._recoveries],
+        }
+        for name, stamps in samples.items():
+            assert stamps, name
+            assert min(stamps) >= latest - window, name
+        assert len(untrimmed._submits) == 10_000
+        assert len(tracker._submits) < 1_000
+
+        report = {r.objective.name: r for r in tracker.evaluate(now=latest).results}
+        reference = {
+            r.objective.name: r for r in untrimmed.evaluate(now=latest).results
+        }
+        assert set(report) == {obj.name for obj in default_slos()}
+        for name, result in report.items():
+            assert result.value == reference[name].value, name
+            assert result.ok == reference[name].ok, name
 
 
 class TestServiceMonitor:
