@@ -40,10 +40,19 @@ and :func:`abs_diff_dim_sums` reduces each dimension row.  Those rows are
 contiguous length-n vectors when ``data`` is column-major (Fortran
 order), which is why :meth:`EngineBase.fit
 <repro.core.base.EngineBase.fit>` makes one column-major copy of the
-dataset per fit and passes it, or a row range of it, to these
-functions.  Results never depend on the input's memory layout: each
-temporary is built C-ordered, so a row-major caller pays a transposing
-copy but gets the same bits.
+dataset per fit and passes it to these functions.  Results never
+depend on the input's memory layout: each temporary is built
+C-ordered, so a row-major caller pays a transposing copy but gets the
+same bits.
+
+Chunking: the distance primitives and
+:func:`~repro.core.phases.assign_points` process rows in chunks of at
+most :data:`_CHUNK_ROWS` (fewer for a wide subspace gather), and take
+optional ``bounds``, row offsets where a chunk must end as well.  The
+fleet engines pass their shard bounds, so each shard's rows are one
+chunk of a single call, computed as their own block.  No per-point
+value depends on chunking: every point adds its terms in dimension
+order, whatever the chunk's width (:func:`_add_rows`).
 
 Which sums may be reordered: the distance sums (Euclidean, segmental)
 and the per-dimension sums (``H``, ``X``) add float32 terms, exactly
@@ -56,6 +65,8 @@ input layout, so NumPy's pairwise column sums always add in one order.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -74,12 +85,52 @@ MAX_EXACT_POINTS = 2**28
 #: Rows processed per chunk: bounds the temporary diff buffer to
 #: ~`_CHUNK_ROWS * d * 4` bytes (16 MiB at d = 15), so million-point
 #: datasets never allocate an n x d scratch copy.  Chunking cannot
-#: change any result — every chunk's arithmetic is element-wise, and
-#: each sum runs within one point or one dimension row of a chunk.
+#: change a per-point value — every chunk's arithmetic is element-wise,
+#: and each point's sum adds its rows in order (:func:`_add_rows`).  A
+#: per-dimension sum runs within one dimension row of a chunk.
 _CHUNK_ROWS = 262_144
 
 
-def euclidean_to_point(data: np.ndarray, point: np.ndarray) -> np.ndarray:
+def _chunks(
+    n: int, step: int, bounds: Sequence[int] | None = None
+) -> list[tuple[int, int]]:
+    """``(start, stop)`` of every chunk of ``n`` rows.
+
+    A chunk holds at most ``step`` rows and never crosses a row offset
+    in ``bounds`` (offsets in ``[0, n]``, in any order, repeats
+    allowed).  The rows between two consecutive offsets are chunked
+    from their own first row, as a call on that row range alone would
+    chunk them: the fleet passes its shard bounds here, so each shard's
+    rows form their own blocks.
+    """
+    edges = [0, n] if bounds is None else sorted({0, n, *bounds})
+    return [
+        (start, min(start + step, high))
+        for low, high in zip(edges, edges[1:])
+        for start in range(low, high, step)
+    ]
+
+
+def _add_rows(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Float64 sums of ``block``'s columns, adding its rows in order.
+
+    NumPy adds a block's rows one after another for every column,
+    except when the block is a single column: that it sums pairwise.  A
+    one-point chunk (a one-row shard, say) therefore accumulates
+    instead, so a point's value never depends on where chunks fall.
+    """
+    if block.shape[1] == 1 and block.shape[0] > 1:
+        sums = np.add.accumulate(block, axis=0, dtype=np.float64)[-1]
+        if out is None:
+            return sums
+        out[...] = sums
+        return out
+    return np.add.reduce(block, axis=0, dtype=np.float64, out=out)
+
+
+def euclidean_to_point(
+    data: np.ndarray, point: np.ndarray, bounds: Sequence[int] | None = None
+) -> np.ndarray:
     """Full-dimensional Euclidean distances from every row to ``point``.
 
     Terms ``(a - b)^2`` are computed and rounded in float32 (as CUDA
@@ -87,7 +138,8 @@ def euclidean_to_point(data: np.ndarray, point: np.ndarray) -> np.ndarray:
     float64 and finally rounded once to float32.  Every algorithm
     variant calls this same function, so stored distances are identical
     across variants.  Large inputs are processed in fixed-size chunks
-    to bound temporary memory.
+    to bound temporary memory; ``bounds`` (row offsets, e.g. a fleet's
+    shard bounds) cut the chunks as well (see :func:`_chunks`).
 
     Returns a float32 array of shape ``(n,)``.
     """
@@ -95,13 +147,10 @@ def euclidean_to_point(data: np.ndarray, point: np.ndarray) -> np.ndarray:
     point = point.astype(np.float32)[:, None]
     n = data.shape[0]
     out = np.empty(n, dtype=np.float32)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
+    for start, stop in _chunks(n, _CHUNK_ROWS, bounds):
         diff = np.subtract(columns[:, start:stop], point, order="C")
         np.multiply(diff, diff, out=diff)
-        np.sqrt(
-            np.add.reduce(diff, axis=0, dtype=np.float64), out=out[start:stop]
-        )
+        np.sqrt(_add_rows(diff), out=out[start:stop])
     return out
 
 
@@ -155,6 +204,7 @@ def segmental_distances(
     data: np.ndarray,
     medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
+    bounds: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Manhattan segmental distances from all points to each medoid.
 
@@ -166,7 +216,10 @@ def segmental_distances(
     Each medoid's rows, in its sorted dimension order, then reduce
     straight into row ``i`` of a ``(k, n)`` float64 buffer.  A chunk
     holds fewer points when ``sum |D_i| > d``, so the block stays
-    within the ``_CHUNK_ROWS * d`` bound.
+    within the ``_CHUNK_ROWS * d`` bound.  ``bounds`` (row offsets,
+    e.g. a fleet's shard bounds) cut the chunks as well; the gather
+    indices, medoid column and buffer are built once per call either
+    way.
 
     Returns a float64 array of shape ``(n, k)``: the transpose of that
     buffer.
@@ -182,16 +235,12 @@ def segmental_distances(
     spans = list(zip([0] + ends[:-1], ends))
     step = max(1, _CHUNK_ROWS * d // max(d, len(gather)))
     out = np.empty((k, n), dtype=np.float64)
-    for start in range(0, n, step):
-        stop = start + step
+    for start, stop in _chunks(n, step, bounds):
         # Gathering the subspace rows makes a C-ordered copy.
         diff = columns[gather, start:stop]
         np.subtract(diff, medoid, out=diff)
         np.abs(diff, out=diff)
         for i, (low, high) in enumerate(spans):
-            np.add.reduce(
-                diff[low:high], axis=0, dtype=np.float64,
-                out=out[i, start:stop],
-            )
+            _add_rows(diff[low:high], out[i, start:stop])
     np.divide(out, np.array(sizes, dtype=np.float64)[:, None], out=out)
     return out.T

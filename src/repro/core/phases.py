@@ -14,6 +14,8 @@ convention the emulated GPU kernels follow as well.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .distance import segmental_distances
@@ -82,6 +84,7 @@ def assign_points(
     data: np.ndarray,
     medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
+    bounds: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign each point to the medoid with the smallest Manhattan
     segmental distance within that medoid's subspace.
@@ -89,11 +92,28 @@ def assign_points(
     Returns ``(labels, seg)`` where ``labels`` is the ``(n,)`` cluster
     assignment (ties -> lowest cluster index) and ``seg`` the ``(n, k)``
     segmental-distance matrix, which the refinement phase reuses for
-    outlier detection.
+    outlier detection.  ``bounds`` (row offsets, e.g. a fleet's shard
+    bounds) cut :func:`segmental_distances`' chunks; no value depends
+    on them.
     """
-    seg = segmental_distances(data, medoid_points, dimensions)
-    labels = np.argmin(seg, axis=1).astype(np.int64)
-    return labels, seg
+    seg = segmental_distances(data, medoid_points, dimensions, bounds)
+    # ``seg`` is the transpose of a (k, n) buffer: label from that.
+    return _first_min_rows(seg.T), seg
+
+
+def _first_min_rows(buffer: np.ndarray) -> np.ndarray:
+    """Row of each column's smallest entry, the lowest row on ties.
+
+    Equals ``np.argmin(buffer, axis=0).astype(np.int64)`` on NaN-free
+    input, without the transposing copy ``argmin`` makes of a
+    row-major buffer: one minimum over the rows, then a first-match
+    pass from the last row up.
+    """
+    best = np.minimum.reduce(buffer, axis=0)
+    labels = np.zeros(buffer.shape[1], dtype=np.int64)
+    for row in range(buffer.shape[0] - 1, -1, -1):
+        np.putmask(labels, buffer[row] == best, row)
+    return labels
 
 
 def cluster_sizes_from_labels(labels: np.ndarray, k: int) -> np.ndarray:

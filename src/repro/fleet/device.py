@@ -31,6 +31,7 @@ makespan (critical path) accrues on the :class:`FleetModel`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +148,9 @@ class FleetDevice:
         self._active_counts = tuple(
             count for count in plan.counts if count > 0
         )
+        #: The active shards' row counts (which sum to n) as the
+        #: weights of every sharded work split.
+        self._split_weights = [float(count) for count in self._active_counts]
         #: Bytes of distributed partial state awaiting reduction, and
         #: whether the root holds parameters the shards have not seen.
         self._pending_reduce = 0.0
@@ -329,15 +333,15 @@ class FleetDevice:
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    @staticmethod
-    def _split_work(value: float, counts: tuple[int, ...]) -> tuple[float, ...]:
+    def _split_work(self, value: float) -> tuple[float, ...]:
         """Split an (integral-valued) work quantity exactly by rows."""
         total = int(round(value))
         if total <= 0 or abs(value - total) > 1e-6:
-            share = sum(counts)
-            return tuple(value * count / share for count in counts)
+            return tuple(
+                value * count / self.n for count in self._active_counts
+            )
         return tuple(
-            float(part) for part in split_exact(total, [float(c) for c in counts])
+            float(part) for part in split_exact(total, self._split_weights)
         )
 
     def _dispatch_of(self, launch: KernelLaunch) -> tuple[bool, tuple]:
@@ -349,17 +353,16 @@ class FleetDevice:
         """
         sharded = launch.name in SHARDED_KERNELS
         if sharded:
-            counts = self._active_counts
-            total_rows = sum(counts)
+            grid_blocks = launch.grid_blocks
             blocks = [
-                max(1, int(np.ceil(launch.grid_blocks * (count / total_rows))))
-                for count in counts
+                max(1, math.ceil(grid_blocks * (count / self.n)))
+                for count in self._active_counts
             ]
             targets = zip(self._active, zip(
                 blocks,
-                self._split_work(launch.flops, counts),
-                self._split_work(launch.gmem_bytes, counts),
-                self._split_work(launch.atomic_ops, counts),
+                self._split_work(launch.flops),
+                self._split_work(launch.gmem_bytes),
+                self._split_work(launch.atomic_ops),
             ))
         else:
             whole = (launch.grid_blocks, launch.flops, launch.gmem_bytes,

@@ -5,12 +5,16 @@ for a :class:`~repro.fleet.device.FleetDevice` and reroutes the per-point
 math hooks of :class:`~repro.core.base.EngineBase` through the shard
 partition:
 
-* distance rows and point assignment are computed per shard on that
-  shard's contiguous row range and concatenated in device order — both
-  are per-row operations, so the concatenation is bit-identical to the
-  solo computation;
-* the per-dimension sums (``H`` / ``X``) are computed per shard and
-  merged with :func:`~repro.fleet.partition.tree_merge`; under the
+* distance rows and point assignment are one primitive call over all
+  rows, with the shard bounds as chunk bounds: each shard's contiguous
+  row range is one chunk of that call, computed as its own block.
+  Both are per-row operations and no per-point value depends on
+  chunking, so the result is bit-identical to the solo computation;
+* the per-dimension sums (``H`` / ``X``) are one
+  :func:`~repro.core.distance.abs_diff_dim_sums` call per shard, over
+  that shard's selected rows (found with one ``flatnonzero`` and split
+  at the shard bounds with one ``searchsorted``), merged with
+  :func:`~repro.fleet.partition.tree_merge`; under the
   exact-accumulation invariant of :mod:`repro.core.distance` the merged
   float64 sums match the solo single-pass sums bit for bit;
 * cluster evaluation keeps the canonical single-pass implementation:
@@ -88,6 +92,9 @@ class FleetEngineMixin(GpuEngineMixin):
         assert isinstance(self.model, FleetModel)
         n, d = data.shape
         self._plan = self.fleet.shard_plan(n)
+        #: Where one non-empty shard's rows end and the next one's
+        #: begin, with 0 and n: shard s holds rows bounds[s]:bounds[s+1].
+        self._bounds = sorted({0, n, *self._plan.offsets})
         device = FleetDevice(
             self.fleet, model=self.model, tracer=self._obs, plan=self._plan
         )
@@ -124,38 +131,22 @@ class FleetEngineMixin(GpuEngineMixin):
     # Sharded math (bit-identical by construction; see module docstring)
     # ------------------------------------------------------------------
     def _distance_row(self, point: np.ndarray) -> np.ndarray:
-        out = np.empty(self._data.shape[0], dtype=np.float32)
-        for start, stop in self._plan.ranges():
-            if stop > start:
-                out[start:stop] = euclidean_to_point(
-                    self._columns[start:stop], point
-                )
-        return out
+        return euclidean_to_point(self._columns, point, self._bounds)
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
-        partials = [
-            abs_diff_dim_sums(
-                self._columns[start:stop], point,
-                np.flatnonzero(mask[start:stop]),
-            )
-            for start, stop in self._plan.ranges()
-            if stop > start
-        ]
-        return tree_merge(partials)
+        # Each shard's selected rows, as row indices into the full copy:
+        # the same block its own slice would gather.
+        rows = np.flatnonzero(mask)
+        cuts = np.searchsorted(rows, self._bounds).tolist()
+        return tree_merge([
+            abs_diff_dim_sums(self._columns, point, rows[low:high])
+            for low, high in zip(cuts, cuts[1:])
+        ])
 
     def _assign_points(
         self, medoid_points: np.ndarray, dims
     ) -> tuple[np.ndarray, np.ndarray]:
-        labels_parts = []
-        seg_parts = []
-        for start, stop in self._plan.ranges():
-            if stop > start:
-                labels_part, seg_part = assign_points(
-                    self._columns[start:stop], medoid_points, dims
-                )
-                labels_parts.append(labels_part)
-                seg_parts.append(seg_part)
-        return np.concatenate(labels_parts), np.vstack(seg_parts)
+        return assign_points(self._columns, medoid_points, dims, self._bounds)
 
     # _evaluate_clusters intentionally NOT overridden: the cost value is
     # computed canonically (order-sensitive pairwise sums); only its

@@ -3,9 +3,9 @@
 The fleet shards the ``n`` points of one job across ``D`` modeled
 devices as *contiguous row ranges* — the layout NCCL-style data
 parallelism uses, and the one that keeps every per-row kernel
-(distances, assignment) trivially order-preserving: concatenating the
-per-shard outputs in device order reproduces the solo output bit for
-bit.
+(distances, assignment) trivially order-preserving: the shard ranges
+in device order are the solo row order, so computing each range as its
+own chunk reproduces the solo output bit for bit.
 
 Two primitives carry the determinism contract:
 
@@ -54,6 +54,8 @@ def split_exact(total: int, weights: tuple[float, ...] | list[float]) -> tuple[i
     quotas = [total * w / weight_sum for w in weights]
     counts = [int(q) for q in quotas]
     shortfall = total - sum(counts)
+    if not shortfall:
+        return tuple(counts)
     # Hand the leftover items to the largest fractional remainders
     # (ties -> lower index), never to zero-weight entries.
     order = sorted(

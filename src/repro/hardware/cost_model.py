@@ -25,8 +25,10 @@ Models are stateful per run: they accumulate per-phase seconds and hold
 the run's :class:`~repro.hardware.counters.WorkCounter`.  A
 ``GpuModel`` evaluates the roofline once per distinct
 :class:`~repro.hardware.counters.KernelLaunch` it sees (the engines
-repeat the same small launches every iteration); each repeat ledgers
-that launch's first, immutable :class:`CostEvent` again.
+repeat the same small launches every iteration), and its occupancy
+utilizations once per launch geometry; each repeat ledgers that
+launch's first, immutable :class:`CostEvent` again.  These memos live
+on the model, so they last one run.
 
 Cost ledger
 -----------
@@ -169,8 +171,12 @@ class HardwareModel(ABC):
         """
         seconds = float(seconds)
         units = to_units(seconds)
-        remaining = units - sum(value for _, value in parts)
-        components = tuple((c, value) for c, value in parts if value)
+        remaining = units
+        components: tuple[tuple[str, int], ...] = ()
+        for component, value in parts:
+            if value:
+                remaining -= value
+                components += ((component, value),)
         if remaining:
             components += ((residual, remaining),)
         self._record(CostEvent(kind, name, phase, units, components, launch))
@@ -286,6 +292,10 @@ class GpuModel(HardwareModel):
         #: Seconds and first cost event of each distinct launch this
         #: model has costed (see :meth:`launch`).
         self._costs: dict[KernelLaunch, tuple[float, CostEvent]] = {}
+        #: ``(mem_util, compute_util)`` of each launch geometry (grid
+        #: blocks, threads, shared memory, registers) seen so far.
+        self._utilizations: dict[tuple, tuple[float, float]] = {}
+        self._overhead_units = to_units(spec.kernel_launch_overhead_s)
 
     @property
     def name(self) -> str:
@@ -310,7 +320,23 @@ class GpuModel(HardwareModel):
         return max(1, min(limits))
 
     def _utilization(self, launch: KernelLaunch) -> tuple[float, float]:
-        """Return ``(mem_util, compute_util)`` in ``(0, 1]`` for a launch."""
+        """Return ``(mem_util, compute_util)`` in ``(0, 1]`` for a launch.
+
+        Both depend only on the launch geometry and the spec, so each
+        geometry is worked out once per model.
+        """
+        geometry = (
+            launch.grid_blocks, launch.threads_per_block,
+            launch.smem_bytes_per_block, launch.registers_per_thread,
+        )
+        utilization = self._utilizations.get(geometry)
+        if utilization is None:
+            utilization = self._utilizations[geometry] = (
+                self._geometry_utilization(launch)
+            )
+        return utilization
+
+    def _geometry_utilization(self, launch: KernelLaunch) -> tuple[float, float]:
         spec = self.spec
         warps_per_block = math.ceil(launch.threads_per_block / spec.warp_size)
         resident_blocks = min(
@@ -347,42 +373,54 @@ class GpuModel(HardwareModel):
             "atomic": launch.atomic_ops / spec.atomic_ops_per_s,
         }
 
-    def dominant_component(self, launch: KernelLaunch) -> str:
+    def dominant_component(
+        self, launch: KernelLaunch, terms: dict[str, float] | None = None
+    ) -> str:
         """The roofline component that sets this launch's time.
 
         Ties resolve in ``memory > compute > atomic`` order, mirroring
         the ``max(t_mem, t_compute, t_atomic)`` in :meth:`launch_time`.
+        ``terms`` is the launch's :meth:`roofline_terms`, when the
+        caller already has them.
         """
-        terms = self.roofline_terms(launch)
-        return max(("memory", "compute", "atomic"), key=lambda c: terms[c])
+        if terms is None:
+            terms = self.roofline_terms(launch)
+        return max(("memory", "compute", "atomic"), key=terms.__getitem__)
 
-    def launch_time(self, launch: KernelLaunch) -> float:
-        """Modeled seconds for one kernel launch (without accruing it)."""
-        terms = self.roofline_terms(launch)
+    def launch_time(
+        self, launch: KernelLaunch, terms: dict[str, float] | None = None
+    ) -> float:
+        """Modeled seconds for one kernel launch (without accruing it).
+
+        ``terms`` is the launch's :meth:`roofline_terms`, when the
+        caller already has them.
+        """
+        if terms is None:
+            terms = self.roofline_terms(launch)
         return self.spec.kernel_launch_overhead_s + max(terms.values())
 
     def launch(self, launch: KernelLaunch) -> float:
         """Account one kernel launch; returns its modeled seconds.
 
         Equal launches cost the same, so the roofline is evaluated on a
-        launch's first sighting only.  Every launch still ledgers one
+        launch's first sighting only, once for both its time and its
+        dominant component.  Every launch still ledgers one
         :class:`CostEvent`: a repeat ledgers its first (immutable) event
         again.
         """
         self.counter.record_launch(launch)
         cost = self._costs.get(launch)
         if cost is None:
+            terms = self.roofline_terms(launch)
             # Exact decomposition: the fixed launch overhead, then the
             # whole roofline max on its dominant component.
             seconds = self.account(
                 "kernel",
                 launch.name,
                 launch.phase,
-                self.launch_time(launch),
-                parts=(
-                    ("launch", to_units(self.spec.kernel_launch_overhead_s)),
-                ),
-                residual=self.dominant_component(launch),
+                self.launch_time(launch, terms),
+                parts=(("launch", self._overhead_units),),
+                residual=self.dominant_component(launch, terms),
                 launch=launch,
             )
             self._costs[launch] = (seconds, self.events[-1])

@@ -67,13 +67,13 @@ class CountingModel(GpuModel):
         super().__init__(spec)
         self.evaluations: Counter = Counter()
 
-    def launch_time(self, launch):
+    def launch_time(self, launch, *args):
         self.evaluations["launch_time", launch] += 1
-        return super().launch_time(launch)
+        return super().launch_time(launch, *args)
 
-    def dominant_component(self, launch):
+    def dominant_component(self, launch, *args):
         self.evaluations["dominant_component", launch] += 1
-        return super().dominant_component(launch)
+        return super().dominant_component(launch, *args)
 
 
 def once_each(stream) -> Counter:
