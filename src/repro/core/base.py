@@ -285,10 +285,10 @@ class EngineBase(abc.ABC):
     # Data-parallel primitives (the fleet backends shard these)
     # ------------------------------------------------------------------
     # Every primitive is row-local over the n points, so a sharded
-    # override may compute each shard's rows as their own chunk (rows)
-    # or merge exact partial sums (dim sums) and remain bit-identical
-    # to the solo implementation.  All of them read the fit's
-    # column-major copy ``self._columns``.
+    # override may compute per-shard pieces and concatenate (rows) or
+    # merge exact partial sums (dim sums) and remain bit-identical to
+    # the solo implementation.  All of them read the fit's column-major
+    # copy ``self._columns``.
     def _distance_row(self, point: np.ndarray) -> np.ndarray:
         """Euclidean distances from every data point to ``point``."""
         return euclidean_to_point(self._columns, point)

@@ -45,14 +45,11 @@ depend on the input's memory layout: each temporary is built
 C-ordered, so a row-major caller pays a transposing copy but gets the
 same bits.
 
-Chunking: the distance primitives and
-:func:`~repro.core.phases.assign_points` process rows in chunks of at
-most :data:`_CHUNK_ROWS` (fewer for a wide subspace gather), and take
-optional ``bounds``, row offsets where a chunk must end as well.  The
-fleet engines pass their shard bounds, so each shard's rows are one
-chunk of a single call, computed as their own block.  No per-point
+Chunking: the distance primitives process rows in chunks of at most
+:data:`_CHUNK_ROWS` (fewer for a wide subspace gather).  No per-point
 value depends on chunking: every point adds its terms in dimension
-order, whatever the chunk's width (:func:`_add_rows`).
+order, whatever the chunk's width (:func:`_add_rows`), so a call on a
+row range returns the same bits as those rows of a call on all rows.
 
 Which sums may be reordered: the distance sums (Euclidean, segmental)
 and the per-dimension sums (``H``, ``X``) add float32 terms, exactly
@@ -65,8 +62,6 @@ input layout, so NumPy's pairwise column sums always add in one order.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -91,33 +86,14 @@ MAX_EXACT_POINTS = 2**28
 _CHUNK_ROWS = 262_144
 
 
-def _chunks(
-    n: int, step: int, bounds: Sequence[int] | None = None
-) -> list[tuple[int, int]]:
-    """``(start, stop)`` of every chunk of ``n`` rows.
-
-    A chunk holds at most ``step`` rows and never crosses a row offset
-    in ``bounds`` (offsets in ``[0, n]``, in any order, repeats
-    allowed).  The rows between two consecutive offsets are chunked
-    from their own first row, as a call on that row range alone would
-    chunk them: the fleet passes its shard bounds here, so each shard's
-    rows form their own blocks.
-    """
-    edges = [0, n] if bounds is None else sorted({0, n, *bounds})
-    return [
-        (start, min(start + step, high))
-        for low, high in zip(edges, edges[1:])
-        for start in range(low, high, step)
-    ]
-
-
 def _add_rows(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Float64 sums of ``block``'s columns, adding its rows in order.
 
     NumPy adds a block's rows one after another for every column,
     except when the block is a single column: that it sums pairwise.  A
-    one-point chunk (a one-row shard, say) therefore accumulates
-    instead, so a point's value never depends on where chunks fall.
+    one-point chunk (a one-point call, or a last chunk of one row)
+    therefore accumulates instead, so a point's value never depends on
+    where chunks fall.
     """
     if block.shape[1] == 1 and block.shape[0] > 1:
         sums = np.add.accumulate(block, axis=0, dtype=np.float64)[-1]
@@ -128,9 +104,7 @@ def _add_rows(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add.reduce(block, axis=0, dtype=np.float64, out=out)
 
 
-def euclidean_to_point(
-    data: np.ndarray, point: np.ndarray, bounds: Sequence[int] | None = None
-) -> np.ndarray:
+def euclidean_to_point(data: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Full-dimensional Euclidean distances from every row to ``point``.
 
     Terms ``(a - b)^2`` are computed and rounded in float32 (as CUDA
@@ -138,8 +112,7 @@ def euclidean_to_point(
     float64 and finally rounded once to float32.  Every algorithm
     variant calls this same function, so stored distances are identical
     across variants.  Large inputs are processed in fixed-size chunks
-    to bound temporary memory; ``bounds`` (row offsets, e.g. a fleet's
-    shard bounds) cut the chunks as well (see :func:`_chunks`).
+    to bound temporary memory.
 
     Returns a float32 array of shape ``(n,)``.
     """
@@ -147,7 +120,8 @@ def euclidean_to_point(
     point = point.astype(np.float32)[:, None]
     n = data.shape[0]
     out = np.empty(n, dtype=np.float32)
-    for start, stop in _chunks(n, _CHUNK_ROWS, bounds):
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
         diff = np.subtract(columns[:, start:stop], point, order="C")
         np.multiply(diff, diff, out=diff)
         np.sqrt(_add_rows(diff), out=out[start:stop])
@@ -204,7 +178,6 @@ def segmental_distances(
     data: np.ndarray,
     medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
-    bounds: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Manhattan segmental distances from all points to each medoid.
 
@@ -216,10 +189,7 @@ def segmental_distances(
     Each medoid's rows, in its sorted dimension order, then reduce
     straight into row ``i`` of a ``(k, n)`` float64 buffer.  A chunk
     holds fewer points when ``sum |D_i| > d``, so the block stays
-    within the ``_CHUNK_ROWS * d`` bound.  ``bounds`` (row offsets,
-    e.g. a fleet's shard bounds) cut the chunks as well; the gather
-    indices, medoid column and buffer are built once per call either
-    way.
+    within the ``_CHUNK_ROWS * d`` bound.
 
     Returns a float64 array of shape ``(n, k)``: the transpose of that
     buffer.
@@ -235,7 +205,8 @@ def segmental_distances(
     spans = list(zip([0] + ends[:-1], ends))
     step = max(1, _CHUNK_ROWS * d // max(d, len(gather)))
     out = np.empty((k, n), dtype=np.float64)
-    for start, stop in _chunks(n, step, bounds):
+    for start in range(0, n, step):
+        stop = start + step
         # Gathering the subspace rows makes a C-ordered copy.
         diff = columns[gather, start:stop]
         np.subtract(diff, medoid, out=diff)

@@ -14,8 +14,6 @@ convention the emulated GPU kernels follow as well.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from .distance import segmental_distances
@@ -84,7 +82,6 @@ def assign_points(
     data: np.ndarray,
     medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
-    bounds: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign each point to the medoid with the smallest Manhattan
     segmental distance within that medoid's subspace.
@@ -92,11 +89,9 @@ def assign_points(
     Returns ``(labels, seg)`` where ``labels`` is the ``(n,)`` cluster
     assignment (ties -> lowest cluster index) and ``seg`` the ``(n, k)``
     segmental-distance matrix, which the refinement phase reuses for
-    outlier detection.  ``bounds`` (row offsets, e.g. a fleet's shard
-    bounds) cut :func:`segmental_distances`' chunks; no value depends
-    on them.
+    outlier detection.
     """
-    seg = segmental_distances(data, medoid_points, dimensions, bounds)
+    seg = segmental_distances(data, medoid_points, dimensions)
     # ``seg`` is the transpose of a (k, n) buffer: label from that.
     return _first_min_rows(seg.T), seg
 

@@ -15,8 +15,7 @@ import numpy as np
 from ..exceptions import DataValidationError
 from ..result import OUTLIER_LABEL, ProclusResult
 from .base import validate_data
-from .distance import segmental_distances
-from .phases import find_outliers
+from .phases import assign_points, find_outliers
 
 __all__ = ["assign_new_points"]
 
@@ -61,8 +60,7 @@ def assign_new_points(
             "(medoid index out of range)"
         )
     medoid_points = train_data[result.medoids]
-    seg = segmental_distances(new_points, medoid_points, result.dimensions)
-    labels = np.argmin(seg, axis=1).astype(np.int64)
+    labels, seg = assign_points(new_points, medoid_points, result.dimensions)
     if detect_outliers and result.k > 1:
         outliers = find_outliers(seg, medoid_points, result.dimensions)
         labels[outliers] = OUTLIER_LABEL

@@ -5,11 +5,12 @@ for a :class:`~repro.fleet.device.FleetDevice` and reroutes the per-point
 math hooks of :class:`~repro.core.base.EngineBase` through the shard
 partition:
 
-* distance rows and point assignment are one primitive call over all
-  rows, with the shard bounds as chunk bounds: each shard's contiguous
-  row range is one chunk of that call, computed as its own block.
-  Both are per-row operations and no per-point value depends on
-  chunking, so the result is bit-identical to the solo computation;
+* distance rows and point assignment are per-row operations, and a
+  per-point value does not depend on which rows share a primitive call
+  (:mod:`repro.core.distance`), so the fleet makes the solo call over
+  all rows: computing each shard's rows on their own would return the
+  same bits.  The fleet models the per-shard kernels (time, per-device
+  work) through its launch dispatch;
 * the per-dimension sums (``H`` / ``X``) are one
   :func:`~repro.core.distance.abs_diff_dim_sums` call per shard, over
   that shard's selected rows (found with one ``flatnonzero`` and split
@@ -93,7 +94,8 @@ class FleetEngineMixin(GpuEngineMixin):
         n, d = data.shape
         self._plan = self.fleet.shard_plan(n)
         #: Where one non-empty shard's rows end and the next one's
-        #: begin, with 0 and n: shard s holds rows bounds[s]:bounds[s+1].
+        #: begin, with 0 and n: the s-th non-empty shard holds rows
+        #: bounds[s]:bounds[s+1].
         self._bounds = sorted({0, n, *self._plan.offsets})
         device = FleetDevice(
             self.fleet, model=self.model, tracer=self._obs, plan=self._plan
@@ -130,8 +132,11 @@ class FleetEngineMixin(GpuEngineMixin):
     # ------------------------------------------------------------------
     # Sharded math (bit-identical by construction; see module docstring)
     # ------------------------------------------------------------------
+    # The per-row hooks are the solo calls.  They stay named here so
+    # that the benchmark's layer map (perfbench/layers.py) can time the
+    # fleet's hooks on their own.
     def _distance_row(self, point: np.ndarray) -> np.ndarray:
-        return euclidean_to_point(self._columns, point, self._bounds)
+        return euclidean_to_point(self._columns, point)
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
         # Each shard's selected rows, as row indices into the full copy:
@@ -146,7 +151,7 @@ class FleetEngineMixin(GpuEngineMixin):
     def _assign_points(
         self, medoid_points: np.ndarray, dims
     ) -> tuple[np.ndarray, np.ndarray]:
-        return assign_points(self._columns, medoid_points, dims, self._bounds)
+        return assign_points(self._columns, medoid_points, dims)
 
     # _evaluate_clusters intentionally NOT overridden: the cost value is
     # computed canonically (order-sensitive pairwise sums); only its

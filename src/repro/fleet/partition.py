@@ -3,9 +3,9 @@
 The fleet shards the ``n`` points of one job across ``D`` modeled
 devices as *contiguous row ranges* — the layout NCCL-style data
 parallelism uses, and the one that keeps every per-row kernel
-(distances, assignment) trivially order-preserving: the shard ranges
-in device order are the solo row order, so computing each range as its
-own chunk reproduces the solo output bit for bit.
+(distances, assignment) trivially order-preserving: concatenating the
+per-shard outputs in device order reproduces the solo output bit for
+bit.
 
 Two primitives carry the determinism contract:
 

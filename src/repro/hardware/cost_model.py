@@ -171,12 +171,8 @@ class HardwareModel(ABC):
         """
         seconds = float(seconds)
         units = to_units(seconds)
-        remaining = units
-        components: tuple[tuple[str, int], ...] = ()
-        for component, value in parts:
-            if value:
-                remaining -= value
-                components += ((component, value),)
+        remaining = units - sum(value for _, value in parts)
+        components = tuple((c, value) for c, value in parts if value)
         if remaining:
             components += ((residual, remaining),)
         self._record(CostEvent(kind, name, phase, units, components, launch))
@@ -295,7 +291,6 @@ class GpuModel(HardwareModel):
         #: ``(mem_util, compute_util)`` of each launch geometry (grid
         #: blocks, threads, shared memory, registers) seen so far.
         self._utilizations: dict[tuple, tuple[float, float]] = {}
-        self._overhead_units = to_units(spec.kernel_launch_overhead_s)
 
     @property
     def name(self) -> str:
@@ -373,54 +368,42 @@ class GpuModel(HardwareModel):
             "atomic": launch.atomic_ops / spec.atomic_ops_per_s,
         }
 
-    def dominant_component(
-        self, launch: KernelLaunch, terms: dict[str, float] | None = None
-    ) -> str:
+    def dominant_component(self, launch: KernelLaunch) -> str:
         """The roofline component that sets this launch's time.
 
         Ties resolve in ``memory > compute > atomic`` order, mirroring
         the ``max(t_mem, t_compute, t_atomic)`` in :meth:`launch_time`.
-        ``terms`` is the launch's :meth:`roofline_terms`, when the
-        caller already has them.
         """
-        if terms is None:
-            terms = self.roofline_terms(launch)
-        return max(("memory", "compute", "atomic"), key=terms.__getitem__)
+        terms = self.roofline_terms(launch)
+        return max(("memory", "compute", "atomic"), key=lambda c: terms[c])
 
-    def launch_time(
-        self, launch: KernelLaunch, terms: dict[str, float] | None = None
-    ) -> float:
-        """Modeled seconds for one kernel launch (without accruing it).
-
-        ``terms`` is the launch's :meth:`roofline_terms`, when the
-        caller already has them.
-        """
-        if terms is None:
-            terms = self.roofline_terms(launch)
+    def launch_time(self, launch: KernelLaunch) -> float:
+        """Modeled seconds for one kernel launch (without accruing it)."""
+        terms = self.roofline_terms(launch)
         return self.spec.kernel_launch_overhead_s + max(terms.values())
 
     def launch(self, launch: KernelLaunch) -> float:
         """Account one kernel launch; returns its modeled seconds.
 
         Equal launches cost the same, so the roofline is evaluated on a
-        launch's first sighting only, once for both its time and its
-        dominant component.  Every launch still ledgers one
+        launch's first sighting only.  Every launch still ledgers one
         :class:`CostEvent`: a repeat ledgers its first (immutable) event
         again.
         """
         self.counter.record_launch(launch)
         cost = self._costs.get(launch)
         if cost is None:
-            terms = self.roofline_terms(launch)
             # Exact decomposition: the fixed launch overhead, then the
             # whole roofline max on its dominant component.
             seconds = self.account(
                 "kernel",
                 launch.name,
                 launch.phase,
-                self.launch_time(launch, terms),
-                parts=(("launch", self._overhead_units),),
-                residual=self.dominant_component(launch, terms),
+                self.launch_time(launch),
+                parts=(
+                    ("launch", to_units(self.spec.kernel_launch_overhead_s)),
+                ),
+                residual=self.dominant_component(launch),
                 launch=launch,
             )
             self._costs[launch] = (seconds, self.events[-1])

@@ -73,18 +73,12 @@ class WorkCounter:
         self._counts[name] = self._counts.get(name, 0.0) + amount
 
     def record_launch(self, launch: KernelLaunch) -> None:
-        """Record a kernel launch and fold its work into the counters.
-
-        The same four additions as four :meth:`add` calls, in the same
-        order, without the calls.
-        """
+        """Record a kernel launch and fold its work into the counters."""
         self.kernel_launches.append(launch)
-        counts = self._counts
-        get = counts.get
-        counts["gpu.kernel_launches"] = get("gpu.kernel_launches", 0.0) + 1
-        counts["gpu.flops"] = get("gpu.flops", 0.0) + launch.flops
-        counts["gpu.gmem_bytes"] = get("gpu.gmem_bytes", 0.0) + launch.gmem_bytes
-        counts["gpu.atomic_ops"] = get("gpu.atomic_ops", 0.0) + launch.atomic_ops
+        self.add("gpu.kernel_launches", 1)
+        self.add("gpu.flops", launch.flops)
+        self.add("gpu.gmem_bytes", launch.gmem_bytes)
+        self.add("gpu.atomic_ops", launch.atomic_ops)
 
     def get(self, name: str, default: float = 0.0) -> float:
         return self._counts.get(name, default)

@@ -1,23 +1,19 @@
-"""Pin the shard-bounded primitives, the label pass and the launch memos.
+"""Pin the chunked primitives, the label pass and the launch memo.
 
-The fleet passes its shard row bounds to ``euclidean_to_point``,
-``segmental_distances`` and ``assign_points``, which cut their chunks
-there as well.  No per-point value may depend on where chunks fall, so
-for random shapes, data and bound lists (0, n, repeated bounds, empty
-and one-row shards, any order), with ``_CHUNK_ROWS`` patched small so
-chunk and shard edges interleave, every result must equal the
-unchunked, unbounded call bit for bit.  The data mixes scales (entries
-shrunk by up to 1e-12), so the sums round and a changed order of
-additions shows.
+No per-point value may depend on where chunks fall or which rows share
+a call: for random shapes and data, with ``_CHUNK_ROWS`` patched small
+(so one-row chunks occur), ``euclidean_to_point``,
+``segmental_distances`` and ``assign_points`` must return the bits of
+the unchunked call, and a call on any row range the bits of those rows
+of the call on all rows.  The data mixes scales (entries shrunk by up
+to 1e-12), so the sums round and a changed order of additions shows.
 
 ``assign_points`` labels from the ``(k, n)`` buffer behind ``seg``:
 :func:`_first_min_rows` must equal ``np.argmin(seg, axis=1)`` as int64
 on buffers with planted ties, ``+inf`` entries, k = 1 and k = 100.
 
-``GpuModel`` keeps each launch geometry's utilizations, and both
-``launch_time`` and ``dominant_component`` take the terms the model
-already evaluated: they must equal a fresh model's one-argument calls.
-``WorkCounter.record_launch`` must equal its four ``add`` calls.
+``GpuModel`` keeps each launch geometry's utilizations: every launch
+must cost what a fresh model makes of it.
 """
 
 from __future__ import annotations
@@ -33,11 +29,12 @@ from repro.core import distance
 from repro.core.distance import euclidean_to_point, segmental_distances
 from repro.core.phases import _first_min_rows, assign_points
 from repro.hardware.cost_model import GpuModel
-from repro.hardware.counters import KernelLaunch, WorkCounter
+from repro.hardware.counters import KernelLaunch
 from repro.hardware.specs import GTX_1660_TI, RTX_3090
 
 
 def same_bits(got, expected):
+    got, expected = np.ascontiguousarray(got), np.ascontiguousarray(expected)
     return (
         got.dtype == expected.dtype
         and got.shape == expected.shape
@@ -45,87 +42,101 @@ def same_bits(got, expected):
     )
 
 
+def mixed_scale(rng, shape):
+    return (rng.random(shape) * 10.0 ** rng.integers(-12, 3, size=shape)
+            ).astype(np.float32)
+
+
 @st.composite
 def problems(draw):
-    """Mixed-scale data, medoids, subspaces, bounds and a chunk size."""
+    """Mixed-scale data, medoids, subspaces, a row range, a chunk size."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 20))
     k = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = 10.0 ** rng.integers(-12, 3, size=(n, d))
-    data = (rng.random((n, d)) * scale).astype(np.float32)
-    medoids = (rng.random((k, d)) * 10.0 ** rng.integers(-12, 3, (k, d))).astype(
-        np.float32
-    )
+    data = mixed_scale(rng, (n, d))
+    medoids = mixed_scale(rng, (k, d))
     dims = tuple(
         tuple(sorted(rng.choice(d, size=int(rng.integers(1, d + 1)),
                                 replace=False).tolist()))
         for _ in range(k)
     )
-    bounds = draw(st.lists(st.integers(0, n), max_size=6))
+    low = draw(st.integers(0, n - 1))
+    high = draw(st.integers(low + 1, n))
     chunk = draw(st.sampled_from((1, 2, 3, 7, distance._CHUNK_ROWS)))
-    return data, medoids, dims, bounds, chunk
+    return data, medoids, dims, (low, high), chunk
 
 
-def bounded(fn, data, *args, bounds, chunk):
-    """``fn`` on the column-major copy, with bounds and small chunks."""
+def chunked(fn, data, *args, chunk):
+    """``fn`` on the column-major copy, with ``chunk``-row chunks."""
     with mock.patch.object(distance, "_CHUNK_ROWS", chunk):
-        return fn(np.asfortranarray(data), *args, bounds)
+        return fn(np.asfortranarray(data), *args)
 
 
-class TestBoundsChangeNoBit:
+class TestChunkingChangesNoBit:
     @settings(max_examples=300, deadline=None)
     @given(problem=problems())
     def test_euclidean_to_point(self, problem):
-        data, medoids, _, bounds, chunk = problem
+        data, medoids, _, (low, high), chunk = problem
         expected = euclidean_to_point(data, medoids[0])
-        got = bounded(euclidean_to_point, data, medoids[0],
-                      bounds=bounds, chunk=chunk)
-        assert same_bits(got, expected)
+        assert same_bits(
+            chunked(euclidean_to_point, data, medoids[0], chunk=chunk),
+            expected,
+        )
+        assert same_bits(
+            euclidean_to_point(data[low:high], medoids[0]),
+            expected[low:high],
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(problem=problems())
     def test_segmental_distances(self, problem):
-        data, medoids, dims, bounds, chunk = problem
+        data, medoids, dims, (low, high), chunk = problem
         expected = segmental_distances(data, medoids, dims)
-        got = bounded(segmental_distances, data, medoids, dims,
-                      bounds=bounds, chunk=chunk)
-        assert same_bits(np.ascontiguousarray(got),
-                         np.ascontiguousarray(expected))
+        assert same_bits(
+            chunked(segmental_distances, data, medoids, dims, chunk=chunk),
+            expected,
+        )
+        assert same_bits(
+            segmental_distances(data[low:high], medoids, dims),
+            expected[low:high],
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(problem=problems())
     def test_assign_points(self, problem):
-        data, medoids, dims, bounds, chunk = problem
+        data, medoids, dims, (low, high), chunk = problem
         labels, seg = assign_points(data, medoids, dims)
-        got_labels, got_seg = bounded(assign_points, data, medoids, dims,
-                                      bounds=bounds, chunk=chunk)
+        got_labels, got_seg = chunked(assign_points, data, medoids, dims,
+                                      chunk=chunk)
         assert same_bits(got_labels, labels)
-        assert same_bits(np.ascontiguousarray(got_seg),
-                         np.ascontiguousarray(seg))
+        assert same_bits(got_seg, seg)
+        part_labels, part_seg = assign_points(data[low:high], medoids, dims)
+        assert same_bits(part_labels, labels[low:high])
+        assert same_bits(part_seg, seg[low:high])
 
-    def test_one_row_shards_of_many_dimensions(self):
-        # A one-point chunk must add its terms in dimension order, as
-        # every wider chunk does (NumPy would sum one column pairwise).
+    def test_one_point_of_many_dimensions(self):
+        # A one-point call must add its terms in dimension order, as
+        # every wider call does (NumPy would sum one column pairwise).
+        # The float64 segmental distances show a changed order; the
+        # Euclidean ones round to float32, which hides it, so the
+        # shared helper is pinned on its own as well.
         rng = np.random.default_rng(5)
         n, d = 12, 40
-        data = (rng.random((n, d)) * 10.0 ** rng.integers(-12, 3, (n, d))
-                ).astype(np.float32)
+        block = mixed_scale(rng, (d, 2))
+        assert same_bits(distance._add_rows(block[:, :1]),
+                         distance._add_rows(block)[:1])
+        data = mixed_scale(rng, (n, d))
         medoids = data[[0, 5]]
         dims = (tuple(range(d)), tuple(range(0, d, 2)))
-        every_row = list(range(n + 1))
-        assert same_bits(
-            bounded(euclidean_to_point, data, medoids[0], bounds=every_row,
-                    chunk=distance._CHUNK_ROWS),
-            euclidean_to_point(data, medoids[0]),
-        )
-        assert same_bits(
-            np.ascontiguousarray(bounded(
-                segmental_distances, data, medoids, dims, bounds=every_row,
-                chunk=distance._CHUNK_ROWS,
-            )),
-            np.ascontiguousarray(segmental_distances(data, medoids, dims)),
-        )
+        distances = euclidean_to_point(data, medoids[0])
+        seg = segmental_distances(data, medoids, dims)
+        for row in range(n):
+            one = data[row:row + 1]
+            assert same_bits(euclidean_to_point(one, medoids[0]),
+                             distances[row:row + 1])
+            assert same_bits(segmental_distances(one, medoids, dims),
+                             seg[row:row + 1])
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +177,7 @@ def test_first_min_rows_random(k):
 
 
 # ----------------------------------------------------------------------
-# Launch-path memos
+# Launch geometry memo
 # ----------------------------------------------------------------------
 #: Few values per geometry field, so a stream often repeats a geometry
 #: in all fields but one (each of which can change the occupancy).
@@ -193,31 +204,10 @@ def test_geometry_memo_matches_a_fresh_model(stream, spec):
     for launch in stream:
         fresh = GpuModel(spec)
         assert model._utilization(launch) == fresh._utilization(launch)
-        terms = model.roofline_terms(launch)
-        assert terms == fresh.roofline_terms(launch)
-        assert model.launch_time(launch, terms) == fresh.launch_time(launch)
-        assert model.dominant_component(launch, terms) == (
+        assert model.roofline_terms(launch) == fresh.roofline_terms(launch)
+        assert model.launch_time(launch) == fresh.launch_time(launch)
+        assert model.dominant_component(launch) == (
             fresh.dominant_component(launch)
         )
         assert model.launch(launch) == fresh.launch(launch)
         assert model.events[-1] == fresh.events[-1]
-
-
-@settings(max_examples=100, deadline=None)
-@given(stream=st.lists(launches, max_size=10),
-       seeded=st.lists(st.sampled_from(("gpu.flops", "cache.hits")),
-                       max_size=2))
-def test_record_launch_equals_four_adds(stream, seeded):
-    counter, reference = WorkCounter(), WorkCounter()
-    for name in seeded:
-        counter.add(name, 1.5)
-        reference.add(name, 1.5)
-    for launch in stream:
-        counter.record_launch(launch)
-        reference.kernel_launches.append(launch)
-        reference.add("gpu.kernel_launches", 1)
-        reference.add("gpu.flops", launch.flops)
-        reference.add("gpu.gmem_bytes", launch.gmem_bytes)
-        reference.add("gpu.atomic_ops", launch.atomic_ops)
-    assert list(counter.as_dict().items()) == list(reference.as_dict().items())
-    assert counter.kernel_launches == reference.kernel_launches

@@ -67,13 +67,13 @@ class CountingModel(GpuModel):
         super().__init__(spec)
         self.evaluations: Counter = Counter()
 
-    def launch_time(self, launch, *args):
+    def launch_time(self, launch):
         self.evaluations["launch_time", launch] += 1
-        return super().launch_time(launch, *args)
+        return super().launch_time(launch)
 
-    def dominant_component(self, launch, *args):
+    def dominant_component(self, launch):
         self.evaluations["dominant_component", launch] += 1
-        return super().dominant_component(launch, *args)
+        return super().dominant_component(launch)
 
 
 def once_each(stream) -> Counter:
