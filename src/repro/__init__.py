@@ -47,12 +47,12 @@ from .exceptions import (
     TransferCorruptionError,
     TransientDeviceError,
 )
+from .obs.tracer import use_run
 from .resilience import (
     FaultInjector,
     RetryPolicy,
     ResilientRunner,
     resilient_fit,
-    use_injector,
 )
 from .data.fingerprint import dataset_fingerprint
 
@@ -95,7 +95,7 @@ __all__ = [
     "CheckpointError",
     "ResilienceExhaustedError",
     "FaultInjector",
-    "use_injector",
+    "use_run",
     "RetryPolicy",
     "ResilientRunner",
     "resilient_fit",

@@ -23,8 +23,8 @@ Examples::
     python -m repro serve spool/ --fault device-down@dev1 --record-dir pm/
     python -m repro postmortem pm/ --replay   # re-execute the crash from the bundle
 
-Set ``REPRO_FLIGHT_RECORDER=<dir>`` to run any subcommand under an
-ambient flight recorder that dumps postmortem bundles there.
+Set ``REPRO_FLIGHT_RECORDER=<dir>`` to run any subcommand under a
+flight recorder that dumps postmortem bundles there.
 
 Errors are reported as a one-line ``repro: error: ...`` message with
 exit code 2 (interruption exits 130); pass ``--strict`` before the
@@ -43,6 +43,7 @@ import sys
 from typing import Sequence
 
 from ..exceptions import ReproError
+from ..obs.tracer import use_run
 from . import (bench, chaos, claims, cluster, explain, fleet, info, loadgen,
                monitor, postmortem, profile, regress, sanitize, serve, study,
                submit, trace, validate)
@@ -100,15 +101,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     exits 130 (the conventional SIGINT code).
     """
     args = build_parser().parse_args(argv)
+    # Always-on failure capture for any subcommand: the command runs
+    # with a recorder whose bundles land in $REPRO_FLIGHT_RECORDER.
     recorder = flight_recorder(os.environ.get("REPRO_FLIGHT_RECORDER"))
-    if recorder is not None:
-        # Always-on failure capture for any subcommand: install an
-        # ambient flight recorder whose bundles land in $REPRO_FLIGHT_RECORDER.
-        from ..obs import set_current_recorder
-
-        set_current_recorder(recorder)
     try:
-        return args.run(args)
+        with use_run() if recorder is None else use_run(recorder=recorder):
+            return args.run(args)
     except KeyboardInterrupt:
         print("repro: interrupted", file=sys.stderr)
         return 130

@@ -104,9 +104,9 @@ def run(args: argparse.Namespace) -> int:
 
     from ..core.api import proclus
     from ..exceptions import ReproError
-    from ..obs import current_recorder, report_envelope, use_recorder
+    from ..obs import current_run, report_envelope, use_run
     from ..obs.postmortem import result_digest
-    from ..resilience import ResilientRunner, use_injector
+    from ..resilience import ResilientRunner
     from ..result import bit_identical
 
     fleet = args.fleet
@@ -116,7 +116,7 @@ def run(args: argparse.Namespace) -> int:
     runner = ResilientRunner(policy)
     recorder = flight_recorder(args.record_dir)
     if recorder is None:
-        recorder = current_recorder()  # e.g. $REPRO_FLIGHT_RECORDER
+        recorder = current_run().recorder  # e.g. $REPRO_FLIGHT_RECORDER
     backends, scenarios = _sweep(args)
     engine_kwargs = {"fleet": args.devices} if fleet else None
     key = "scenario" if fleet else "fault_class"
@@ -148,7 +148,7 @@ def run(args: argparse.Namespace) -> int:
                 row["devices"] = args.devices
             rows.append(row)
             try:
-                with use_injector(injector), use_recorder(recorder):
+                with use_run(injector=injector, recorder=recorder):
                     outcome = runner.fit(
                         data, backend=backend, params=params, seed=args.seed,
                         engine_kwargs=engine_kwargs,

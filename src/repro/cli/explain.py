@@ -58,7 +58,7 @@ def run(args: argparse.Namespace) -> int:
     import json
 
     from ..fleet import FleetModel, fleet_report
-    from ..obs import Tracer, use_tracer
+    from ..obs import Tracer, use_run
     from ..obs.explain import (
         attribute_run,
         attribution_record,
@@ -75,7 +75,7 @@ def run(args: argparse.Namespace) -> int:
     if args.backend.startswith("fleet-"):
         engine_kwargs["fleet"] = build_fleet(args)
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_run(tracer=tracer):
         engine = BACKENDS[args.backend](
             params=params_from(args), seed=args.seed, **engine_kwargs
         )

@@ -44,7 +44,7 @@ def run(args: argparse.Namespace) -> int:
         Tracer,
         run_record,
         study_record,
-        use_tracer,
+        use_run,
         validate_chrome_trace,
         write_chrome_trace,
         write_jsonl,
@@ -55,7 +55,7 @@ def run(args: argparse.Namespace) -> int:
     data, _ = load_data(args)
     out = Path(args.out)
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_run(tracer=tracer):
         if args.study_level is not None:
             study = run_parameter_study(
                 data, grid=grid_from(args), backend=args.backend,

@@ -28,7 +28,7 @@ from pathlib import Path
 from ..exceptions import CheckpointError, DataValidationError, ParameterError
 from ..hardware.cost_model import HardwareModel, ScalarCpuModel
 from ..hardware.specs import CpuSpec, cpu_for_problem
-from ..obs.tracer import Tracer, current_tracer
+from ..obs.tracer import Tracer, current_run
 from ..params import ProclusParams
 from ..result import OUTLIER_LABEL, ProclusResult, RunStats
 from ..rng import RandomSource
@@ -87,7 +87,6 @@ class EngineBase(abc.ABC):
         initial_medoids: np.ndarray | None = None,
         charge_greedy: bool = True,
         collect_trace: bool = False,
-        tracer: Tracer | None = None,
         checkpoint_every: int = 0,
         checkpoint_path: str | Path | None = None,
         resume_from: IterativeState | str | Path | None = None,
@@ -115,11 +114,6 @@ class EngineBase(abc.ABC):
         collect_trace:
             Record a per-iteration :class:`~repro.core.trace.RunTrace`
             in :attr:`trace_` (costs, improvements, medoid churn).
-        tracer:
-            :class:`~repro.obs.Tracer` to report spans and kernel
-            events into.  When omitted, the ambient tracer installed
-            with :func:`repro.obs.use_tracer` is used (a disabled
-            no-op singleton by default).
         checkpoint_every:
             When > 0, write an engine checkpoint to ``checkpoint_path``
             after every that-many completed iterations of the iterative
@@ -159,10 +153,9 @@ class EngineBase(abc.ABC):
         self.resume_from = resume_from
         self.model: HardwareModel | None = None
         self.trace_: RunTrace | None = RunTrace() if collect_trace else None
-        self._tracer = tracer
-        #: Resolved tracer for the current fit (the explicit one or the
-        #: ambient tracer at the time fit() is entered).
-        self._obs: Tracer = current_tracer()
+        #: The run's tracer when fit() is entered (see
+        #: :func:`repro.obs.use_run`; a disabled no-op by default).
+        self._obs: Tracer = current_run().tracer
         self._fitted = False
 
     # ------------------------------------------------------------------
@@ -328,8 +321,7 @@ class EngineBase(abc.ABC):
         # free (d, n) view with contiguous dimension rows, the layout
         # the data-parallel primitives read (repro.core.distance).
         self._columns = np.asfortranarray(data)
-        obs = self._tracer if self._tracer is not None else current_tracer()
-        self._obs = obs
+        obs = self._obs = current_run().tracer
         with obs.span(
             "fit", category="run",
             backend=self.backend_name, n=n, d=d, k=p.k, l=p.l,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..obs.tracer import current_tracer
+from ..obs.tracer import current_run
 from ..params import ParameterGrid, ProclusParams
 from ..result import ProclusResult, RunStats
 from ..rng import RandomSource
@@ -193,7 +193,7 @@ def run_study(
     grid = grid if grid is not None else ParameterGrid()
     level = ReuseLevel(level)
     master = RandomSource(seed)
-    obs = current_tracer()
+    obs = current_run().tracer
     study = MultiParamResult(level=level, backend=engine_factory.backend_name)
     shared: SharedStudyState | None = None
     previous_best: np.ndarray | None = None

@@ -324,12 +324,6 @@ class FleetDevice:
             return self.logical.peak_bytes
         return max(shard.peak_bytes for shard in self._active)
 
-    def peak_bytes_per_device(self) -> tuple[int, ...]:
-        """Peak footprint of every fleet member (0 for empty shards)."""
-        return tuple(
-            0 if shard is None else shard.peak_bytes for shard in self.shards
-        )
-
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------

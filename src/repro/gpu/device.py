@@ -17,8 +17,8 @@ from ..hardware.cost_model import GpuModel
 from ..hardware.counters import KernelLaunch
 from ..hardware.specs import GpuSpec, GTX_1660_TI
 from ..obs.export import kernel_pipeline
-from ..obs.tracer import Tracer, current_tracer
-from .memory import DeviceArray, MemoryManager, ambient_injector
+from ..obs.tracer import Tracer, current_run
+from .memory import DeviceArray, MemoryManager
 
 __all__ = ["Device", "kernel_launch"]
 
@@ -64,7 +64,7 @@ def kernel_launch(
 class Device:
     """A simulated CUDA device with a calibrated performance model."""
 
-    #: Whether this device consults the ambient fault injector.  The
+    #: Whether this device consults the run's fault injector.  The
     #: fleet's *logical* device holds the solo run's allocations and
     #: transfers purely for accounting and must not double-fire faults
     #: already injected on the physical shard devices.
@@ -81,7 +81,7 @@ class Device:
         self.memory = MemoryManager(
             spec.usable_bytes, fires_injector=self.fires_injector
         )
-        self.tracer = tracer if tracer is not None else current_tracer()
+        self.tracer = tracer if tracer is not None else current_run().tracer
         #: Shift of this device's modeled clock on the shared trace
         #: timeline (non-zero when an earlier device already ran).
         self.clock_offset = (
@@ -118,7 +118,7 @@ class Device:
 
     def to_device(self, host: np.ndarray, name: str, phase: str = "transfer") -> DeviceArray:
         """Copy a host array onto the device, accounting the transfer."""
-        injector = ambient_injector() if self.fires_injector else None
+        injector = current_run().injector if self.fires_injector else None
         if injector is not None:
             injector.on_transfer("h2d", name, host.nbytes)
         array = self.memory.alloc(host.shape, dtype=host.dtype, name=name)
@@ -138,7 +138,7 @@ class Device:
 
     def to_host(self, array: DeviceArray, phase: str = "transfer") -> np.ndarray:
         """Copy a device array back to the host, accounting the transfer."""
-        injector = ambient_injector() if self.fires_injector else None
+        injector = current_run().injector if self.fires_injector else None
         if injector is not None:
             injector.on_transfer("d2h", array.name, array.nbytes)
         seconds = _TRANSFER_LATENCY_S + array.nbytes / _PCIE_BANDWIDTH
@@ -182,7 +182,7 @@ class Device:
         :class:`KernelLaunch` and its pipeline name is done once per
         distinct argument tuple.
         """
-        injector = ambient_injector() if self.fires_injector else None
+        injector = current_run().injector if self.fires_injector else None
         if injector is not None:
             injector.on_launch(name, phase)
         args = (

@@ -25,8 +25,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from ..exceptions import EmulationError, KernelLaunchError
-from ..obs.tracer import current_tracer
-from .memory import ambient_injector
+from ..obs.tracer import current_run
 from .sanitizer import Sanitizer
 
 __all__ = ["ThreadContext", "SharedMemory", "SimtEmulator"]
@@ -208,9 +207,9 @@ class SimtEmulator:
             )
         self.launches += 1
         kname = getattr(kernel, "__name__", repr(kernel))
-        injector = ambient_injector()
-        if injector is not None:
-            injector.on_emulated_launch(kname)
+        run = current_run()
+        if run.injector is not None:
+            run.injector.on_emulated_launch(kname)
         if sanitize and self.sanitizer is None:
             self.sanitizer = Sanitizer()
         san = self.sanitizer
@@ -219,7 +218,7 @@ class SimtEmulator:
             san.begin_launch(kname)
         is_generator = inspect.isgeneratorfunction(kernel)
         self.last_shared = {}
-        obs = current_tracer()
+        obs = run.tracer
         t0 = obs.now() if obs.enabled else 0.0
         try:
             for block_idx in itertools.product(*(range(g) for g in grid)):

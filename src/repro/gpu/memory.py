@@ -16,28 +16,9 @@ from typing import Iterator
 import numpy as np
 
 from ..exceptions import DeviceError, DeviceOutOfMemoryError, ParameterError
+from ..obs.tracer import current_run
 
 __all__ = ["DeviceArray", "MemoryManager", "MemoryBudget"]
-
-
-#: ``repro.resilience.faults.current_injector``, resolved on first use.
-_current_injector = None
-
-
-def ambient_injector():
-    """Resolve the ambient fault injector (None when none is installed).
-
-    Imported lazily, once: :mod:`repro.resilience` imports the engine
-    stack (which imports this module), so a module-level import would
-    be circular.  After the first call the common no-injector path is a
-    single ``ContextVar`` read.
-    """
-    global _current_injector
-    if _current_injector is None:
-        from ..resilience.faults import current_injector
-
-        _current_injector = current_injector
-    return _current_injector()
 
 
 class DeviceArray:
@@ -114,7 +95,7 @@ class MemoryManager:
         self.capacity_bytes = int(capacity_bytes)
         self.allocated_bytes = 0
         self.peak_bytes = 0
-        #: Whether allocations consult the ambient fault injector (the
+        #: Whether allocations consult the run's fault injector (the
         #: fleet's accounting-only logical device opts out).
         self.fires_injector = fires_injector
         self._live: dict[int, DeviceArray] = {}
@@ -134,7 +115,7 @@ class MemoryManager:
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        injector = ambient_injector() if self.fires_injector else None
+        injector = current_run().injector if self.fires_injector else None
         if injector is not None:
             injector.on_alloc(name, nbytes, self.free_bytes, self.capacity_bytes)
         if nbytes > self.free_bytes:

@@ -11,16 +11,20 @@ run into a Perfetto-loadable Chrome trace, JSONL telemetry records, and
 Quickstart::
 
     from repro import proclus
-    from repro.obs import Tracer, use_tracer
+    from repro.obs import Tracer, use_run
     from repro.obs.export import write_chrome_trace
 
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_run(tracer=tracer):
         result = proclus(data, backend="gpu-fast", seed=0)
     write_chrome_trace(tracer, "trace.json")   # open in ui.perfetto.dev
 
-Tracing is off by default (the ambient tracer is a disabled singleton
-with near-zero overhead), so uninstrumented users pay nothing.
+A run reads its tracer, flight recorder, fault injector and
+correlation id from one :class:`RunContext`: :func:`current_run` reads
+it and :func:`use_run` replaces fields of it for a ``with`` block.
+Tracing is off by default (the default context's tracer is a disabled
+singleton with near-zero overhead), so uninstrumented users pay
+nothing.
 
 For failure forensics, :class:`FlightRecorder` keeps a bounded ring of
 recent spans, kernels, counters, faults, and resilience/serve events,
@@ -34,11 +38,11 @@ from .tracer import (
     NULL_TRACER,
     CounterSample,
     KernelEvent,
+    RunContext,
     Span,
     Tracer,
-    current_tracer,
-    set_current_tracer,
-    use_tracer,
+    current_run,
+    use_run,
 )
 from .export import (
     PIPELINES,
@@ -85,12 +89,6 @@ from .recorder import (
     POSTMORTEM_SCHEMA,
     RECORDER_STREAMS,
     FlightRecorder,
-    current_correlation,
-    current_recorder,
-    new_correlation,
-    set_current_recorder,
-    use_correlation,
-    use_recorder,
 )
 from .postmortem import (
     POSTMORTEM_REPORT_SCHEMA,
@@ -112,9 +110,9 @@ __all__ = [
     "CounterSample",
     "Tracer",
     "NULL_TRACER",
-    "current_tracer",
-    "set_current_tracer",
-    "use_tracer",
+    "RunContext",
+    "current_run",
+    "use_run",
     "PIPELINES",
     "kernel_pipeline",
     "chrome_trace",
@@ -151,12 +149,6 @@ __all__ = [
     "POSTMORTEM_SCHEMA",
     "RECORDER_STREAMS",
     "FlightRecorder",
-    "current_recorder",
-    "set_current_recorder",
-    "use_recorder",
-    "current_correlation",
-    "new_correlation",
-    "use_correlation",
     "POSTMORTEM_REPORT_SCHEMA",
     "load_bundle",
     "validate_postmortem",

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..exceptions import PostmortemError
 from .recorder import POSTMORTEM_SCHEMA, RECORDER_STREAMS
+from .tracer import use_run
 
 __all__ = [
     "POSTMORTEM_REPORT_SCHEMA",
@@ -457,7 +458,7 @@ def replay_bundle(bundle: dict[str, Any]) -> dict[str, Any]:
     Returns a plain-data report; ``reproduced`` is the verdict.
     """
     from ..params import ProclusParams
-    from ..resilience.faults import FaultInjector, use_injector
+    from ..resilience.faults import FaultInjector
     from ..resilience.runner import ResilientRunner
 
     problems = validate_postmortem(bundle)
@@ -511,7 +512,7 @@ def replay_bundle(bundle: dict[str, Any]) -> dict[str, Any]:
     error: "BaseException | None" = None
     outcome = None
     try:
-        with use_injector(injector):
+        with use_run(injector=injector):
             outcome = runner.fit(
                 data,
                 backend=job.get("backend", "gpu-fast"),

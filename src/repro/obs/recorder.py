@@ -14,10 +14,11 @@ The black-box pattern for the clustering substrate.  A
 
 each stamped with the unified **correlation id** threaded end-to-end
 (request -> job -> resilience rung/attempt -> kernel): the serving
-layer installs ``job-<id>``, the resilient runner extends it with
-``:r<rung>a<attempt>``, and every ring record written inside that
-context carries it, extending the existing ``ServeEvent.span_id`` link
-into the flat event streams.
+layer runs each job with ``corr="job-<id>"`` in its
+:class:`~repro.obs.tracer.RunContext`, the resilient runner extends it
+with ``:r<rung>a<attempt>``, and every emitter passes the ``corr`` of
+the context it runs in with each record, extending the existing
+``ServeEvent.span_id`` link into the flat event streams.
 
 Recording is passive — nothing here touches the modeled clocks, so a
 run with the recorder installed produces bit-identical modeled seconds
@@ -31,26 +32,24 @@ snapshot, and the environment — everything
 :func:`repro.obs.postmortem.replay_bundle` needs to re-execute the job
 deterministically from the bundle alone.
 
-Installation is ambient (a :class:`contextvars.ContextVar`, mirroring
-:mod:`repro.obs.tracer`): layers call :func:`current_recorder` and do
-nothing when none is installed.  The ``REPRO_FLIGHT_RECORDER``
-environment variable makes the CLI install one for any command.
+The recorder is a plain sink and reads no ambient state.  A run
+reaches it through the ``recorder`` field of its
+:class:`~repro.obs.tracer.RunContext` (installed with
+:func:`~repro.obs.tracer.use_run`); layers do nothing when the field is
+``None``.  The ``REPRO_FLIGHT_RECORDER`` environment variable makes the
+CLI install one for the duration of any command.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
-import itertools
 import json
 import platform
 import sys
 import threading
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -60,12 +59,6 @@ __all__ = [
     "POSTMORTEM_SCHEMA",
     "RECORDER_STREAMS",
     "FlightRecorder",
-    "current_recorder",
-    "set_current_recorder",
-    "use_recorder",
-    "current_correlation",
-    "new_correlation",
-    "use_correlation",
 ]
 
 #: Postmortem bundle schema identifier (bump on incompatible changes).
@@ -88,40 +81,6 @@ DEFAULT_MAX_DATASET_BYTES = 8 << 20
 
 
 # ----------------------------------------------------------------------
-# Correlation ids
-# ----------------------------------------------------------------------
-_correlation: ContextVar[str | None] = ContextVar(
-    "repro_correlation_id", default=None
-)
-_corr_counter = itertools.count(1)
-
-
-def current_correlation() -> str | None:
-    """The ambient correlation id (``None`` outside any context)."""
-    return _correlation.get()
-
-
-def new_correlation(prefix: str = "corr") -> str:
-    """Mint a fresh process-unique correlation id."""
-    return f"{prefix}-{next(_corr_counter)}"
-
-
-@contextmanager
-def use_correlation(corr: str) -> Iterator[str]:
-    """Install ``corr`` as the ambient correlation id for a block.
-
-    Nested uses replace the id for the inner block only; layers that
-    want hierarchy extend the parent id textually (the resilient
-    runner's ``<parent>:r<rung>a<attempt>``).
-    """
-    token = _correlation.set(corr)
-    try:
-        yield corr
-    finally:
-        _correlation.reset(token)
-
-
-# ----------------------------------------------------------------------
 # JSON sanitization
 # ----------------------------------------------------------------------
 def _jsonable(value: Any) -> Any:
@@ -139,10 +98,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple, set, frozenset)):
         return [_jsonable(item) for item in value]
     return str(value)
-
-
-def _digest_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class FlightRecorder:
@@ -199,8 +154,14 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record(self, stream: str, record: dict[str, Any]) -> None:
-        """Append one record to a stream ring (stamps the correlation id)."""
+    def record(
+        self, stream: str, record: dict[str, Any], corr: "str | None" = None
+    ) -> None:
+        """Append one record to a stream ring.
+
+        ``corr`` (the emitter's correlation id) is stamped on the record
+        unless it is ``None`` or the record already carries one.
+        """
         if not self.enabled:
             return
         if stream not in self._rings:
@@ -208,10 +169,8 @@ class FlightRecorder:
                 f"unknown recorder stream {stream!r}; "
                 f"expected one of {', '.join(RECORDER_STREAMS)}"
             )
-        if "corr" not in record:
-            corr = _correlation.get()
-            if corr is not None:
-                record["corr"] = corr
+        if corr is not None and "corr" not in record:
+            record["corr"] = corr
         with self._lock:
             self._recorded[stream] += 1
             self._rings[stream].append(record)
@@ -219,6 +178,7 @@ class FlightRecorder:
     def record_span(
         self, name: str, category: str, start: float, duration: float,
         span_id: "int | None", attrs: dict[str, Any],
+        corr: "str | None" = None,
     ) -> None:
         """Record one closed tracer span (called by the tracer tap)."""
         self.record("spans", {
@@ -228,9 +188,9 @@ class FlightRecorder:
             "duration": duration,
             "span_id": span_id,
             "attrs": _jsonable(attrs),
-        })
+        }, corr)
 
-    def record_kernel(self, event: Any) -> None:
+    def record_kernel(self, event: Any, corr: "str | None" = None) -> None:
         """Record one kernel launch; ``comm.*`` events are collectives."""
         stream = "collectives" if event.name.startswith("comm.") else "kernels"
         self.record(stream, {
@@ -241,13 +201,17 @@ class FlightRecorder:
             "duration": event.duration,
             "clock": event.clock,
             "span_id": event.span_id,
-        })
+        }, corr)
 
-    def record_counter(self, track: str, ts: float, value: float) -> None:
+    def record_counter(
+        self, track: str, ts: float, value: float, corr: "str | None" = None
+    ) -> None:
         """Record one counter-track sample."""
-        self.record("counters", {"track": track, "ts": ts, "value": value})
+        self.record(
+            "counters", {"track": track, "ts": ts, "value": value}, corr
+        )
 
-    def record_fault(self, record: Any) -> None:
+    def record_fault(self, record: Any, corr: "str | None" = None) -> None:
         """Record one fault-injector firing (an ``InjectionRecord``)."""
         self.record("faults", {
             "kind": record.kind,
@@ -255,20 +219,19 @@ class FlightRecorder:
             "site": record.site,
             "sequence": record.sequence,
             "spec": record.spec,
-        })
+        }, corr)
 
-    def record_resilience(self, event: dict[str, Any]) -> None:
+    def record_resilience(
+        self, event: dict[str, Any], corr: "str | None" = None
+    ) -> None:
         """Record one resilience action (a ``ResilienceEvent.as_dict()``)."""
-        self.record("resilience", dict(event))
+        self.record("resilience", dict(event), corr)
 
     def record_serve(
         self, event: dict[str, Any], corr: "str | None" = None
     ) -> None:
         """Record one serve lifecycle event (a ``ServeEvent.as_dict()``)."""
-        record = dict(event)
-        if corr is not None:
-            record["corr"] = corr
-        self.record("serve", record)
+        self.record("serve", dict(event), corr)
 
     # ------------------------------------------------------------------
     # Replay context
@@ -582,31 +545,3 @@ def _serialize_dataset(
     if array.nbytes <= max_bytes:
         record["data_b64"] = base64.b64encode(array.tobytes()).decode()
     return record
-
-
-# ----------------------------------------------------------------------
-# Ambient installation (mirrors repro.obs.tracer)
-# ----------------------------------------------------------------------
-_current: ContextVar[FlightRecorder | None] = ContextVar(
-    "repro_flight_recorder", default=None
-)
-
-
-def current_recorder() -> "FlightRecorder | None":
-    """The ambient recorder (``None`` unless installed)."""
-    return _current.get()
-
-
-def set_current_recorder(recorder: "FlightRecorder | None"):
-    """Install ``recorder`` ambiently; returns a reset token."""
-    return _current.set(recorder)
-
-
-@contextmanager
-def use_recorder(recorder: "FlightRecorder | None"):
-    """Install ``recorder`` as the ambient recorder for a block."""
-    token = _current.set(recorder)
-    try:
-        yield recorder
-    finally:
-        _current.reset(token)

@@ -17,17 +17,20 @@ package provides the three layers (see ``docs/robustness.md``):
 
 Quickstart::
 
-    from repro.resilience import (
-        FaultInjector, ResilientRunner, RetryPolicy, use_injector,
-    )
+    from repro.obs import use_run
+    from repro.resilience import FaultInjector, ResilientRunner, RetryPolicy
 
     injector = FaultInjector(["transient@compute_l.*#2"], seed=0)
-    with use_injector(injector):
+    with use_run(injector=injector):
         outcome = ResilientRunner(RetryPolicy()).fit(
             data, backend="gpu-fast", seed=0
         )
     outcome.result      # identical to the fault-free clustering
     outcome.events      # the retries/degradations that got it there
+
+The injector is one field of the run's
+:class:`~repro.obs.tracer.RunContext`, beside its tracer, flight
+recorder and correlation id.
 """
 
 from .checkpoint import StudyCheckpoint, data_fingerprint
@@ -36,9 +39,7 @@ from .faults import (
     FaultInjector,
     FaultSpec,
     InjectionRecord,
-    current_injector,
     parse_fault,
-    use_injector,
 )
 from .policy import (
     DEFAULT_LADDERS,
@@ -61,8 +62,6 @@ __all__ = [
     "FaultInjector",
     "InjectionRecord",
     "parse_fault",
-    "current_injector",
-    "use_injector",
     "ErrorClass",
     "classify_error",
     "LadderStep",

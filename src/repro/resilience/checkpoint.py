@@ -39,7 +39,7 @@ from ..core.serialization import load_result, save_result
 from ..core.state import MedoidCache, SharedStudyState
 from ..data.fingerprint import dataset_fingerprint
 from ..exceptions import CheckpointError, DataValidationError
-from ..obs.tracer import current_tracer
+from ..obs.tracer import current_run
 from ..params import ParameterGrid
 from ..result import ProclusResult
 from ..rng import RandomSource
@@ -126,7 +126,7 @@ class StudyCheckpoint:
         resume trusts) is atomically replaced last.  Returns the
         ``checkpoint`` event naming the setting file.
         """
-        obs = current_tracer()
+        obs = current_run().tracer
         with obs.span("checkpoint", category="resilience", k=k, l=l):
             path = save_result(outcome.result, self.setting_path(k, l))
             if shared is not None:
@@ -281,7 +281,7 @@ class StudyCheckpoint:
                        f"{self.directory}",
             )
         )
-        obs = current_tracer()
+        obs = current_run().tracer
         with obs.span(
             "resume", category="resilience",
             completed=len(completed), directory=str(self.directory),

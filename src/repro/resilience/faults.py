@@ -37,18 +37,18 @@ seeded per-operation probability.  Two runs with the same schedule and
 seed inject the identical fault sequence, which is what makes the
 determinism-under-faults differential tests possible.
 
-Installation is ambient (a :class:`contextvars.ContextVar`, mirroring
-:mod:`repro.obs.tracer`): the substrate hooks read
-:func:`current_injector` and are a single ``None`` check when no
-injector is installed.
+A run's injector is the ``injector`` field of its
+:class:`~repro.obs.tracer.RunContext`, installed with
+``use_run(injector=...)``: the substrate hooks read it from
+:func:`~repro.obs.tracer.current_run` and are a single ``None`` check
+when none is installed.  Each firing also goes to the run's flight
+recorder, stamped with the run's correlation id.
 """
 
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Iterator
 
@@ -63,7 +63,7 @@ from ..exceptions import (
     TransferCorruptionError,
     TransientDeviceError,
 )
-from ..obs.recorder import current_recorder
+from ..obs.tracer import current_run
 
 __all__ = [
     "FAULT_KINDS",
@@ -71,8 +71,6 @@ __all__ = [
     "InjectionRecord",
     "FaultInjector",
     "parse_fault",
-    "current_injector",
-    "use_injector",
 ]
 
 #: Fault kind -> the substrate operation it targets.  ``"any"`` means
@@ -235,7 +233,7 @@ class FaultInjector:
     """Evaluates fault schedules against substrate operations.
 
     Construct with a list of :class:`FaultSpec` (or schedule strings)
-    and install with :func:`use_injector`; the substrate hooks call
+    and install with ``use_run(injector=...)``; the substrate hooks call
     :meth:`on_alloc` / :meth:`on_launch` / :meth:`on_transfer` /
     :meth:`on_emulated_launch`, which raise the scheduled typed errors.
     All firings are appended to :attr:`injected`.
@@ -330,9 +328,9 @@ class FaultInjector:
             spec=spec.describe(),
         )
         self.injected.append(record)
-        recorder = current_recorder()
-        if recorder is not None:
-            recorder.record_fault(record)
+        run = current_run()
+        if run.recorder is not None:
+            run.recorder.record_fault(record, run.corr)
 
     def _check_sticky(self) -> None:
         if self._sticky_error is not None:
@@ -465,23 +463,3 @@ class FaultInjector:
         """Called by :meth:`repro.gpu.emulator.SimtEmulator.launch`."""
         # Emulated launches share the launch-class schedule.
         self.on_launch(name, "emulated")
-
-
-_current: ContextVar[FaultInjector | None] = ContextVar(
-    "repro_fault_injector", default=None
-)
-
-
-def current_injector() -> FaultInjector | None:
-    """The ambient fault injector (``None`` unless installed)."""
-    return _current.get()
-
-
-@contextmanager
-def use_injector(injector: FaultInjector | None):
-    """Install ``injector`` as the ambient injector for a ``with`` block."""
-    token = _current.set(injector)
-    try:
-        yield injector
-    finally:
-        _current.reset(token)

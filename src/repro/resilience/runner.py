@@ -25,16 +25,21 @@ shared-cache state bit-for-bit, a retried or degraded run produces the
 clustering the fault-free run would have produced — the determinism
 guarantee the differential tests assert.
 
-Every recovery action is recorded as a :class:`ResilienceEvent`, and —
-when a tracer is installed — emitted as a ``resilience``-category span
-plus ``resilience.*`` metrics counters, so ``repro trace`` shows
-exactly where a run retried or degraded.
+The runner reads its tracer, flight recorder, fault injector and
+correlation id from the :class:`~repro.obs.tracer.RunContext` it is
+called in, and runs each attempt in that context with the correlation
+id extended to ``<parent>:r<rung>a<attempt>``.
 
-When a :class:`~repro.obs.recorder.FlightRecorder` is ambient, the
-runner additionally captures the replayable job context (data, params,
-seed state, policy, fault schedule) at entry, forwards every
-resilience event into the recorder's rings, extends the ambient
-correlation id per attempt (``<parent>:r<rung>a<attempt>``), and — on
+One method, :meth:`ResilientRunner._record`, records every recovery
+action: it appends the :class:`ResilienceEvent` to the run's log,
+forwards it to the recorder's rings, emits a ``resilience``-category
+span, and bumps the ``resilience.*`` (or ``fleet.recovery.*``)
+counters, so ``repro trace`` shows exactly where a run retried or
+degraded.
+
+With a :class:`~repro.obs.recorder.FlightRecorder` in the context, the
+runner also captures the replayable job context (data, params, seed
+state, policy, fault schedule) at entry and — on
 :class:`~repro.exceptions.ResilienceExhaustedError` — auto-dumps a
 postmortem bundle before raising.
 """
@@ -50,15 +55,9 @@ import numpy as np
 
 from ..core.state import SharedStudyState
 from ..exceptions import ParameterError, ReproError, ResilienceExhaustedError
-from ..obs.recorder import (
-    current_correlation,
-    current_recorder,
-    use_correlation,
-)
-from ..obs.tracer import current_tracer
+from ..obs.tracer import RunContext, current_run, use_run
 from ..result import ProclusResult
 from ..rng import RandomSource
-from .faults import current_injector
 from .policy import ErrorClass, LadderStep, RetryPolicy, classify_error
 
 __all__ = ["ResilienceEvent", "ResilientOutcome", "ResilientRunner", "resilient_fit"]
@@ -70,6 +69,19 @@ _GPU_ONLY_KWARGS = ("gpu_spec", "dist_chunks")
 #: Engine kwargs that only the sharded ``fleet-*`` backends accept;
 #: dropped when a ladder rung degrades to a solo backend.
 _FLEET_ONLY_KWARGS = ("fleet",)
+
+#: Per recovery action: the event fields its span carries, and the
+#: counter it bumps before its ``resilience.faults.*`` counter.
+_SPAN_FIELDS = {
+    "retry": ("rung", "attempt", "error_type", "backoff_s"),
+    "degrade": ("rung", "to_rung", "error_type", "error_class"),
+    "reshard": ("rung", "to_rung", "error_type"),
+}
+_COUNTERS = {
+    "retry": "resilience.retries",
+    "degrade": "resilience.degradations",
+    "reshard": "fleet.recovery.reshards",
+}
 
 
 @dataclass(slots=True)
@@ -106,13 +118,6 @@ class ResilientOutcome:
     def degraded(self) -> bool:
         """Whether the result came from a lower rung than requested."""
         return any(event.kind == "degrade" for event in self.events)
-
-
-def _forward_resilience(event: "ResilienceEvent") -> None:
-    """Mirror one recovery action into the ambient flight recorder."""
-    recorder = current_recorder()
-    if recorder is not None:
-        recorder.record_resilience(event.as_dict())
 
 
 def _snapshot_shared(shared: SharedStudyState | None) -> dict[str, Any] | None:
@@ -172,19 +177,18 @@ class ResilientRunner:
         policy = self.policy
         ladder = policy.ladder_for(backend)
         engine_kwargs = dict(engine_kwargs or {})
-        obs = current_tracer()
+        run = current_run()
+        obs, recorder, injector = run.tracer, run.recorder, run.injector
 
         rng_snapshot = seed.get_state() if isinstance(seed, RandomSource) else None
         shared_snapshot = _snapshot_shared(shared_state)
 
-        recorder = current_recorder()
-        base_corr = current_correlation() or "fit"
+        base_corr = run.corr or "fit"
         if recorder is not None:
             recorder.set_job(
                 data=data, backend=backend, params=params, seed=seed,
                 policy=policy, engine_kwargs=engine_kwargs,
             )
-            injector = current_injector()
             if injector is not None and injector.schedule:
                 recorder.set_fault_schedule(
                     [spec.describe() for spec in injector.schedule],
@@ -211,8 +215,9 @@ class ResilientRunner:
                 rung_attempt += 1
                 attempts += 1
                 engine = None
-                self._reset_for_attempt(seed, rng_snapshot, shared_state,
-                                        shared_snapshot, attempts)
+                self._reset_for_attempt(injector, seed, rng_snapshot,
+                                        shared_state, shared_snapshot,
+                                        attempts)
                 attempt_span = obs.span(
                     "attempt", category="resilience",
                     rung=step.describe(), backend=step.backend,
@@ -220,7 +225,7 @@ class ResilientRunner:
                 )
                 attempt_corr = f"{base_corr}:r{rung_index}a{rung_attempt}"
                 try:
-                    with use_correlation(attempt_corr), attempt_span:
+                    with use_run(corr=attempt_corr), attempt_span:
                         engine = BACKENDS[step.backend](
                             params=params,
                             seed=seed,
@@ -251,7 +256,9 @@ class ResilientRunner:
                         raise
                     last_error = error
                     if error_class is ErrorClass.DEVICE_LOSS:
-                        plan = self._reshard_plan(step, engine, error)
+                        plan = self._reshard_plan(
+                            step, engine, error, injector
+                        )
                         reshard_cap = (
                             policy.max_reshards
                             if policy.max_reshards is not None
@@ -270,11 +277,18 @@ class ResilientRunner:
                             resume = self._resume_path(step, engine_kwargs)
                             if resume is not None:
                                 engine_kwargs["resume_from"] = resume
-                            event = self._record_reshard(
-                                obs, events, step, rung_attempt, error,
-                                error_class, plan, len(newly), resume,
+                            detail = plan.describe()
+                            if resume is not None:
+                                detail += f"; resuming from {resume}"
+                            reshard_label = (
+                                f"{step.backend}[{plan.active}/"
+                                f"{plan.fleet.num_devices} devices]"
                             )
-                            reshard_label = event.to_rung
+                            event = self._record(
+                                run, events, "reshard", step, rung_attempt,
+                                error, devices_lost=len(newly),
+                                detail=detail, to_rung=reshard_label,
+                            )
                             pending_reshards.append(
                                 (event, time.perf_counter())
                             )
@@ -284,16 +298,17 @@ class ResilientRunner:
                         error_class is ErrorClass.TRANSIENT
                         and rung_attempt <= policy.max_retries
                     ):
-                        self._record_retry(
-                            obs, events, step, rung_attempt, error, error_class
+                        self._record(
+                            run, events, "retry", step, rung_attempt, error,
+                            backoff_s=policy.backoff_seconds(rung_attempt),
                         )
                         continue
                     break  # capacity, or transient retries exhausted
             # Step down the ladder.
             if rung_index + 1 < len(ladder) and policy.allow_degraded:
-                self._record_degrade(
-                    obs, events, step, ladder[rung_index + 1],
-                    rung_attempt, last_error,
+                self._record(
+                    run, events, "degrade", step, rung_attempt, last_error,
+                    to_rung=ladder[rung_index + 1].describe(),
                 )
                 rung_index += 1
                 reshard_label = None
@@ -328,10 +343,10 @@ class ResilientRunner:
 
     @staticmethod
     def _reset_for_attempt(
-        seed, rng_snapshot, shared_state, shared_snapshot, attempts: int
+        injector, seed, rng_snapshot, shared_state, shared_snapshot,
+        attempts: int,
     ) -> None:
         """Restore pre-attempt state (no-op on the very first attempt)."""
-        injector = current_injector()
         if injector is not None:
             injector.device_reset()
         if attempts == 1:
@@ -341,7 +356,7 @@ class ResilientRunner:
         _restore_shared(shared_state, shared_snapshot)
 
     @staticmethod
-    def _reshard_plan(step: LadderStep, engine, error):
+    def _reshard_plan(step: LadderStep, engine, error, injector):
         """The elastic re-shard plan for a fleet rung's device loss.
 
         ``None`` when the rung is not a fleet rung, the dead members
@@ -355,7 +370,6 @@ class ResilientRunner:
         from ..fleet.recovery import dead_device_indices, plan_recovery
 
         tags = set()
-        injector = current_injector()
         if injector is not None:
             tags |= set(injector.dead_devices)
         device = getattr(error, "device", "")
@@ -384,40 +398,6 @@ class ResilientRunner:
         return None
 
     @staticmethod
-    def _record_reshard(
-        obs, events, step: LadderStep, attempt: int, error, error_class,
-        plan, newly_lost: int, resume: "str | None",
-    ) -> ResilienceEvent:
-        to_rung = (
-            f"{step.backend}[{plan.active}/{plan.fleet.num_devices} devices]"
-        )
-        detail = plan.describe()
-        if resume is not None:
-            detail += f"; resuming from {resume}"
-        event = ResilienceEvent(
-            kind="reshard",
-            rung=step.describe(),
-            attempt=attempt,
-            error_type=type(error).__name__,
-            error_class=error_class.value,
-            detail=detail,
-            to_rung=to_rung,
-        )
-        events.append(event)
-        _forward_resilience(event)
-        with obs.span(
-            "reshard", category="resilience",
-            rung=event.rung, to_rung=to_rung,
-            error_type=event.error_type, devices_lost=newly_lost,
-        ):
-            pass
-        if obs.enabled:
-            obs.metrics.counter("fleet.recovery.reshards").inc()
-            obs.metrics.counter("fleet.recovery.devices_lost").inc(newly_lost)
-            obs.metrics.counter(f"resilience.faults.{error_class.value}").inc()
-        return event
-
-    @staticmethod
     def _finalize_reshards(obs, pending: list) -> None:
         """Stamp recovery wall time (MTTR) on completed reshards.
 
@@ -435,57 +415,44 @@ class ResilientRunner:
                 obs.metrics.histogram("fleet.recovery.mttr").observe(recovery)
         pending.clear()
 
-    def _record_retry(
-        self, obs, events, step: LadderStep, attempt: int, error, error_class
-    ) -> None:
-        backoff = self.policy.backoff_seconds(attempt)
-        event = ResilienceEvent(
-            kind="retry",
-            rung=step.describe(),
-            attempt=attempt,
-            error_type=type(error).__name__,
-            error_class=error_class.value,
-            detail=str(error),
-            backoff_s=backoff,
-        )
-        events.append(event)
-        _forward_resilience(event)
-        with obs.span(
-            "retry", category="resilience",
-            rung=event.rung, attempt=attempt,
-            error_type=event.error_type, backoff_s=backoff,
-        ):
-            if backoff > 0.0:
-                time.sleep(backoff)
-        if obs.enabled:
-            obs.metrics.counter("resilience.retries").inc()
-            obs.metrics.counter(f"resilience.faults.{error_class.value}").inc()
+    def _record(
+        self, run: RunContext, events: list[ResilienceEvent], kind: str,
+        step: LadderStep, attempt: int, error: ReproError,
+        devices_lost: int | None = None, **fields: Any,
+    ) -> ResilienceEvent:
+        """Record one recovery action in every place that reports it.
 
-    @staticmethod
-    def _record_degrade(
-        obs, events, step: LadderStep, next_step: LadderStep, attempt, error
-    ) -> None:
-        error_class = classify_error(error)
+        Builds its :class:`ResilienceEvent` (``fields`` set the
+        kind-specific ones), appends it to the run's log, forwards it to
+        the recorder with the run's correlation id, opens its
+        ``resilience`` span (a retry waits out its backoff inside it),
+        and bumps its counters, the fault-class counter last.
+        ``devices_lost`` (reshards) joins the span and the counters.
+        """
+        fields.setdefault("detail", str(error))
         event = ResilienceEvent(
-            kind="degrade",
-            rung=step.describe(),
-            attempt=attempt,
+            kind=kind, rung=step.describe(), attempt=attempt,
             error_type=type(error).__name__,
-            error_class=error_class.value,
-            detail=str(error),
-            to_rung=next_step.describe(),
+            error_class=classify_error(error).value, **fields,
         )
         events.append(event)
-        _forward_resilience(event)
-        with obs.span(
-            "degrade", category="resilience",
-            rung=event.rung, to_rung=event.to_rung,
-            error_type=event.error_type, error_class=event.error_class,
-        ):
-            pass
+        if run.recorder is not None:
+            run.recorder.record_resilience(event.as_dict(), run.corr)
+        attrs = {name: getattr(event, name) for name in _SPAN_FIELDS[kind]}
+        if devices_lost is not None:
+            attrs["devices_lost"] = devices_lost
+        obs = run.tracer
+        with obs.span(kind, category="resilience", **attrs):
+            if event.backoff_s > 0.0:
+                time.sleep(event.backoff_s)
         if obs.enabled:
-            obs.metrics.counter("resilience.degradations").inc()
-            obs.metrics.counter(f"resilience.faults.{error_class.value}").inc()
+            obs.metrics.counter(_COUNTERS[kind]).inc()
+            if devices_lost is not None:
+                obs.metrics.counter("fleet.recovery.devices_lost").inc(
+                    devices_lost
+                )
+            obs.metrics.counter(f"resilience.faults.{event.error_class}").inc()
+        return event
 
 
 def resilient_fit(

@@ -26,6 +26,11 @@ direct solo call ``proclus(data, params=..., backend=..., seed=...)``:
 What coalescing and caching change is only the *cost*: modeled device
 seconds and work counters strictly shrink versus naive per-request
 execution, which is exactly what ``BENCH_serve.json`` measures.
+
+Jobs run in the :class:`~repro.obs.tracer.RunContext` the service was
+built in, with ``corr="job-<id>"``; its own ``recorder=``,
+``postmortem_dir=`` and ``injector=`` arguments win.
+:meth:`ClusterService._event` builds and routes every serve event.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ from ..fleet.recovery import degraded_fleet
 from ..gpu.memory import MemoryBudget
 from ..hardware.specs import GTX_1660_TI, GpuSpec
 from ..obs.monitor import ServiceMonitor
-from ..obs.recorder import FlightRecorder, use_correlation, use_recorder
-from ..obs.tracer import Tracer, current_tracer, use_tracer
-from ..resilience.faults import FaultInjector, use_injector
+from ..obs.recorder import FlightRecorder
+from ..obs.tracer import Tracer, current_run, use_run
+from ..resilience.faults import FaultInjector
 from ..params import ProclusParams
 from ..resilience.policy import RetryPolicy
 from ..resilience.runner import ResilientRunner
@@ -64,7 +69,7 @@ __all__ = ["ClusterService"]
 def _metrics_tracer() -> Tracer:
     """The service's private tracer: metrics, but no event history.
 
-    Spans still get ids and still reach an ambient recorder, and
+    Spans still get ids and still reach the run's recorder, and
     :meth:`~repro.obs.tracer.Tracer.device_offset` still advances, but
     closed root spans, kernel events and counter samples go to
     zero-length rings.  Nothing reads them from a private tracer, and a
@@ -114,7 +119,8 @@ class ClusterService:
         ``health.json`` report on the default SLOs.  ``repro monitor``
         reads this directory.
     recorder, postmortem_dir:
-        Attach a :class:`~repro.obs.recorder.FlightRecorder`.  Every
+        Attach a :class:`~repro.obs.recorder.FlightRecorder` (default:
+        the recorder of the context the service is built in).  Every
         serve event, span, kernel, fault, and resilience action flows
         into its bounded rings (correlated per job), and terminal
         failures — exhausted resilience, unexpected job errors, and a
@@ -124,12 +130,14 @@ class ClusterService:
     injector:
         A :class:`~repro.resilience.faults.FaultInjector` installed
         around every job the workers run — fault drills under real
-        serving load (``repro serve --fault``).
+        serving load (``repro serve --fault``).  Default: the injector
+        of the context the service is built in.
 
-    Spans and metrics go to the ambient tracer when one is installed,
-    else to a private always-on :class:`~repro.obs.tracer.Tracer`, so
-    ``serve.*`` metrics are always recorded.  The private tracer keeps
-    no span, kernel or counter history (see :func:`_metrics_tracer`).
+    Spans and metrics go to the tracer of the context the service is
+    built in when it is enabled, else to a private always-on
+    :class:`~repro.obs.tracer.Tracer`, so ``serve.*`` metrics are
+    always recorded.  The private tracer keeps no span, kernel or
+    counter history (see :func:`_metrics_tracer`).
     """
 
     def __init__(
@@ -149,8 +157,8 @@ class ClusterService:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
         self.gpu_spec = gpu_spec if gpu_spec is not None else GTX_1660_TI
-        ambient = current_tracer()
-        self.obs = ambient if ambient.enabled else _metrics_tracer()
+        run = current_run()
+        self.obs = run.tracer if run.tracer.enabled else _metrics_tracer()
         self.registry = DatasetRegistry()
         self.cache = ResultCache(cache_entries)
         self.fleet = fleet
@@ -197,12 +205,12 @@ class ClusterService:
             recorder.bundle_dir = Path(postmortem_dir)
         #: Flight recorder fed by every layer of the service (None
         #: disables recording entirely).
-        self.recorder = recorder
+        self.recorder = recorder if recorder is not None else run.recorder
         self._slo_dumped = False
-        if self.monitor is not None and recorder is not None:
+        if self.monitor is not None and self.recorder is not None:
             self.monitor.on_unhealthy = self._on_slo_breach
         #: Fault injector installed around every job (fault drills).
-        self.injector = injector
+        self.injector = injector if injector is not None else run.injector
         #: Fleet members currently quarantined by health-aware serving.
         self._quarantined: set[int] = set()
         self.runner = ResilientRunner(policy)
@@ -395,7 +403,7 @@ class ClusterService:
         self._quarantined.add(index)
         self.scheduler.set_device_capacity(index, 0)
         self.obs.metrics.counter("fleet.quarantined").inc()
-        self._device_event("device_down", index, reason)
+        self._event("device_down", detail=reason, device=index)
         return True
 
     def readmit_device(self, index: int) -> bool:
@@ -414,7 +422,7 @@ class ClusterService:
             index, max(0, self.fleet.specs[index].usable_bytes)
         )
         self.obs.metrics.counter("fleet.readmitted").inc()
-        self._device_event("device_recovered", index)
+        self._event("device_recovered", device=index)
         return True
 
     @property
@@ -430,29 +438,6 @@ class ClusterService:
                 f"device index {index} out of range for "
                 f"{self.fleet.num_devices} fleet members"
             )
-
-    def _device_event(self, kind: str, index: int, reason: str = "") -> None:
-        """Record a device lifecycle event (no request attached)."""
-        tag = f"dev{index}"
-        event = ServeEvent(
-            ts=self._clock(),
-            kind=kind,
-            detail=tag if not reason else f"{tag}: {reason}",
-            queued=self.scheduler.depth,
-            running=self._running,
-        )
-        with self.obs.span(
-            f"serve.{kind}", category="serve", device=tag, detail=reason,
-        ) as span:
-            event.span_id = span.span_id
-        self.log.record(event)
-        if self.monitor is not None:
-            # The SLO tracker keys availability/MTTR on the device tag.
-            self.monitor.on_event(
-                {**event.as_dict(), "detail": tag}
-            )
-        if self.recorder is not None:
-            self.recorder.record_serve(event.as_dict())
 
     def record_violations(self, count: int = 1) -> None:
         """Report determinism violations found by an external oracle.
@@ -568,9 +553,10 @@ class ClusterService:
                     engine_kwargs=engine_kwargs,
                     fingerprint=leader.fingerprint, pinned=True,
                 )
-            with use_tracer(self.obs), use_recorder(self.recorder), \
-                    use_injector(self.injector), \
-                    use_correlation(f"job-{group[0].job_id}"):
+            with use_run(
+                tracer=self.obs, recorder=self.recorder,
+                injector=self.injector, corr=f"job-{group[0].job_id}",
+            ):
                 if len(group) == 1:
                     outcomes = [
                         self.runner.fit(
@@ -773,35 +759,43 @@ class ClusterService:
         return time.perf_counter() - self._epoch
 
     def _event(
-        self, kind: str, job_id: int, request: ClusterRequest,
-        detail: str = "",
+        self, kind: str, job_id: int = -1,
+        request: ClusterRequest | None = None, detail: str = "",
+        device: int | None = None,
     ) -> None:
-        event = ServeEvent(
-            ts=self._clock(),
-            kind=kind,
-            job_id=job_id,
-            fingerprint=request.fingerprint,
-            backend=request.backend,
-            k=request.params.k,
-            l=request.params.l,
-            queued=self.scheduler.depth,
-            running=self._running,
-            detail=detail,
-        )
+        """Build one :class:`ServeEvent` (of a request, or of fleet member
+        ``device``) and route it to its span, the log, the monitor and
+        the recorder."""
+        if device is None:
+            attrs = {"job_id": job_id, "backend": request.backend,
+                     "k": request.params.k, "l": request.params.l}
+            event = ServeEvent(
+                ts=self._clock(), kind=kind, fingerprint=request.fingerprint,
+                **attrs, queued=self.scheduler.depth, running=self._running,
+                detail=detail,
+            )
+        else:
+            tag = f"dev{device}"
+            attrs = {"device": tag}
+            event = ServeEvent(
+                ts=self._clock(), kind=kind, queued=self.scheduler.depth,
+                running=self._running,
+                detail=f"{tag}: {detail}" if detail else tag,
+            )
         with self.obs.span(
-            f"serve.{kind}", category="serve",
-            job_id=job_id, backend=request.backend,
-            k=request.params.k, l=request.params.l,
-            detail=detail,
+            f"serve.{kind}", category="serve", **attrs, detail=detail,
         ) as span:
             event.span_id = span.span_id
         self.log.record(event)
         if self.monitor is not None:
-            self.monitor.on_event(event)
+            # The SLO tracker keys availability/MTTR on the device tag.
+            self.monitor.on_event(
+                event if device is None else {**event.as_dict(), "detail": tag}
+            )
         if self.recorder is not None:
             self.recorder.record_serve(
                 event.as_dict(),
-                corr=f"job-{job_id}" if job_id >= 0 else None,
+                f"job-{job_id}" if job_id >= 0 else current_run().corr,
             )
 
     def _on_slo_breach(self, report: dict) -> None:

@@ -20,7 +20,7 @@ from repro.bench.baseline import QUICK_SEEDS, QuickWorkload, run_workload
 from repro.bench.regress import compare_workload, run_regression_check
 from repro.core import BACKENDS
 from repro.fleet import FleetModel, default_fleet, fleet_report
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer, use_run
 from repro.obs.explain import (
     EXPLAIN_SCHEMA,
     attribute_run,
@@ -64,7 +64,7 @@ def _fit(backend, data, params, seed=0, tracer=None):
     kwargs = {}
     if backend.startswith("fleet-"):
         kwargs["fleet"] = default_fleet(2)
-    with use_tracer(tracer if tracer is not None else Tracer(enabled=False)):
+    with use_run(tracer=tracer if tracer is not None else Tracer(enabled=False)):
         engine = BACKENDS[backend](params=params, seed=seed, **kwargs)
         result = engine.fit(data)
     return engine, result

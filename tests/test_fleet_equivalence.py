@@ -20,10 +20,10 @@ from repro.data.normalize import minmax_normalize
 from repro.data.synthetic import generate_subspace_data
 from repro.fleet import Fleet, FleetModel, default_fleet, fleet_report, mixed_fleet
 from repro.hardware.specs import GTX_1660_TI, RTX_3090
-from repro.obs import Tracer
+from repro.obs import Tracer, use_run
 from repro.params import ProclusParams
 from repro.resilience import ResilientRunner, RetryPolicy
-from repro.resilience.faults import FaultInjector, use_injector
+from repro.resilience.faults import FaultInjector
 
 GPU_BACKENDS = ("gpu", "gpu-fast", "gpu-fast-star")
 DEVICE_COUNTS = (1, 2, 3, 4)
@@ -142,7 +142,7 @@ class TestFaultedShards:
     @pytest.mark.parametrize("backend", GPU_BACKENDS)
     def test_transient_fault_on_one_shard(self, data, params, solo, backend):
         runner = ResilientRunner(RetryPolicy())
-        with use_injector(
+        with use_run(injector=
             FaultInjector([f"transient@assign_points@dev1#1"])
         ):
             outcome = runner.fit(
@@ -164,7 +164,7 @@ class TestFaultedShards:
         """A persistent per-shard OOM walks the documented ladder down
         to the solo card — and the answer still matches bit-for-bit."""
         runner = ResilientRunner(RetryPolicy())
-        with use_injector(FaultInjector(["oom@data@dev0#1+*"])):
+        with use_run(injector=FaultInjector(["oom@data@dev0#1+*"])):
             outcome = runner.fit(
                 data,
                 backend="fleet-gpu-fast",
@@ -180,7 +180,7 @@ class TestFaultedShards:
         """`*@dev1` leaves shard 0 untouched: a D=1 fleet (only dev0
         active) never trips the injector."""
         injector = FaultInjector(["transient@assign_points@dev1#1"])
-        with use_injector(injector):
+        with use_run(injector=injector):
             engine = BACKENDS["fleet-gpu-fast"](
                 params=params, seed=0, fleet=default_fleet(1)
             )
@@ -221,13 +221,14 @@ class TestTracedEqualsUntraced:
         untraced = engine(params=params, seed=1, fleet=default_fleet(3)).fit(data)
 
         tracer = Tracer()
-        BACKENDS["gpu-fast"](params=params, seed=1, tracer=tracer).fit(data)
-        offset = tracer.device_offset()
-        assert offset > 0
-        before = len(tracer.kernel_events)
-        traced = engine(
-            params=params, seed=1, tracer=tracer, fleet=default_fleet(3)
-        ).fit(data)
+        with use_run(tracer=tracer):
+            BACKENDS["gpu-fast"](params=params, seed=1).fit(data)
+            offset = tracer.device_offset()
+            assert offset > 0
+            before = len(tracer.kernel_events)
+            traced = engine(
+                params=params, seed=1, fleet=default_fleet(3)
+            ).fit(data)
 
         assert traced.stats.modeled_seconds == untraced.stats.modeled_seconds
         assert traced.stats.phase_seconds == untraced.stats.phase_seconds

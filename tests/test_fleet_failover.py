@@ -18,12 +18,12 @@ import pytest
 from repro import proclus
 from repro.exceptions import ServeError
 from repro.fleet import default_fleet
+from repro.obs import use_run
 from repro.params import ProclusParams
 from repro.resilience import (
     FaultInjector,
     ResilientRunner,
     RetryPolicy,
-    use_injector,
 )
 
 PARAMS = ProclusParams(k=4, l=3)
@@ -170,7 +170,7 @@ class TestEventLogDeterminism:
     )
 
     def _events(self, data, schedule):
-        with use_injector(FaultInjector(schedule, seed=0)):
+        with use_run(injector=FaultInjector(schedule, seed=0)):
             outcome = ResilientRunner(RetryPolicy()).fit(
                 data, backend="fleet-gpu-fast", params=PARAMS, seed=0,
                 engine_kwargs={"fleet": 3},

@@ -24,6 +24,7 @@ from repro.fleet import (
     plan_recovery,
 )
 from repro.hardware.specs import GTX_1660_TI
+from repro.obs import use_run
 from repro.params import ProclusParams
 from repro.resilience import (
     ErrorClass,
@@ -31,7 +32,6 @@ from repro.resilience import (
     ResilientRunner,
     RetryPolicy,
     classify_error,
-    use_injector,
 )
 
 PARAMS = ProclusParams(k=4, l=3)
@@ -130,7 +130,7 @@ class TestDeviceDownDifferential:
         for dead in range(devices):
             schedule = [f"device-down@dev{dead}#{STAGES[stage]}"]
             injector = FaultInjector(schedule, seed=0)
-            with use_injector(injector):
+            with use_run(injector=injector):
                 outcome = ResilientRunner(RetryPolicy()).fit(
                     data, backend=backend, params=PARAMS, seed=0,
                     engine_kwargs={"fleet": devices},
@@ -159,7 +159,7 @@ class TestDeviceDownDifferential:
     def test_two_devices_lost_reshards_twice(self, data, solo_reference):
         solo = solo_reference("gpu-fast")
         schedule = ["device-down@dev0#1", "device-down@dev2#4"]
-        with use_injector(FaultInjector(schedule, seed=0)) as injector:
+        with use_run(injector=FaultInjector(schedule, seed=0)) as run:
             outcome = ResilientRunner(RetryPolicy()).fit(
                 data, backend="fleet-gpu-fast", params=PARAMS, seed=0,
                 engine_kwargs={"fleet": 3},
@@ -168,12 +168,12 @@ class TestDeviceDownDifferential:
         assert outcome.result.cost == solo.cost
         kinds = [event.kind for event in outcome.events]
         assert kinds.count("reshard") == 2
-        assert len(injector.injected) == 2
+        assert len(run.injector.injected) == 2
 
     def test_all_devices_lost_degrades_to_solo_rung(self, data, solo_reference):
         solo = solo_reference("gpu-fast")
         schedule = ["device-down@dev0#1", "device-down@dev1#1"]
-        with use_injector(FaultInjector(schedule, seed=0)):
+        with use_run(injector=FaultInjector(schedule, seed=0)):
             outcome = ResilientRunner(RetryPolicy()).fit(
                 data, backend="fleet-gpu-fast", params=PARAMS, seed=0,
                 engine_kwargs={"fleet": 2},
@@ -184,15 +184,15 @@ class TestDeviceDownDifferential:
         assert not outcome.backend.startswith("fleet-")
 
     def test_recovery_counters_recorded(self, data):
-        from repro.obs.tracer import Tracer, use_tracer
+        from repro.obs.tracer import Tracer
 
         tracer = Tracer()
-        with use_tracer(tracer):
-            with use_injector(FaultInjector(["device-down@dev1#1"], seed=0)):
-                ResilientRunner(RetryPolicy()).fit(
-                    data, backend="fleet-gpu-fast", params=PARAMS, seed=0,
-                    engine_kwargs={"fleet": 3},
-                )
+        injector = FaultInjector(["device-down@dev1#1"], seed=0)
+        with use_run(tracer=tracer, injector=injector):
+            ResilientRunner(RetryPolicy()).fit(
+                data, backend="fleet-gpu-fast", params=PARAMS, seed=0,
+                engine_kwargs={"fleet": 3},
+            )
         counters = tracer.metrics.as_dict()["counters"]
         assert counters["fleet.recovery.reshards"] == 1
         assert counters["fleet.recovery.devices_lost"] == 1
@@ -200,15 +200,15 @@ class TestDeviceDownDifferential:
         assert counters["resilience.faults.device-loss"] == 1
 
     def test_reshard_emits_resilience_span(self, data):
-        from repro.obs.tracer import Tracer, use_tracer
+        from repro.obs.tracer import Tracer
 
         tracer = Tracer()
-        with use_tracer(tracer):
-            with use_injector(FaultInjector(["device-down@dev1#1"], seed=0)):
-                ResilientRunner(RetryPolicy()).fit(
-                    data, backend="fleet-gpu-fast", params=PARAMS, seed=0,
-                    engine_kwargs={"fleet": 3},
-                )
+        injector = FaultInjector(["device-down@dev1#1"], seed=0)
+        with use_run(tracer=tracer, injector=injector):
+            ResilientRunner(RetryPolicy()).fit(
+                data, backend="fleet-gpu-fast", params=PARAMS, seed=0,
+                engine_kwargs={"fleet": 3},
+            )
         spans = [
             span for span in tracer.all_spans() if span.name == "reshard"
         ]

@@ -31,9 +31,9 @@ from repro.fleet.device import FleetDevice
 from repro.fleet.model import FleetModel
 from repro.gpu.device import Device
 from repro.hardware.specs import GTX_1660_TI
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer, use_run
 from repro.params import ProclusParams
-from repro.resilience.faults import FaultInjector, use_injector
+from repro.resilience.faults import FaultInjector
 
 N = 5
 N_POINTS = 3000
@@ -78,7 +78,7 @@ class TestDeviceRepeats:
     def test_injector_fires_on_every_call(self):
         device = Device(GTX_1660_TI, tracer=NULL_TRACER)
         injector = FaultInjector(["launch@greedy.distances#3"])
-        with use_injector(injector):
+        with use_run(injector=injector):
             device.launch(**ROOT)
             device.launch(**ROOT)
             with pytest.raises(KernelLaunchError):
@@ -115,7 +115,7 @@ class TestFleetRepeats:
     def test_injector_fires_on_every_call(self, kernel, site):
         device = fleet_device(default_fleet(3))
         injector = FaultInjector([f"launch@{site}#3"])
-        with use_injector(injector):
+        with use_run(injector=injector):
             device.launch(**kernel)
             device.launch(**kernel)
             with pytest.raises(KernelLaunchError):

@@ -177,10 +177,10 @@ class TestDuplicateGridEntries:
         )
 
     def test_duplicate_counter_emitted(self, data, dup_grid):
-        from repro.obs import Tracer, use_tracer
+        from repro.obs import Tracer, use_run
 
         tracer = Tracer()
-        with tracer.span("study-test"), use_tracer(tracer):
+        with tracer.span("study-test"), use_run(tracer=tracer):
             with pytest.warns(UserWarning):
                 run_parameter_study(
                     data, grid=dup_grid, backend="fast", level=1, seed=0

@@ -15,7 +15,7 @@ from repro.obs import (
     read_jsonl,
     run_record,
     study_record,
-    use_tracer,
+    use_run,
     validate_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -34,7 +34,7 @@ def traced_run(request):
     )
     data = minmax_normalize(ds.data)
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_run(tracer=tracer):
         engine = BACKENDS["gpu-fast"](
             params=ProclusParams(k=4, l=3, a=30, b=5), seed=0
         )
@@ -196,7 +196,7 @@ class TestTelemetry:
             ks=(4, 3), ls=(3,), base=ProclusParams(k=4, l=3, a=20, b=4)
         )
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_run(tracer=tracer):
             study = run_study(
                 data, BACKENDS["gpu-fast"], grid=grid, level=3, seed=1
             )

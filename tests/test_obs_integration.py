@@ -16,7 +16,7 @@ import pytest
 
 from repro import BACKENDS
 from repro.gpu_impl.emulated_engine import EmulatedGpuFastProclusEngine
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer, use_run
 
 
 def _signatures(tracer: Tracer) -> tuple:
@@ -36,7 +36,7 @@ class TestDifferentialSpanTree:
             ("emulated", EmulatedGpuFastProclusEngine),
         ):
             tracer = Tracer()
-            with use_tracer(tracer):
+            with use_run(tracer=tracer):
                 result = factory(params=tiny_params, seed=3).fit(data)
             trees[name] = _signatures(tracer)
             costs[name] = result.cost
@@ -46,7 +46,7 @@ class TestDifferentialSpanTree:
     def test_emulated_kernels_on_wall_clock(self, tiny_dataset, tiny_params):
         data, _ = tiny_dataset
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_run(tracer=tracer):
             EmulatedGpuFastProclusEngine(params=tiny_params, seed=3).fit(data)
         clocks = {event.clock for event in tracer.kernel_events}
         assert clocks == {"wall"}
@@ -60,7 +60,7 @@ class TestDifferentialSpanTree:
     ):
         data, _ = tiny_dataset
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_run(tracer=tracer):
             BACKENDS["gpu-fast"](params=tiny_params, seed=3).fit(data)
         assert {e.clock for e in tracer.kernel_events} == {"modeled"}
 
@@ -78,11 +78,14 @@ class TestDifferentialSpanTree:
 
 
 class TestExplicitTracer:
-    def test_engine_accepts_tracer_argument(self, small_dataset, small_params):
+    def test_fit_reports_to_the_tracer_of_its_run(
+        self, small_dataset, small_params
+    ):
         data, _ = small_dataset
         tracer = Tracer()
-        engine = BACKENDS["fast"](params=small_params, seed=0, tracer=tracer)
-        engine.fit(data)
+        engine = BACKENDS["fast"](params=small_params, seed=0)
+        with use_run(tracer=tracer):
+            engine.fit(data)
         assert tracer.find_spans("fit")
         assert tracer.find_spans("iteration")
 
@@ -91,7 +94,7 @@ class TestExplicitTracer:
     ):
         data, _ = small_dataset
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_run(tracer=tracer):
             BACKENDS["proclus"](params=small_params, seed=0).fit(data)
         assert tracer.find_spans("refinement")
         assert tracer.kernel_events == []
@@ -99,7 +102,7 @@ class TestExplicitTracer:
     def test_metrics_absorbed_after_fit(self, small_dataset, small_params):
         data, _ = small_dataset
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_run(tracer=tracer):
             BACKENDS["gpu-fast"](params=small_params, seed=0).fit(data)
         snapshot = tracer.metrics.as_dict()
         assert snapshot["counters"]["runs"] == 1
@@ -127,7 +130,7 @@ class TestMultiParamLinks:
             ks=(4, 3), ls=(3,), base=ProclusParams(k=4, l=3, a=20, b=4)
         )
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_run(tracer=tracer):
             run_study(data, BACKENDS["gpu-fast"], grid=grid, level=3, seed=1)
         return tracer
 
@@ -170,7 +173,7 @@ class TestDisabledOverhead:
 
         # Spans an identical traced fit would open.
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_run(tracer=tracer):
             BACKENDS["gpu-fast"](params=small_params, seed=0).fit(data)
         spans_per_fit = len(tracer.all_spans())
 

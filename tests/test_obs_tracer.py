@@ -8,11 +8,13 @@ import pytest
 
 from repro.obs import (
     NULL_TRACER,
+    FlightRecorder,
+    RunContext,
     Tracer,
-    current_tracer,
-    set_current_tracer,
-    use_tracer,
+    current_run,
+    use_run,
 )
+from repro.resilience import FaultInjector
 from repro.obs.tracer import _NOOP_SPAN
 
 
@@ -140,24 +142,49 @@ class TestDisabledTracer:
 
 class TestAmbientTracer:
     def test_default_is_disabled_null_tracer(self):
-        assert current_tracer() is NULL_TRACER
-        assert not current_tracer().enabled
+        assert current_run() == RunContext()
+        assert current_run().tracer is NULL_TRACER
+        assert not current_run().tracer.enabled
 
-    def test_use_tracer_installs_and_restores(self):
-        tracer = Tracer()
-        with use_tracer(tracer) as installed:
-            assert installed is tracer
-            assert current_tracer() is tracer
-        assert current_tracer() is NULL_TRACER
+    def test_use_run_installs_and_restores(self):
+        tracer, recorder = Tracer(), FlightRecorder(capacity=4)
+        injector = FaultInjector(["oom#1"])
+        with use_run(tracer=tracer, recorder=recorder) as outer:
+            assert current_run() is outer
+            assert outer == RunContext(tracer, recorder, None, None)
+            with use_run(injector=injector, corr="job-1"):
+                assert current_run() == RunContext(
+                    tracer, recorder, injector, "job-1"
+                )
+            assert current_run() is outer
+        assert current_run() == RunContext()
 
-    def test_set_current_tracer_none_restores_null(self):
-        tracer = Tracer()
-        set_current_tracer(tracer)
-        try:
-            assert current_tracer() is tracer
-        finally:
-            set_current_tracer(None)
-        assert current_tracer() is NULL_TRACER
+    def test_nested_corr_keeps_the_other_fields(self):
+        tracer, recorder = Tracer(), FlightRecorder(capacity=4)
+        injector = FaultInjector(["oom#1"])
+        with use_run(
+            tracer=tracer, recorder=recorder, injector=injector, corr="job-7"
+        ):
+            with use_run(corr="job-7:r0a1") as inner:
+                assert inner.corr == "job-7:r0a1"
+                assert inner.tracer is tracer
+                assert inner.recorder is recorder
+                assert inner.injector is injector
+            assert current_run().corr == "job-7"
+
+    def test_a_new_thread_sees_the_default_context(self):
+        seen = []
+        with use_run(tracer=Tracer(), corr="job-3"):
+            thread = threading.Thread(target=lambda: seen.append(current_run()))
+            thread.start()
+            thread.join()
+        assert seen == [RunContext()]
+
+    def test_unknown_field_is_rejected(self):
+        with pytest.raises(TypeError):
+            with use_run(tracr=Tracer()):
+                pass
+        assert current_run() == RunContext()
 
 
 class TestKernelEvents:
@@ -261,11 +288,11 @@ class TestDisabledOverhead:
         import numpy as np
 
         from repro import proclus
-        from repro.obs import use_tracer
+        from repro.obs import use_run
 
         data = np.random.default_rng(0).normal(size=(600, 8))
         tracer = Tracer(enabled=False)
-        with use_tracer(tracer):
+        with use_run(tracer=tracer):
             start = time.perf_counter()
             proclus(data, backend="gpu-fast", k=3, l=3, seed=0)
             workload = time.perf_counter() - start
@@ -274,7 +301,7 @@ class TestDisabledOverhead:
         # makes when tracing is ON: every span, kernel stamp, and
         # counter sample is one call into the tracer.
         enabled = Tracer()
-        with use_tracer(enabled):
+        with use_run(tracer=enabled):
             proclus(data, backend="gpu-fast", k=3, l=3, seed=0)
 
         def count_spans(spans):

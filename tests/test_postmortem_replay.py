@@ -22,7 +22,7 @@ from repro.obs import (
     comparable_events,
     load_bundle,
     replay_bundle,
-    use_recorder,
+    use_run,
     validate_postmortem,
 )
 from repro.params import ProclusParams
@@ -30,7 +30,6 @@ from repro.resilience import (
     FaultInjector,
     ResilientRunner,
     RetryPolicy,
-    use_injector,
 )
 
 
@@ -51,7 +50,7 @@ def _crash(
     policy = policy or RetryPolicy(max_retries=1, allow_degraded=False)
     runner = ResilientRunner(policy)
     injector = FaultInjector(schedule, seed=0)
-    with use_recorder(recorder), use_injector(injector):
+    with use_run(recorder=recorder, injector=injector):
         with pytest.raises(ResilienceExhaustedError) as excinfo:
             runner.fit(
                 _data(),

@@ -20,12 +20,8 @@ from repro.obs import (
     RECORDER_STREAMS,
     FlightRecorder,
     Tracer,
-    current_correlation,
-    current_recorder,
-    new_correlation,
-    use_correlation,
-    use_recorder,
-    use_tracer,
+    current_run,
+    use_run,
     validate_postmortem,
 )
 from repro.obs.tracer import KernelEvent
@@ -105,50 +101,63 @@ class TestRings:
 
 class TestCorrelation:
     def test_default_is_none(self):
-        assert current_correlation() is None
+        assert current_run().corr is None
 
-    def test_new_correlation_is_unique_and_prefixed(self):
-        first, second = new_correlation("job"), new_correlation("job")
-        assert first != second and first.startswith("job-")
-
-    def test_use_correlation_installs_and_restores(self):
-        with use_correlation("job-7"):
-            assert current_correlation() == "job-7"
-            with use_correlation("job-7:r0a1"):
-                assert current_correlation() == "job-7:r0a1"
-            assert current_correlation() == "job-7"
-        assert current_correlation() is None
+    def test_use_run_corr_installs_and_restores(self):
+        with use_run(corr="job-7"):
+            assert current_run().corr == "job-7"
+            with use_run(corr="job-7:r0a1"):
+                assert current_run().corr == "job-7:r0a1"
+            assert current_run().corr == "job-7"
+        assert current_run().corr is None
 
     def test_records_are_stamped_with_the_ambient_correlation(self):
         recorder = FlightRecorder(capacity=4)
-        with use_correlation("job-3"):
-            recorder.record("resilience", {"kind": "retry"})
-        recorder.record("resilience", {"kind": "degrade"})
+        tracer = Tracer()
+        with use_run(recorder=recorder, corr="job-3"):
+            with tracer.span("retry"):
+                pass
+        with use_run(recorder=recorder):
+            with tracer.span("degrade"):
+                pass
+        ring = recorder.snapshot()["streams"]["spans"]
+        assert ring[0]["corr"] == "job-3"
+        assert "corr" not in ring[1]
+
+    def test_the_recorder_reads_no_ambient_state(self):
+        recorder = FlightRecorder(capacity=4)
+        with use_run(recorder=recorder, corr="ambient"):
+            # A plain sink: only the corr the emitter passes is stamped.
+            recorder.record("resilience", {"kind": "retry"}, "job-3")
+            recorder.record("resilience", {"kind": "degrade"})
         ring = recorder.snapshot()["streams"]["resilience"]
         assert ring[0]["corr"] == "job-3"
         assert "corr" not in ring[1]
 
     def test_explicit_corr_wins_over_ambient(self):
         recorder = FlightRecorder(capacity=4)
-        with use_correlation("ambient"):
-            recorder.record("serve", {"kind": "submit", "corr": "explicit"})
+        with use_run(corr="ambient"):
+            recorder.record(
+                "serve", {"kind": "submit", "corr": "explicit"},
+                current_run().corr,
+            )
         assert recorder.snapshot()["streams"]["serve"][0]["corr"] == "explicit"
 
 
 class TestAmbientRecorder:
     def test_default_is_none(self):
-        assert current_recorder() is None
+        assert current_run().recorder is None
 
-    def test_use_recorder_installs_and_restores(self):
+    def test_use_run_recorder_installs_and_restores(self):
         recorder = FlightRecorder(capacity=4)
-        with use_recorder(recorder):
-            assert current_recorder() is recorder
-        assert current_recorder() is None
+        with use_run(recorder=recorder):
+            assert current_run().recorder is recorder
+        assert current_run().recorder is None
 
     def test_enabled_tracer_forwards_to_the_recorder(self):
         recorder = FlightRecorder(capacity=32)
         tracer = Tracer()
-        with use_recorder(recorder):
+        with use_run(recorder=recorder, corr="job-1"):
             with tracer.span("phase.assign", category="phase"):
                 tracer.kernel(
                     "assign", pipeline="gpu0:compute", phase="assign",
@@ -161,23 +170,28 @@ class TestAmbientRecorder:
         ]
         assert len(snapshot["streams"]["kernels"]) == 1
         assert snapshot["streams"]["counters"][0]["track"] == "gpu.flops"
+        assert {
+            record["corr"]
+            for stream in ("spans", "kernels", "counters")
+            for record in snapshot["streams"][stream]
+        } == {"job-1"}
 
     def test_disabled_tracer_forwards_nothing(self):
         recorder = FlightRecorder(capacity=8)
         tracer = Tracer(enabled=False)
-        with use_recorder(recorder):
+        with use_run(recorder=recorder):
             with tracer.span("phase.assign"):
                 tracer.counter("gpu.flops", 0.0, 1e9)
         assert len(recorder) == 0
 
     def test_fault_injections_are_recorded(self):
-        from repro.resilience.faults import FaultInjector, use_injector
+        from repro.resilience.faults import FaultInjector
 
         from repro.exceptions import DeviceOutOfMemoryError
 
         recorder = FlightRecorder(capacity=8)
         injector = FaultInjector(("oom#1",), seed=0)
-        with use_recorder(recorder), use_injector(injector):
+        with use_run(recorder=recorder, injector=injector, corr="job-2"):
             with pytest.raises(DeviceOutOfMemoryError):
                 injector.on_alloc("dist@dev0", 1 << 20, 1 << 30, 1 << 30)
         faults = recorder.snapshot()["streams"]["faults"]
@@ -185,6 +199,7 @@ class TestAmbientRecorder:
         assert faults[0]["kind"] == "oom"
         assert faults[0]["site"] == "dist@dev0"
         assert faults[0]["sequence"] == 1
+        assert faults[0]["corr"] == "job-2"
 
 
 class TestPassiveOverhead:
@@ -198,13 +213,9 @@ class TestPassiveOverhead:
         def run(with_recorder: bool):
             tracer = Tracer()
             recorder = FlightRecorder(capacity=64)
-            if with_recorder:
-                context = use_recorder(recorder)
-            else:
-                from contextlib import nullcontext
-
-                context = nullcontext()
-            with use_tracer(tracer), context:
+            with use_run(
+                tracer=tracer, recorder=recorder if with_recorder else None
+            ):
                 result = proclus(
                     data, backend="gpu-fast", k=3, l=3, seed=0
                 )

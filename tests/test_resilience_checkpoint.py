@@ -17,12 +17,12 @@ from repro import (
     save_engine_state,
 )
 from repro.exceptions import CheckpointError, TransientDeviceError
+from repro.obs import use_run
 from repro.resilience import (
     FaultInjector,
     RetryPolicy,
     StudyCheckpoint,
     data_fingerprint,
-    use_injector,
 )
 
 from tests.test_resilience_runner import assert_identical
@@ -76,7 +76,7 @@ class TestStudyCheckpoint:
         # disallowed, so the driver raises after a few settings have
         # been checkpointed.
         probe = FaultInjector(["launch#999999999"])
-        with use_injector(probe):
+        with use_run(injector=probe):
             run_parameter_study(
                 data, grid=study_grid, backend="gpu-fast", level=3, seed=0
             )
@@ -86,7 +86,7 @@ class TestStudyCheckpoint:
         policy = RetryPolicy(max_retries=0, allow_degraded=False)
         from repro.exceptions import ResilienceExhaustedError
 
-        with use_injector(injector):
+        with use_run(injector=injector):
             with pytest.raises(ResilienceExhaustedError):
                 run_parameter_study(
                     data, grid=study_grid, backend="gpu-fast", level=3,
@@ -182,7 +182,7 @@ class TestEngineCheckpoint:
     def _kill_point(self, data, params):
         """Two thirds of the launches a full gpu-fast run issues."""
         probe = FaultInjector(["launch#999999999"])
-        with use_injector(probe):
+        with use_run(injector=probe):
             proclus(data, backend="gpu-fast", params=params, seed=0)
         return probe._matches[0] * 2 // 3
 
@@ -196,7 +196,7 @@ class TestEngineCheckpoint:
             params=small_params, seed=0,
             checkpoint_every=1, checkpoint_path=path,
         )
-        with use_injector(injector):
+        with use_run(injector=injector):
             with pytest.raises(TransientDeviceError):
                 engine.fit(data)
         assert path.exists()
@@ -220,7 +220,7 @@ class TestEngineCheckpoint:
         reference = proclus(data, backend="gpu-fast", params=small_params, seed=0)
         path = tmp_path / "engine.npz"
         injector = FaultInjector([f"transient#{self._kill_point(data, small_params)}+*"])
-        with use_injector(injector):
+        with use_run(injector=injector):
             with pytest.raises(TransientDeviceError):
                 BACKENDS["gpu-fast"](
                     params=small_params, seed=0,
@@ -235,7 +235,7 @@ class TestEngineCheckpoint:
         data, _ = small_dataset
         path = tmp_path / "engine.npz"
         kill = self._kill_point(data, small_params)
-        with use_injector(FaultInjector([f"transient#{kill}+*"])):
+        with use_run(injector=FaultInjector([f"transient#{kill}+*"])):
             with pytest.raises(TransientDeviceError):
                 BACKENDS["gpu-fast"](
                     params=small_params, seed=0,

@@ -12,13 +12,13 @@ from repro.exceptions import (
     TransferCorruptionError,
     TransientDeviceError,
 )
+from repro.gpu.device import Device
+from repro.obs import current_run, use_run
 from repro.resilience import (
     FAULT_KINDS,
     FaultInjector,
     FaultSpec,
-    current_injector,
     parse_fault,
-    use_injector,
 )
 
 
@@ -188,13 +188,17 @@ class TestStickyErrors:
 
 
 class TestAmbientInstallation:
-    def test_use_injector_scopes_the_contextvar(self):
-        assert current_injector() is None
-        injector = FaultInjector([])
-        with use_injector(injector) as installed:
-            assert installed is injector
-            assert current_injector() is injector
-        assert current_injector() is None
+    def test_use_run_injector_scopes_the_device_hooks(self):
+        assert current_run().injector is None
+        injector = FaultInjector(["oom#1+*"])
+        device = Device()
+        with use_run(injector=injector) as run:
+            assert run.injector is injector
+            with pytest.raises(DeviceOutOfMemoryError):
+                device.alloc(4, name="x")
+        assert current_run().injector is None
+        device.alloc(4, name="x").free()
+        assert len(injector.injected) == 1
 
     def test_schedule_accepts_strings_and_specs(self):
         injector = FaultInjector(["oom@Dist", FaultSpec(kind="launch")])

@@ -17,6 +17,7 @@ from repro.exceptions import (
     TransferCorruptionError,
     TransientDeviceError,
 )
+from repro.obs import use_run
 from repro.resilience import (
     DEFAULT_LADDERS,
     ErrorClass,
@@ -27,7 +28,6 @@ from repro.resilience import (
     classify_error,
     default_ladder,
     resilient_fit,
-    use_injector,
 )
 
 GPU_BACKENDS = ("gpu", "gpu-fast", "gpu-fast-star")
@@ -110,7 +110,7 @@ class TestRecovery:
         data, _ = small_dataset
         reference = proclus(data, backend="gpu-fast", params=small_params, seed=0)
         injector = FaultInjector(["transient#2"])
-        with use_injector(injector):
+        with use_run(injector=injector):
             outcome = resilient_fit(
                 data, backend="gpu-fast", params=small_params, seed=0
             )
@@ -125,7 +125,7 @@ class TestRecovery:
         data, _ = small_dataset
         reference = proclus(data, backend="gpu-fast", params=small_params, seed=0)
         injector = FaultInjector(["oom#1"])
-        with use_injector(injector):
+        with use_run(injector=injector):
             outcome = resilient_fit(
                 data, backend="gpu-fast", params=small_params, seed=0
             )
@@ -140,7 +140,7 @@ class TestRecovery:
         data, _ = small_dataset
         reference = proclus(data, backend="gpu-fast", params=small_params, seed=0)
         injector = FaultInjector(["oom#1+*"])  # every allocation fails
-        with use_injector(injector):
+        with use_run(injector=injector):
             outcome = resilient_fit(
                 data, backend="gpu-fast", params=small_params, seed=0
             )
@@ -152,7 +152,7 @@ class TestRecovery:
         data, _ = small_dataset
         injector = FaultInjector(["transient#1+*"])
         policy = RetryPolicy(max_retries=2, allow_degraded=False)
-        with use_injector(injector):
+        with use_run(injector=injector):
             with pytest.raises(ResilienceExhaustedError) as info:
                 resilient_fit(
                     data, backend="gpu-fast", params=small_params, seed=0,
@@ -178,7 +178,7 @@ class TestRecovery:
         import json
 
         data, _ = small_dataset
-        with use_injector(FaultInjector(["launch#2"])):
+        with use_run(injector=FaultInjector(["launch#2"])):
             outcome = resilient_fit(
                 data, backend="gpu-fast", params=small_params, seed=0
             )
@@ -197,7 +197,7 @@ class TestDeterminismUnderFaults:
         reference = proclus(data, backend=backend, params=small_params, seed=0)
         runner = ResilientRunner(RetryPolicy(max_retries=3))
         injector = FaultInjector(FAULT_SCHEDULES[fault_class], seed=0)
-        with use_injector(injector):
+        with use_run(injector=injector):
             outcome = runner.fit(
                 data, backend=backend, params=small_params, seed=0
             )
@@ -210,7 +210,7 @@ class TestDeterminismUnderFaults:
         data, _ = small_dataset
         reference = proclus(data, backend="gpu-fast", params=small_params, seed=0)
         injector = FaultInjector(["transient#3"])
-        with use_injector(injector):
+        with use_run(injector=injector):
             resilient_fit(data, backend="gpu-fast", params=small_params, seed=0)
         # A later, injector-free run is unaffected.
         again = proclus(data, backend="gpu-fast", params=small_params, seed=0)

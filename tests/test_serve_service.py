@@ -4,7 +4,8 @@ The end-to-end determinism contract lives in
 ``test_serve_coalescing.py``; these tests cover the parts: registry,
 request keys, scheduler admission/coalescing, the result cache, the
 event log, the service's caching/dedup/observability behavior, its
-one-group-at-a-time execution, and its private tracer's retention.
+one-group-at-a-time execution, its private tracer's retention, and the
+run context its jobs run in.
 """
 
 from __future__ import annotations
@@ -20,10 +21,17 @@ import pytest
 
 from repro import proclus
 from repro.core.base import EngineBase
-from repro.exceptions import AdmissionError, ParameterError, ServeError
+from repro.exceptions import (
+    AdmissionError,
+    ParameterError,
+    ResilienceExhaustedError,
+    ServeError,
+)
+from repro.fleet import default_fleet
 from repro.hardware.specs import GTX_1660_TI
-from repro.obs import FlightRecorder, Tracer, use_tracer
+from repro.obs import FlightRecorder, Tracer, use_run
 from repro.params import ProclusParams
+from repro.resilience import FaultInjector, RetryPolicy
 from repro.result import bit_identical
 from repro.serve import (
     ClusterRequest,
@@ -475,7 +483,49 @@ class TestPrivateTracer:
     def test_an_installed_tracer_keeps_everything(self, small_dataset):
         data, _ = small_dataset
         tracer = Tracer()
-        with use_tracer(tracer), ClusterService(workers=1) as service:
+        with use_run(tracer=tracer), ClusterService(workers=1) as service:
             self.serve(service, data, range(2))
         assert service.obs is tracer
         assert all(count > 0 for count in self.retained(tracer))
+
+
+class TestRunContext:
+    """Jobs run in the context the service was built in."""
+
+    def test_the_build_context_recorder_gets_the_crash_bundle(
+        self, small_dataset, tmp_path
+    ):
+        """A served job that exhausts its ladder dumps its bundle into
+        the recorder that was current when the service was built."""
+        data, _ = small_dataset
+        with use_run(recorder=FlightRecorder(bundle_dir=tmp_path)):
+            service = ClusterService(
+                workers=1, fleet=default_fleet(2),
+                policy=RetryPolicy(allow_degraded=False, max_reshards=0),
+                injector=FaultInjector(["device-down@dev1"]),
+            )
+        with service:
+            handle = service.submit(
+                data=data, backend="fleet-gpu-fast", params=small_params(),
+                seed=0,
+            )
+            with pytest.raises(ResilienceExhaustedError):
+                handle.result(timeout=120)
+        assert [path.name for path in tmp_path.glob("postmortem-*")] == [
+            "postmortem-resilience-exhausted-001.json"
+        ]
+
+    def test_own_arguments_win_over_the_build_context(self):
+        recorder, injector = FlightRecorder(), FaultInjector([])
+        with use_run(recorder=recorder, injector=injector):
+            captured = ClusterService(workers=1)
+            own = ClusterService(
+                workers=1, recorder=FlightRecorder(),
+                injector=FaultInjector([]),
+            )
+        captured.close()
+        own.close()
+        assert captured.recorder is recorder
+        assert captured.injector is injector
+        assert own.recorder is not recorder
+        assert own.injector is not injector

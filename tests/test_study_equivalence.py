@@ -17,11 +17,11 @@ from repro import ParameterGrid, ProclusParams, run_parameter_study
 from repro.data.normalize import minmax_normalize
 from repro.data.synthetic import generate_subspace_data
 from repro.exceptions import ResilienceExhaustedError
+from repro.obs import use_run
 from repro.resilience import (
     FaultInjector,
     RetryPolicy,
     StudyCheckpoint,
-    use_injector,
 )
 from repro.result import bit_identical
 
@@ -80,13 +80,13 @@ def test_every_driver_route_matches_plain(data, backend, level, tmp_path):
 def test_killed_and_resumed_study_matches_plain(data, backend, level,
                                                 tmp_path):
     probe = FaultInjector(["launch#999999999"])
-    with use_injector(probe):
+    with use_run(injector=probe):
         plain = study(data, backend, level)
     kill_at = probe._matches[0] * 2 // 3
     directory = tmp_path / "ckpt"
     injector = FaultInjector([f"transient#{kill_at}+*"])
     policy = RetryPolicy(max_retries=0, allow_degraded=False)
-    with use_injector(injector), pytest.raises(ResilienceExhaustedError):
+    with use_run(injector=injector), pytest.raises(ResilienceExhaustedError):
         study(data, backend, level, checkpoint_dir=directory,
               resilience=policy)
     done = StudyCheckpoint(directory).load_manifest()["completed"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import BACKENDS
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer, use_run
 from repro.viz import render_device_lanes, render_span_tree, render_timeline
 
 
@@ -20,7 +20,7 @@ def traced(request):
     )
     data = minmax_normalize(ds.data)
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_run(tracer=tracer):
         BACKENDS["gpu-fast"](
             params=ProclusParams(k=4, l=3, a=30, b=5), seed=0
         ).fit(data)
