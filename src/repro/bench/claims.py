@@ -28,7 +28,7 @@ from ..eval.validation import validate_equivalence
 from ..gpu.occupancy import occupancy_report
 from ..hardware.specs import GTX_1660_TI, RTX_3090
 from ..params import ParameterGrid, ProclusParams
-from .figures import gpu_variant_footprint
+from ..serve.scheduler import estimate_device_bytes
 
 __all__ = ["Claim", "ClaimResult", "CLAIMS", "check_all", "format_results"]
 
@@ -149,7 +149,7 @@ def _check_occupancy_readings() -> tuple[bool, str]:
 
 
 def _check_oom_at_8m() -> tuple[bool, str]:
-    need = gpu_variant_footprint("gpu-fast", 2**23, 15, ProclusParams(k=12))
+    need = estimate_device_bytes(2**23, 15, ProclusParams(k=12), "gpu-fast")
     over_small = need > GTX_1660_TI.usable_bytes
     fits_big = need < RTX_3090.usable_bytes
     return over_small and fits_big, (
@@ -161,9 +161,9 @@ def _check_oom_at_8m() -> tuple[bool, str]:
 def _check_space_hierarchy() -> tuple[bool, str]:
     p = ProclusParams()
     n = 100_000
-    gpu = gpu_variant_footprint("gpu", n, 15, p)
-    fast = gpu_variant_footprint("gpu-fast", n, 15, p)
-    star = gpu_variant_footprint("gpu-fast-star", n, 15, p)
+    gpu = estimate_device_bytes(n, 15, p, "gpu")
+    fast = estimate_device_bytes(n, 15, p, "gpu-fast")
+    star = estimate_device_bytes(n, 15, p, "gpu-fast-star")
     ok = fast > 1.5 * star and abs(star - gpu) / gpu < 0.1
     return ok, (
         f"fast/fast* = {fast / star:.2f}, fast*/gpu = {star / gpu:.3f} "

@@ -19,6 +19,7 @@ from ..hardware.cost_model import GpuModel
 from ..hardware.specs import GTX_1660_TI
 from ..gpu.occupancy import occupancy_report
 from ..params import ParameterGrid, ProclusParams
+from ..serve.scheduler import estimate_device_bytes
 from . import workloads
 from .reporting import ExperimentReport, format_seconds
 
@@ -35,7 +36,6 @@ __all__ = [
     "fig3g_realworld",
     "sec53_multiparam_levels",
     "sec54_utilization",
-    "gpu_variant_footprint",
 ]
 
 #: All single-setting variants, in the paper's plotting order.
@@ -329,9 +329,10 @@ def fig3ae_multiparam_scale() -> ExperimentReport:
         report.add_series("gpu", n, gpu)
         report.add_series("gpu-fast mp3", n, gpu_fast)
         report.key_numbers["max_multiparam_speedup"] = round(base / gpu_fast)
-    # The out-of-memory observation at 8M points (analytic footprint).
+    # The out-of-memory observation at 8M points (the engine's own
+    # allocation list, summed without running it).
     n_oom = 2**23
-    footprint = gpu_variant_footprint("gpu-fast", n_oom, 15, ProclusParams(k=12))
+    footprint = estimate_device_bytes(n_oom, 15, ProclusParams(k=12), "gpu-fast")
     fits = footprint <= GTX_1660_TI.usable_bytes
     report.key_numbers["gpu_fast_bytes_at_8M"] = footprint
     report.paper_reference += (
@@ -341,35 +342,6 @@ def fig3ae_multiparam_scale() -> ExperimentReport:
         f"-> {'fits' if fits else 'out of memory, as the paper reports'}"
     )
     return report
-
-
-def gpu_variant_footprint(backend: str, n: int, d: int, params: ProclusParams) -> int:
-    """Analytic device-memory footprint of a GPU variant's allocations.
-
-    Mirrors the allocation list of
-    :meth:`repro.gpu_impl.accounting.GpuEngineMixin._setup`; a unit test
-    pins this formula to the engines' actual measured peaks.
-    """
-    k = params.k
-    m = params.num_potential_medoids
-    common = (
-        n * d * 4  # data
-        + params.sample_size * 4  # greedy distance buffer
-        + m * 4  # M
-        + 2 * k * n * 4  # L and C index arrays (worst case n each)
-        + 2 * k * 4  # L/C sizes
-        + n * 4  # labels
-        + 2 * k * d * 4  # X and Z
-        + k * 4  # delta
-        + k * k * 4  # medoid-medoid distances
-    )
-    if backend == "gpu":
-        return common + k * n * 4
-    if backend == "gpu-fast":
-        return common + m * n * 4 + m * d * 4 + m * 4 + m * 4 + m * 1
-    if backend == "gpu-fast-star":
-        return common + k * n * 4 + k * d * 4 + k * 4 + k * 4 + k * 8
-    raise ValueError(f"not a GPU backend: {backend!r}")
 
 
 def fig3f_space() -> ExperimentReport:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from ..core.api import BACKENDS
+from ..data.synthetic import generate_subspace_data
+from ..exceptions import ParameterError
+from ..params import ProclusParams
 from ._common import add_run_arguments
 
 
@@ -28,11 +32,43 @@ def init_subparser(subparsers) -> None:
     parser.set_defaults(run=run)
 
 
+def _dropped_flags(args: argparse.Namespace) -> list[str]:
+    """The run flags set to a value the served job will not use.
+
+    A spool request carries only ``k``, ``l``, ``seed``, the backend,
+    the priority, and the dataset's ``n``/``d``/``clusters``/seed (or
+    an ``.npy`` path): the served job runs the other parameters at
+    their defaults on data made with the generator's own subspace size
+    and spread.
+    """
+    served = ProclusParams()
+    generator = inspect.signature(generate_subspace_data).parameters
+    given = [
+        ("--a", args.a, served.a),
+        ("--b", args.b, served.b),
+        ("--min-deviation", args.min_deviation, served.min_deviation),
+        ("--patience", args.patience, served.patience),
+        ("--subspace-dims", args.subspace_dims,
+         generator["subspace_dims"].default),
+        ("--std", args.std, generator["std"].default),
+        ("--dataset", args.dataset, None),
+    ]
+    return [flag for flag, value, used in given if value != used]
+
+
 def run(args: argparse.Namespace) -> int:
     import time
 
     from ..serve import read_response, write_request
 
+    dropped = _dropped_flags(args)
+    if dropped:
+        raise ParameterError(
+            f"{', '.join(dropped)} would not reach the served job: a "
+            f"spool request carries only --k, --l, --seed, --backend, "
+            f"--priority and the --n/--d/--clusters/--data-seed or --npy "
+            f"dataset"
+        )
     if args.id:
         request_id = args.id
     else:

@@ -46,7 +46,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from .fleet import Fleet
 from .interconnect import allreduce_seconds, broadcast_seconds
 from .model import FleetModel
-from .partition import ShardPlan, split_exact
+from .partition import ShardPlan, shard_shape, split_exact
 
 __all__ = ["ShardDevice", "LogicalDevice", "FleetDevice", "SHARDED_KERNELS"]
 
@@ -248,34 +248,18 @@ class FleetDevice:
     # ------------------------------------------------------------------
     # Memory
     # ------------------------------------------------------------------
-    def _split_shape(
-        self, shape: tuple[int, ...], count: int
-    ) -> tuple[int, ...]:
-        """Shard ``shape`` along its first n-sized axis (replicate else)."""
-        for axis, size in enumerate(shape):
-            if size == self.n:
-                sharded = list(shape)
-                sharded[axis] = count
-                return tuple(sharded)
-        return shape
-
     def alloc(
-        self,
-        shape,
-        dtype=np.float32,
-        name: str = "unnamed",
-        fill: float | None = None,
+        self, shape, dtype=np.float32, name: str = "unnamed"
     ) -> DeviceArray:
         """Allocate on every shard (split rows) and the logical book."""
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
-        array = self.logical.alloc(shape, dtype=dtype, name=name, fill=fill)
+        array = self.logical.alloc(shape, dtype=dtype, name=name)
         for shard, count in zip(self._active, self._active_counts):
             shard.alloc(
-                self._split_shape(tuple(shape), count),
+                shard_shape(tuple(shape), self.n, count),
                 dtype=dtype,
                 name=f"{name}@dev{shard.index}",
-                fill=fill,
             )
         return array
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..exceptions import ParameterError
 
-__all__ = ["ShardPlan", "split_exact", "tree_merge"]
+__all__ = ["ShardPlan", "shard_shape", "split_exact", "tree_merge"]
 
 
 def split_exact(total: int, weights: tuple[float, ...] | list[float]) -> tuple[int, ...]:
@@ -76,6 +76,20 @@ def split_exact(total: int, weights: tuple[float, ...] | list[float]) -> tuple[i
                 counts[i] += total - assigned
                 break
     return tuple(counts)
+
+
+def shard_shape(
+    shape: tuple[int, ...], n: int, count: int
+) -> tuple[int, ...]:
+    """One shard's part of an array of ``shape`` over ``n`` points.
+
+    The first ``n``-sized axis is cut to the shard's ``count`` rows; an
+    array with no such axis is replicated whole on every shard.
+    """
+    for axis, size in enumerate(shape):
+        if size == n:
+            return shape[:axis] + (count,) + shape[axis + 1:]
+    return shape
 
 
 def tree_merge(partials: list[np.ndarray]) -> np.ndarray:

@@ -99,10 +99,9 @@ class Device:
         shape: int | tuple[int, ...],
         dtype: np.dtype | type = np.float32,
         name: str = "unnamed",
-        fill: float | None = None,
     ) -> DeviceArray:
         """Allocate device global memory (raises when the card is full)."""
-        return self.memory.alloc(shape, dtype=dtype, name=name, fill=fill)
+        return self.memory.alloc(shape, dtype=dtype, name=name)
 
     def _pipeline(self, name: str) -> str:
         """Trace pipeline (Perfetto track) for a kernel launched here.

@@ -109,7 +109,6 @@ class MemoryManager:
         shape: int | tuple[int, ...],
         dtype: np.dtype | type = np.float32,
         name: str = "unnamed",
-        fill: float | None = None,
     ) -> DeviceArray:
         """Allocate a device array, raising when the card is full."""
         if isinstance(shape, (int, np.integer)):
@@ -120,11 +119,7 @@ class MemoryManager:
             injector.on_alloc(name, nbytes, self.free_bytes, self.capacity_bytes)
         if nbytes > self.free_bytes:
             raise DeviceOutOfMemoryError(nbytes, self.free_bytes, self.capacity_bytes)
-        if fill is None:
-            data = np.empty(shape, dtype=dtype)
-        else:
-            data = np.full(shape, fill, dtype=dtype)
-        array = DeviceArray(self, name, data)
+        array = DeviceArray(self, name, np.empty(shape, dtype=dtype))
         self.allocated_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
         self._live[id(array)] = array
@@ -144,13 +139,6 @@ class MemoryManager:
         """Release every live allocation (device reset)."""
         for array in self.live_arrays():
             array.free()
-
-    def footprint_by_name(self) -> dict[str, int]:
-        """Bytes currently allocated, grouped by allocation name."""
-        sizes: dict[str, int] = {}
-        for array in self._live.values():
-            sizes[array.name] = sizes.get(array.name, 0) + array.nbytes
-        return sizes
 
 
 class MemoryBudget:

@@ -21,6 +21,7 @@ from ..exceptions import ParameterError
 from ..gpu.device import Device
 from ..hardware.cost_model import GpuModel, HardwareModel
 from ..hardware.specs import GpuSpec, gpu_for_problem
+from ..params import ProclusParams
 from ..core.base import OPS_PER_TERM
 
 __all__ = ["GpuEngineMixin"]
@@ -72,9 +73,6 @@ class GpuEngineMixin:
         spec = self._gpu_spec if self._gpu_spec is not None else gpu_for_problem(n)
         return GpuModel(spec)
 
-    def _variant_device_arrays(self, n: int, d: int) -> None:
-        """Allocate the variant-specific device arrays (Dist cache, H)."""
-
     def _make_device(self, data: np.ndarray):
         """Create the device facade kernels launch into.
 
@@ -85,36 +83,64 @@ class GpuEngineMixin:
         assert isinstance(self.model, GpuModel)
         return Device(self.model.spec, model=self.model, tracer=self._obs)
 
+    @classmethod
+    def device_arrays(
+        cls, n: int, d: int, params: ProclusParams, m: int, dist_chunks: int = 1
+    ) -> list[tuple[str, tuple[int, ...], type]]:
+        """Every array :meth:`_setup` allocates, in allocation order.
+
+        Entries are ``(name, shape, dtype)`` for ``n`` points in ``d``
+        dimensions with ``m`` potential medoids.  All memory is
+        allocated once up front and reused across iterations
+        (Section 4.1), so their sizes sum to the run's peak device
+        footprint: serve admission and the Fig. 3e footprint read it
+        from here.
+        """
+        k = params.k
+        return [
+            ("data", (n, d), np.float32),
+            ("greedy_dist", (params.effective_sample_size(n),), np.float32),
+            ("M", (m,), np.int32),
+            # Sphere sets L and clusters C, worst-case size n per medoid.
+            ("L", (k, n), np.int32),
+            ("C", (k, n), np.int32),
+            ("L_sizes", (k,), np.int32),
+            ("C_sizes", (k,), np.int32),
+            ("labels", (n,), np.int32),
+            ("X", (k, d), np.float32),
+            ("Z", (k, d), np.float32),
+            ("delta", (k,), np.float32),
+            ("medoid_dist", (k, k), np.float32),
+            *cls._cache_arrays(n, d, k, m, dist_chunks),
+        ]
+
+    @classmethod
+    def _cache_arrays(
+        cls, n: int, d: int, k: int, m: int, dist_chunks: int
+    ) -> list[tuple[str, tuple[int, ...], type]]:
+        """The variant-specific device arrays (Dist cache, H)."""
+        return []
+
     def _setup(self, data: np.ndarray) -> None:
         super()._setup(data)
         n, d = data.shape
-        p = self.params
-        k = p.k
         self.device = self._make_device(data)
-        # All memory is allocated once up front and reused across
-        # iterations (Section 4.1).  Within a multi-parameter study the
-        # dataset stays resident on the device, so only the first
-        # setting pays the PCIe transfer.
-        if self.shared_state is not None and self.shared_state.data_uploaded:
-            resident = self.device.alloc(data.shape, data.dtype, "data")
-            resident.data[...] = data
-        else:
-            self.device.to_device(data, "data")
-            if self.shared_state is not None:
-                self.shared_state.data_uploaded = True
-        self.device.alloc((p.effective_sample_size(n),), np.float32, "greedy_dist")
-        self.device.alloc((self._m_rows(),), np.int32, "M")
-        # Sphere sets L and clusters C, worst-case size n per medoid.
-        self.device.alloc((k, n), np.int32, "L")
-        self.device.alloc((k, n), np.int32, "C")
-        self.device.alloc((k,), np.int32, "L_sizes")
-        self.device.alloc((k,), np.int32, "C_sizes")
-        self.device.alloc((n,), np.int32, "labels")
-        self.device.alloc((k, d), np.float32, "X")
-        self.device.alloc((k, d), np.float32, "Z")
-        self.device.alloc((k,), np.float32, "delta")
-        self.device.alloc((k, k), np.float32, "medoid_dist")
-        self._variant_device_arrays(n, d)
+        # Within a multi-parameter study the dataset stays resident on
+        # the device, so only the first setting pays the PCIe transfer.
+        resident = (
+            self.shared_state is not None and self.shared_state.data_uploaded
+        )
+        for name, shape, dtype in self.device_arrays(
+            n, d, self.params, self._m_rows(), self.dist_chunks
+        ):
+            if name != "data":
+                self.device.alloc(shape, dtype, name)
+            elif resident:
+                self.device.alloc(shape, dtype, name).data[...] = data
+            else:
+                self.device.to_device(data, name)
+                if self.shared_state is not None:
+                    self.shared_state.data_uploaded = True
 
     def _m_rows(self) -> int:
         """Number of potential medoids the device M array holds."""

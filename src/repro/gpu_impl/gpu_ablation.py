@@ -15,10 +15,9 @@ class GpuFastDistOnlyEngine(GpuEngineMixin, FastDistOnlyEngine):
 
     backend_name = "gpu-fast-dist-only"
 
-    def _variant_device_arrays(self, n: int, d: int) -> None:
-        m = self._m_rows()
-        self.device.alloc((m, n), np.float32, "Dist")
-        self.device.alloc((m,), np.bool_, "DistFound")
+    @classmethod
+    def _cache_arrays(cls, n, d, k, m, dist_chunks):
+        return [("Dist", (m, n), np.float32), ("DistFound", (m,), np.bool_)]
 
 
 class GpuFastHOnlyEngine(GpuEngineMixin, FastHOnlyEngine):
@@ -26,10 +25,11 @@ class GpuFastHOnlyEngine(GpuEngineMixin, FastHOnlyEngine):
 
     backend_name = "gpu-fast-h-only"
 
-    def _variant_device_arrays(self, n: int, d: int) -> None:
-        k = self.params.k
-        m = self._m_rows()
-        self.device.alloc((k, n), np.float32, "Dist")
-        self.device.alloc((m, d), np.float32, "H")
-        self.device.alloc((m,), np.float32, "prev_delta")
-        self.device.alloc((m,), np.int32, "L_size_cache")
+    @classmethod
+    def _cache_arrays(cls, n, d, k, m, dist_chunks):
+        return [
+            ("Dist", (k, n), np.float32),
+            ("H", (m, d), np.float32),
+            ("prev_delta", (m,), np.float32),
+            ("L_size_cache", (m,), np.int32),
+        ]

@@ -34,17 +34,22 @@ class GpuFastProclusEngine(GpuEngineMixin, FastProclusEngine):
 
     backend_name = "gpu-fast-proclus"
 
-    def _variant_device_arrays(self, n: int, d: int) -> None:
-        m = self._m_rows()
-        self._dist_window_rows = math.ceil(m / self.dist_chunks)
+    @classmethod
+    def _cache_arrays(cls, n, d, k, m, dist_chunks):
+        return [
+            ("Dist", (math.ceil(m / dist_chunks), n), np.float32),
+            ("H", (m, d), np.float32),
+            ("prev_delta", (m,), np.float32),
+            ("L_size_cache", (m,), np.int32),
+            ("DistFound", (m,), np.bool_),
+        ]
+
+    def _setup(self, data: np.ndarray) -> None:
+        super()._setup(data)
+        self._dist_window_rows = math.ceil(self._m_rows() / self.dist_chunks)
         # FIFO of resident Dist rows; a shared (study) cache may arrive
         # pre-warmed, so seed the queue with whatever is already found.
         self._dist_resident = [int(i) for i in np.flatnonzero(self._cache.dist_found)]
-        self.device.alloc((self._dist_window_rows, n), np.float32, "Dist")
-        self.device.alloc((m, d), np.float32, "H")
-        self.device.alloc((m,), np.float32, "prev_delta")
-        self.device.alloc((m,), np.int32, "L_size_cache")
-        self.device.alloc((m,), np.bool_, "DistFound")
 
     def _compute_l_and_x(
         self, mcur: np.ndarray

@@ -21,10 +21,12 @@ class GpuFastStarProclusEngine(GpuEngineMixin, FastStarProclusEngine):
 
     backend_name = "gpu-fast*-proclus"
 
-    def _variant_device_arrays(self, n: int, d: int) -> None:
-        k = self.params.k
-        self.device.alloc((k, n), np.float32, "Dist")
-        self.device.alloc((k, d), np.float32, "H")
-        self.device.alloc((k,), np.float32, "prev_delta")
-        self.device.alloc((k,), np.int32, "L_size_cache")
-        self.device.alloc((k,), np.int64, "slot_medoid")
+    @classmethod
+    def _cache_arrays(cls, n, d, k, m, dist_chunks):
+        return [
+            ("Dist", (k, n), np.float32),
+            ("H", (k, d), np.float32),
+            ("prev_delta", (k,), np.float32),
+            ("L_size_cache", (k,), np.int32),
+            ("slot_medoid", (k,), np.int64),
+        ]

@@ -21,7 +21,8 @@ class GpuProclusEngine(GpuEngineMixin, ProclusEngine):
 
     backend_name = "gpu-proclus"
 
-    def _variant_device_arrays(self, n: int, d: int) -> None:
+    @classmethod
+    def _cache_arrays(cls, n, d, k, m, dist_chunks):
         # Distances of the k current medoids only (recomputed each
         # iteration — no cache).
-        self.device.alloc((self.params.k, n), np.float32, "Dist")
+        return [("Dist", (k, n), np.float32)]

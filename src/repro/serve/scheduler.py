@@ -3,12 +3,13 @@
 Admission decisions are made against the *modeled* device, in the same
 units the paper reports:
 
-* **memory** — :func:`estimate_device_bytes` pre-computes the exact
-  footprint the GPU engine's up-front allocation
-  (:meth:`repro.gpu_impl.accounting.GpuEngineMixin._setup`) will
-  request, so a request that could never fit the modeled card
-  (Section 5: space becomes the limit at 8M points on the 6 GB
-  GTX 1660 Ti) is rejected at submit time instead of failing mid-run.
+* **memory** — :func:`estimate_device_bytes` sums the GPU engine's
+  own up-front allocation list
+  (:meth:`repro.gpu_impl.accounting.GpuEngineMixin.device_arrays`, the
+  list its ``_setup`` allocates from), so the estimate is exact and a
+  request that could never fit the modeled card (Section 5: space
+  becomes the limit at 8M points on the 6 GB GTX 1660 Ti) is rejected
+  at submit time instead of failing mid-run.
   ``fleet-*`` jobs carry per-shard estimates
   (:func:`estimate_shard_bytes`) and are admitted componentwise
   against the fleet's per-device capacities, so a job too big for any
@@ -32,68 +33,30 @@ import itertools
 import math
 import threading
 
+import numpy as np
+
+from ..core.api import BACKENDS
 from ..exceptions import AdmissionError, ParameterError
 from ..fleet.fleet import Fleet
+from ..fleet.partition import shard_shape
+from ..gpu_impl.accounting import GpuEngineMixin
 from ..params import ProclusParams
 from .request import Job
 
 __all__ = ["JobScheduler", "estimate_device_bytes", "estimate_shard_bytes"]
 
-_F32 = 4
-_I64 = 8
-_BOOL = 1
+def _device_arrays(n, d, params, backend, dist_chunks):
+    """The engine's own up-front allocation list; empty on the CPU."""
+    engine = BACKENDS.get(backend)
+    if engine is None or not issubclass(engine, GpuEngineMixin):
+        return []
+    return engine.device_arrays(
+        n, d, params, params.effective_num_potential(n), dist_chunks
+    )
 
 
-def _variant_shapes(backend, n, d, k, m, w):
-    """Variant-specific device arrays as ``(shape, itemsize)`` entries,
-    mirroring each engine's ``_variant_device_arrays``."""
-    if backend == "gpu":
-        # GPU-PROCLUS: Dist rows for the k current medoids only.
-        return [((k, n), _F32)]
-    if backend == "gpu-fast-star":
-        # GPU-FAST*: k-row caches + slot ownership (O(k*n) space).
-        return [
-            ((k, n), _F32), ((k, d), _F32), ((k,), _F32), ((k,), _F32),
-            ((k,), _I64),
-        ]
-    if backend == "gpu-fast-dist-only":
-        return [((m, n), _F32), ((m,), _BOOL)]
-    if backend == "gpu-fast-h-only":
-        return [((k, n), _F32), ((m, d), _F32), ((m,), _F32), ((m,), _F32)]
-    # GPU-FAST: Dist window + H + prev_delta + L_size_cache + DistFound.
-    return [
-        ((w, n), _F32), ((m, d), _F32), ((m,), _F32), ((m,), _F32),
-        ((m,), _BOOL),
-    ]
-
-
-def _device_shapes(n, d, params, backend, dist_chunks):
-    """Every up-front device allocation as ``(shape, itemsize)``.
-
-    Mirrors the one-shot allocation of
-    :class:`~repro.gpu_impl.accounting.GpuEngineMixin._setup` (data,
-    greedy distances, M, L/C worst-case sets, labels, X/Z, deltas, plus
-    the variant's cache arrays).
-    """
-    k = params.k
-    s = params.effective_sample_size(n)
-    m = params.effective_num_potential(n)
-    window = math.ceil(m / dist_chunks)
-    common = [
-        ((n, d), _F32),  # data
-        ((s,), _F32),  # greedy_dist
-        ((m,), _F32),  # M
-        ((k, n), _F32),  # L (worst-case size n per medoid)
-        ((k, n), _F32),  # C
-        ((k,), _F32),  # L_sizes
-        ((k,), _F32),  # C_sizes
-        ((n,), _F32),  # labels
-        ((k, d), _F32),  # X
-        ((k, d), _F32),  # Z
-        ((k,), _F32),  # delta
-        ((k, k), _F32),  # medoid_dist
-    ]
-    return common + _variant_shapes(backend, n, d, k, m, window)
+def _nbytes(shape, dtype) -> int:
+    return math.prod(shape) * np.dtype(dtype).itemsize
 
 
 def estimate_device_bytes(
@@ -112,18 +75,12 @@ def estimate_device_bytes(
     omitted); use :func:`estimate_shard_bytes` for the per-device
     breakdown.
     """
-    if backend.startswith("fleet-"):
-        if fleet is None:
-            return estimate_device_bytes(
-                n, d, params, backend.removeprefix("fleet-"), dist_chunks
-            )
+    if fleet is not None and backend.startswith("fleet-"):
         return max(estimate_shard_bytes(n, d, params, backend, fleet,
                                         dist_chunks))
-    if not backend.startswith("gpu"):
-        return 0
     return sum(
-        math.prod(shape) * itemsize
-        for shape, itemsize in _device_shapes(n, d, params, backend,
+        _nbytes(shape, dtype)
+        for _, shape, dtype in _device_arrays(n, d, params, backend,
                                               dist_chunks)
     )
 
@@ -138,32 +95,19 @@ def estimate_shard_bytes(
 ) -> tuple[int, ...]:
     """Per-device modeled bytes of a fleet-sharded run.
 
-    Mirrors :meth:`repro.fleet.device.FleetDevice.alloc`: every
-    allocation splits its first ``n``-sized axis per the fleet's shard
-    plan and is replicated on every active shard otherwise, so the
+    Every allocation is split per the fleet's shard plan with
+    :func:`~repro.fleet.partition.shard_shape`, as
+    :meth:`repro.fleet.device.FleetDevice.alloc` splits it, so the
     per-device estimates are exact for the same reason the solo
     estimate is.  Members holding no points (zero weight or zero
     capacity) estimate to 0.
     """
-    solo = backend.removeprefix("fleet-")
-    if not solo.startswith("gpu"):
-        return tuple(0 for _ in fleet.specs)
-    shapes = _device_shapes(n, d, params, solo, dist_chunks)
-    out = []
-    for count in fleet.shard_plan(n).counts:
-        if count == 0:
-            out.append(0)
-            continue
-        total = 0
-        for shape, itemsize in shapes:
-            split = list(shape)
-            for axis, size in enumerate(shape):
-                if size == n:
-                    split[axis] = count
-                    break
-            total += math.prod(split) * itemsize
-        out.append(total)
-    return tuple(out)
+    arrays = _device_arrays(n, d, params, backend, dist_chunks)
+    return tuple(
+        sum(_nbytes(shard_shape(shape, n, count), dtype)
+            for _, shape, dtype in arrays) if count else 0
+        for count in fleet.shard_plan(n).counts
+    )
 
 
 class JobScheduler:

@@ -152,7 +152,7 @@ def crash_bundle(tmp: Path) -> dict:
     spool, pm = tmp / "spool", tmp / "pm"
     assert main([
         "submit", str(spool), "--n", "400", "--d", "8", "--clusters", "4",
-        "--k", "4", "--l", "3", "--a", "25", "--b", "5",
+        "--k", "4", "--l", "3",
         "--backend", "fleet-gpu-fast", "--id", "ci-crash",
     ]) == 0
     assert main([

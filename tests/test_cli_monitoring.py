@@ -141,8 +141,8 @@ class TestServeMonitoring:
         mon = tmp_path / "mon"
         code, _ = run(
             capsys, "submit", spool, "--n", "600", "--d", "8",
-            "--clusters", "4", "--k", "4", "--l", "3", "--a", "30",
-            "--b", "5", "--id", "job-m", "--backend", "gpu-fast",
+            "--clusters", "4", "--k", "4", "--l", "3",
+            "--id", "job-m", "--backend", "gpu-fast",
         )
         assert code == 0
         code, out = run(

@@ -18,8 +18,7 @@ def run(capsys, *argv):
     return code, out
 
 
-SMALL = ("--n", "600", "--d", "8", "--clusters", "4",
-         "--k", "4", "--l", "3", "--a", "30", "--b", "5")
+SMALL = ("--n", "600", "--d", "8", "--clusters", "4", "--k", "4", "--l", "3")
 
 
 class TestSubmitAndServe:
@@ -56,8 +55,7 @@ class TestSubmitAndServe:
         spool = str(tmp_path / "spool")
         code, _ = run(
             capsys, "submit", spool, "--npy", str(npy), "--id", "job-n",
-            "--k", "3", "--l", "3", "--a", "20", "--b", "4",
-            "--backend", "fast",
+            "--k", "3", "--l", "3", "--backend", "fast",
         )
         assert code == 0
         code, _ = run(capsys, "serve", spool, "--once")
@@ -65,12 +63,35 @@ class TestSubmitAndServe:
         # --wait finds the already-written response immediately.
         code, out = run(
             capsys, "submit", spool, "--npy", str(npy), "--id", "job-n",
-            "--k", "3", "--l", "3", "--a", "20", "--b", "4",
-            "--backend", "fast", "--wait", "5",
+            "--k", "3", "--l", "3", "--backend", "fast", "--wait", "5",
         )
         assert code == 0
         assert "cost=" in out
         assert "labels sha256:" in out
+
+    def test_submit_refuses_flags_a_request_cannot_carry(
+        self, capsys, tmp_path
+    ):
+        spool = tmp_path / "spool"
+        code = main([
+            "submit", str(spool), *SMALL, "--a", "25", "--b", "5",
+            "--std", "2.0", "--dataset", "glass", "--id", "job-r",
+        ])
+        (message, _) = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert message == (
+            "repro: error: --a, --b, --std, --dataset would not reach the "
+            "served job: a spool request carries only --k, --l, --seed, "
+            "--backend, --priority and the --n/--d/--clusters/--data-seed "
+            "or --npy dataset"
+        )
+        assert not (spool / "requests/job-r.json").exists()
+        # Values the served job uses anyway are accepted.
+        code, _ = run(
+            capsys, "submit", str(spool), *SMALL, "--a", "100",
+            "--patience", "5", "--std", "5.0", "--id", "job-s",
+        )
+        assert code == 0
 
     def test_wait_without_server_times_out(self, capsys, tmp_path):
         spool = str(tmp_path / "spool")

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from repro import proclus
-from repro.bench.figures import gpu_variant_footprint
 from repro.exceptions import DeviceOutOfMemoryError
 from repro.gpu_impl.gpu_fast import GpuFastProclusEngine
 from repro.gpu_impl.gpu_fast_star import GpuFastStarProclusEngine
 from repro.gpu_impl.gpu_proclus import GpuProclusEngine
 from repro.hardware.specs import GTX_1660_TI, RTX_3090
 from repro.params import ProclusParams
+from repro.serve import estimate_device_bytes
 
 ENGINES = {
     "gpu": GpuProclusEngine,
@@ -37,8 +37,8 @@ class TestDeviceLifecycle:
         data, _ = small_dataset
         engine = ENGINES[name](params=small_params, seed=0)
         result = engine.fit(data)
-        expected = gpu_variant_footprint(
-            name, data.shape[0], data.shape[1], small_params
+        expected = estimate_device_bytes(
+            data.shape[0], data.shape[1], small_params, name
         )
         assert result.stats.peak_device_bytes == expected
 
@@ -69,19 +69,15 @@ class TestSpaceHierarchy:
 
     def test_footprint_linear_in_n(self):
         p = ProclusParams()
-        f1 = gpu_variant_footprint("gpu-fast", 100_000, 15, p)
-        f2 = gpu_variant_footprint("gpu-fast", 200_000, 15, p)
+        f1 = estimate_device_bytes(100_000, 15, p, "gpu-fast")
+        f2 = estimate_device_bytes(200_000, 15, p, "gpu-fast")
         # Linear with a constant offset: doubling n roughly doubles it.
         assert 1.9 < f2 / f1 < 2.1
 
-    def test_footprint_rejects_cpu_backend(self):
-        with pytest.raises(ValueError):
-            gpu_variant_footprint("proclus", 100, 5, ProclusParams())
-
     def test_paper_oom_point(self):
         """GPU-FAST at 2^23 points must exceed the 6 GB card (Fig. 3e)."""
-        bytes_needed = gpu_variant_footprint(
-            "gpu-fast", 2**23, 15, ProclusParams(k=12)
+        bytes_needed = estimate_device_bytes(
+            2**23, 15, ProclusParams(k=12), "gpu-fast"
         )
         # "exceeding the 4.2 GB of free memory on our relatively small GPU"
         assert bytes_needed > GTX_1660_TI.usable_bytes

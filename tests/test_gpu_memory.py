@@ -25,10 +25,6 @@ class TestAllocation:
         a = manager.alloc(16, np.float32, "x")
         assert a.shape == (16,)
 
-    def test_fill_value(self, manager):
-        a = manager.alloc(4, np.float32, "x", fill=3.5)
-        assert np.all(a.data == 3.5)
-
     def test_accounting(self, manager):
         manager.alloc(64, np.float32, "a")  # 256 B
         assert manager.allocated_bytes == 256
@@ -84,14 +80,6 @@ class TestFree:
         manager.free_all()
         assert manager.allocated_bytes == 0
         assert list(manager.live_arrays()) == []
-
-    def test_footprint_by_name_groups(self, manager):
-        manager.alloc(4, np.float32, "dist")
-        manager.alloc(4, np.float32, "dist")
-        manager.alloc(8, np.float32, "data")
-        fp = manager.footprint_by_name()
-        assert fp["dist"] == 32
-        assert fp["data"] == 32
 
     def test_fill_and_copy_roundtrip(self, manager):
         a = manager.alloc((2, 2), np.float32, "x")

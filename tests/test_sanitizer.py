@@ -154,7 +154,8 @@ class TestWiring:
 
     def test_device_array_tracked_labels_diagnostics(self):
         manager = MemoryManager(capacity_bytes=1 << 20)
-        array = manager.alloc(8, np.float32, name="delta", fill=0.0)
+        array = manager.alloc(8, np.float32, name="delta")
+        array.fill(0.0)
         sanitizer = Sanitizer()
         emulator = SimtEmulator(sanitizer=sanitizer)
         with pytest.raises(SanitizerError):
