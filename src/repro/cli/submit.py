@@ -37,9 +37,9 @@ def _dropped_flags(args: argparse.Namespace) -> list[str]:
 
     A spool request carries only ``k``, ``l``, ``seed``, the backend,
     the priority, and the dataset's ``n``/``d``/``clusters``/seed (or
-    an ``.npy`` path): the served job runs the other parameters at
-    their defaults on data made with the generator's own subspace size
-    and spread.
+    an ``.npy`` path, and then none of those four): the served job runs
+    the other parameters at their defaults on data made with the
+    generator's own subspace size and spread.
     """
     served = ProclusParams()
     generator = inspect.signature(generate_subspace_data).parameters
@@ -53,6 +53,15 @@ def _dropped_flags(args: argparse.Namespace) -> list[str]:
         ("--std", args.std, generator["std"].default),
         ("--dataset", args.dataset, None),
     ]
+    if args.npy:
+        # The synthetic-data flags, against their parser defaults.
+        defaults = argparse.ArgumentParser()
+        add_run_arguments(defaults)
+        given += [
+            (f"--{dest.replace('_', '-')}", getattr(args, dest),
+             defaults.get_default(dest))
+            for dest in ("n", "d", "clusters", "data_seed")
+        ]
     return [flag for flag, value, used in given if value != used]
 
 

@@ -141,7 +141,10 @@ def euclidean_distances(data: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def abs_diff_dim_sums(
-    points: np.ndarray, medoid: np.ndarray, rows: np.ndarray | None = None
+    points: np.ndarray,
+    medoid: np.ndarray,
+    rows: np.ndarray | None = None,
+    cuts: list[int] | None = None,
 ) -> np.ndarray:
     """Per-dimension sums ``sum_p |p_j - m_j|`` over ``points``.
 
@@ -156,9 +159,34 @@ def abs_diff_dim_sums(
     in place: the same block, and so the same bits, as passing
     ``points[rows]``, without a second copy.
 
-    Returns a float64 array of shape ``(d,)``.
+    ``cuts`` (positions into ``rows``, ascending from 0 to
+    ``len(rows)``) asks for one partial sum per part
+    ``rows[cuts[i]:cuts[i + 1]]``, a fleet shard's rows each, instead
+    of the total.  The rows are gathered, subtracted and made absolute
+    once, and each part reduces its own columns of that block: the same
+    bits as a call on that part alone.  Beyond one chunk of rows, each
+    part is a call of its own.
+
+    Returns a float64 array of shape ``(d,)``, or ``(len(cuts) - 1, d)``
+    with ``cuts``.
     """
     columns = points.T
+    if cuts is not None:
+        parts = list(zip(cuts, cuts[1:]))
+        if len(rows) > _CHUNK_ROWS:
+            return np.array([
+                abs_diff_dim_sums(points, medoid, rows[low:high])
+                for low, high in parts
+            ])
+        diff = columns.take(rows, axis=1)
+        np.subtract(diff, medoid.astype(np.float32)[:, None], out=diff)
+        np.abs(diff, out=diff)
+        partials = np.empty((len(parts), points.shape[1]), dtype=np.float64)
+        for partial, (low, high) in zip(partials, parts):
+            np.add.reduce(
+                diff[:, low:high], axis=1, dtype=np.float64, out=partial
+            )
+        return partials
     medoid = medoid.astype(np.float32)[:, None]
     total = np.zeros(points.shape[1], dtype=np.float64)
     count = points.shape[0] if rows is None else len(rows)

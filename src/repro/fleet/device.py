@@ -46,7 +46,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from .fleet import Fleet
 from .interconnect import allreduce_seconds, broadcast_seconds
 from .model import FleetModel
-from .partition import ShardPlan, shard_shape, split_exact
+from .partition import ShardPlan, largest_remainder, row_axis, shard_shape
 
 __all__ = ["ShardDevice", "LogicalDevice", "FleetDevice", "SHARDED_KERNELS"]
 
@@ -149,8 +149,12 @@ class FleetDevice:
             count for count in plan.counts if count > 0
         )
         #: The active shards' row counts (which sum to n) as the
-        #: weights of every sharded work split.
+        #: weights of every sharded work split, and each one's share of
+        #: the rows, which scales a sharded kernel's blocks.
         self._split_weights = [float(count) for count in self._active_counts]
+        self._row_shares = [count / self.n for count in self._active_counts]
+        #: The split of each distinct integral work total.
+        self._splits: dict[int, tuple[float, ...]] = {}
         #: Bytes of distributed partial state awaiting reduction, and
         #: whether the root holds parameters the shards have not seen.
         self._pending_reduce = 0.0
@@ -161,6 +165,9 @@ class FleetDevice:
         #: Collective seconds accrued inside the current launch() call,
         #: in exact ledger units, feeding the fleet ledger's comm component.
         self._comm_this_call = 0
+        #: Seconds and ledger units of each distinct collective, by
+        #: ``(kind, payload bytes)``.
+        self._comm_costs: dict[tuple[str, float], tuple[float, int]] = {}
         #: Each distinct ``launch(...)`` argument tuple's logical
         #: KernelLaunch and its dispatch (see _dispatch_of).
         self._dispatch: dict[tuple, tuple[KernelLaunch, bool, tuple]] = {}
@@ -191,13 +198,12 @@ class FleetDevice:
     # ------------------------------------------------------------------
     # Clocks
     # ------------------------------------------------------------------
-    def _elapsed(self, shard: ShardDevice) -> float:
-        return shard.skew + shard.model.total_seconds
-
     def _fleet_elapsed(self) -> float:
         if not self._active:
             return 0.0
-        return max(self._elapsed(shard) for shard in self._active)
+        return max(
+            shard.skew + shard.model.total_seconds for shard in self._active
+        )
 
     def _advance(self, shard: ShardDevice) -> None:
         """Raise the running makespan to ``shard``'s clock.
@@ -206,7 +212,7 @@ class FleetDevice:
         shard's clock forward and leaves the others where they were,
         so the running maximum still equals :meth:`_fleet_elapsed`.
         """
-        elapsed = self._elapsed(shard)
+        elapsed = shard.skew + shard.model.total_seconds
         if elapsed > self._makespan:
             self._makespan = elapsed
 
@@ -214,13 +220,20 @@ class FleetDevice:
         """Barrier all shard clocks at ``max + comm`` and account it."""
         if len(self._active) < 2:
             return
-        if kind == "allreduce":
-            seconds = allreduce_seconds(nbytes, self._active_specs)
-        else:
-            seconds = broadcast_seconds(nbytes, self._active_specs)
+        cost = self._comm_costs.get((kind, nbytes))
+        if cost is None:
+            if kind == "allreduce":
+                seconds = allreduce_seconds(nbytes, self._active_specs)
+            else:
+                seconds = broadcast_seconds(nbytes, self._active_specs)
+            cost = (seconds, to_units(seconds))
+            self._comm_costs[kind, nbytes] = cost
+        seconds, units = cost
         target = self._makespan + seconds
+        sync_seconds = self.model.sync_seconds
         for shard in self._active:
-            elapsed = self._elapsed(shard)
+            busy = shard.model.total_seconds
+            elapsed = shard.skew + busy
             wait = target - elapsed
             if wait <= 0:
                 continue
@@ -233,8 +246,8 @@ class FleetDevice:
                     wait,
                     clock="modeled",
                 )
-            self.model.sync_seconds[shard.index] += wait
-            shard.skew = target - shard.model.total_seconds
+            sync_seconds[shard.index] += wait
+            shard.skew = target - busy
             shard.clock_offset = self.clock_offset + shard.skew
         # A skew rounds, so a waiting shard's clock can land a bit off
         # ``target``: take the maximum afresh.
@@ -243,7 +256,7 @@ class FleetDevice:
         counter.add("fleet.comm_bytes", nbytes)
         counter.add("fleet.comm_seconds", seconds)
         counter.add(f"fleet.{kind}_steps", 1)
-        self._comm_this_call += to_units(seconds)
+        self._comm_this_call += units
 
     # ------------------------------------------------------------------
     # Memory
@@ -269,10 +282,8 @@ class FleetDevice:
         """Upload ``host`` — each shard receives its row slice."""
         before = self._makespan
         array = self.logical.to_device(host, name, phase)
-        axis = next(
-            (a for a, size in enumerate(host.shape) if size == self.n), None
-        )
-        for shard, count in zip(self._active, self._active_counts):
+        axis = row_axis(host.shape, self.n)
+        for shard in self._active:
             if axis is None:
                 piece = host
             else:
@@ -318,9 +329,13 @@ class FleetDevice:
             return tuple(
                 value * count / self.n for count in self._active_counts
             )
-        return tuple(
-            float(part) for part in split_exact(total, self._split_weights)
-        )
+        parts = self._splits.get(total)
+        if parts is None:
+            parts = self._splits[total] = tuple(
+                float(part)
+                for part in largest_remainder(total, self._split_weights)
+            )
+        return parts
 
     def _dispatch_of(self, launch: KernelLaunch) -> tuple[bool, tuple]:
         """Whether ``launch`` shards, and each target shard's arguments.
@@ -333,8 +348,8 @@ class FleetDevice:
         if sharded:
             grid_blocks = launch.grid_blocks
             blocks = [
-                max(1, math.ceil(grid_blocks * (count / self.n)))
-                for count in self._active_counts
+                max(1, math.ceil(grid_blocks * share))
+                for share in self._row_shares
             ]
             targets = zip(self._active, zip(
                 blocks,
@@ -404,14 +419,13 @@ class FleetDevice:
             self._pending_reduce += self._reduce_bytes.get(name, 0.0)
         else:
             self._root_fresh = True
-        delta = self._makespan - before
         # The makespan delta splits exactly into collective time (the
         # barrier pushed every clock forward by the comm seconds) and
-        # the critical-path compute growth that followed.
-        comm = min(self._comm_this_call, to_units(delta))
+        # the critical-path compute growth that followed; ``account``
+        # cuts the comm part to the delta if rounding made it larger.
         return self.model.account(
-            "fleet", name, phase, delta,
-            parts=(("comm", comm),), residual="compute",
+            "fleet", name, phase, self._makespan - before,
+            parts=(("comm", self._comm_this_call),), residual="compute",
         )
 
     @property

@@ -11,10 +11,11 @@ partition:
   all rows: computing each shard's rows on their own would return the
   same bits.  The fleet models the per-shard kernels (time, per-device
   work) through its launch dispatch;
-* the per-dimension sums (``H`` / ``X``) are one
-  :func:`~repro.core.distance.abs_diff_dim_sums` call per shard, over
-  that shard's selected rows (found with one ``flatnonzero`` and split
-  at the shard bounds with one ``searchsorted``), merged with
+* the per-dimension sums (``H`` / ``X``) are one partial per shard,
+  over that shard's selected rows (found with one ``flatnonzero`` and
+  cut at the shard bounds with one ``searchsorted``), from one
+  :func:`~repro.core.distance.abs_diff_dim_sums` call that gathers the
+  selected rows once, merged with
   :func:`~repro.fleet.partition.tree_merge`; under the
   exact-accumulation invariant of :mod:`repro.core.distance` the merged
   float64 sums match the solo single-pass sums bit for bit;
@@ -96,7 +97,7 @@ class FleetEngineMixin(GpuEngineMixin):
         #: Where one non-empty shard's rows end and the next one's
         #: begin, with 0 and n: the s-th non-empty shard holds rows
         #: bounds[s]:bounds[s+1].
-        self._bounds = sorted({0, n, *self._plan.offsets})
+        self._bounds = np.array(sorted({0, n, *self._plan.offsets}))
         device = FleetDevice(
             self.fleet, model=self.model, tracer=self._obs, plan=self._plan
         )
@@ -139,14 +140,11 @@ class FleetEngineMixin(GpuEngineMixin):
         return euclidean_to_point(self._columns, point)
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
-        # Each shard's selected rows, as row indices into the full copy:
-        # the same block its own slice would gather.
+        # The selected rows, cut at the shard bounds: one partial per
+        # shard, each the bits of that shard's own slice.
         rows = np.flatnonzero(mask)
         cuts = np.searchsorted(rows, self._bounds).tolist()
-        return tree_merge([
-            abs_diff_dim_sums(self._columns, point, rows[low:high])
-            for low, high in zip(cuts, cuts[1:])
-        ])
+        return tree_merge(abs_diff_dim_sums(self._columns, point, rows, cuts))
 
     def _assign_points(
         self, medoid_points: np.ndarray, dims

@@ -13,6 +13,10 @@ A :class:`FleetModel` runs *two* books in parallel:
 * the **physical** book — one ``GpuModel`` per fleet member, holding
   that device's sharded launches.  Per-device busy seconds and work
   counters feed the ``fleet.*`` metrics and :func:`fleet_report`.
+  Members with the same spec share one table of roofline results, so
+  the shards of a sharded kernel, which mostly get identical split
+  arguments, evaluate its roofline once; each still ledgers its own
+  cost event.
 
 Fleet wall time is the *critical path*: each member's clock advances
 independently through its sharded launches, and every collective step
@@ -43,7 +47,13 @@ class FleetModel(HardwareModel):
         self.logical = GpuModel(logical_spec)
         self.counter = self.logical.counter
         #: Per-member physical ledgers (index-aligned with fleet.specs).
-        self.shards = [GpuModel(spec) for spec in fleet.specs]
+        #: Members of one card share a table of roofline results, so a
+        #: shard launch equal to another shard's is costed once.
+        rooflines: dict[GpuSpec, dict] = {}
+        self.shards = [
+            GpuModel(spec, rooflines=rooflines.setdefault(spec, {}))
+            for spec in fleet.specs
+        ]
         #: Seconds each member spent waiting at collective steps
         #: (clock skew absorbed at synchronization), plus comm time.
         self.sync_seconds = [0.0] * fleet.num_devices

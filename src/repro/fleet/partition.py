@@ -29,7 +29,14 @@ import numpy as np
 
 from ..exceptions import ParameterError
 
-__all__ = ["ShardPlan", "shard_shape", "split_exact", "tree_merge"]
+__all__ = [
+    "ShardPlan",
+    "largest_remainder",
+    "row_axis",
+    "shard_shape",
+    "split_exact",
+    "tree_merge",
+]
 
 
 def split_exact(total: int, weights: tuple[float, ...] | list[float]) -> tuple[int, ...]:
@@ -48,9 +55,19 @@ def split_exact(total: int, weights: tuple[float, ...] | list[float]) -> tuple[i
         raise ParameterError("split_exact needs at least one weight")
     if any(w < 0 for w in weights):
         raise ParameterError(f"weights must be >= 0, got {weights}")
-    weight_sum = sum(weights)
-    if weight_sum <= 0:
+    if sum(weights) <= 0:
         raise ParameterError("at least one weight must be positive")
+    return largest_remainder(total, weights)
+
+
+def largest_remainder(total: int, weights: list[float]) -> tuple[int, ...]:
+    """:func:`split_exact` without its argument checks.
+
+    For callers that split many totals over weights checked once: an
+    int ``total >= 0`` and float ``weights``, none negative, at least
+    one positive.
+    """
+    weight_sum = sum(weights)
     quotas = [total * w / weight_sum for w in weights]
     counts = [int(q) for q in quotas]
     shortfall = total - sum(counts)
@@ -78,38 +95,51 @@ def split_exact(total: int, weights: tuple[float, ...] | list[float]) -> tuple[i
     return tuple(counts)
 
 
+def row_axis(shape: tuple[int, ...], n: int) -> int | None:
+    """The axis of an array of ``shape`` that the fleet shards by rows.
+
+    That is its first ``n``-sized axis; ``None`` when it has none, and
+    then every shard holds the whole array.
+    """
+    for axis, size in enumerate(shape):
+        if size == n:
+            return axis
+    return None
+
+
 def shard_shape(
     shape: tuple[int, ...], n: int, count: int
 ) -> tuple[int, ...]:
     """One shard's part of an array of ``shape`` over ``n`` points.
 
-    The first ``n``-sized axis is cut to the shard's ``count`` rows; an
-    array with no such axis is replicated whole on every shard.
+    The :func:`row_axis` is cut to the shard's ``count`` rows; an array
+    with no such axis is replicated whole on every shard.
     """
-    for axis, size in enumerate(shape):
-        if size == n:
-            return shape[:axis] + (count,) + shape[axis + 1:]
-    return shape
+    axis = row_axis(shape, n)
+    if axis is None:
+        return shape
+    return shape[:axis] + (count,) + shape[axis + 1:]
 
 
-def tree_merge(partials: list[np.ndarray]) -> np.ndarray:
+def tree_merge(partials: list[np.ndarray] | np.ndarray) -> np.ndarray:
     """Merge per-shard partial sums with a fixed pairwise tree.
 
-    ``partials`` are float64 arrays of identical shape (one per shard,
-    in device order).  Adjacent pairs are added until one remains —
-    the reduction order a ring/tree all-reduce would realize.  Under
-    the exact-accumulation invariant the result is bit-identical to
-    any other order, including the solo single-pass sum.
+    ``partials`` are float64 arrays of identical shape, one per shard
+    in device order: a list, or one array stacking them along its first
+    axis.  Adjacent pairs are added until one remains — the reduction
+    order a ring/tree all-reduce would realize.  Under the
+    exact-accumulation invariant the result is bit-identical to any
+    other order, including the solo single-pass sum.
     """
-    if not partials:
+    level = np.asarray(partials, dtype=np.float64)
+    if level.ndim == 0 or not len(level):
         raise ParameterError("tree_merge needs at least one partial")
-    level = [np.asarray(p, dtype=np.float64) for p in partials]
     while len(level) > 1:
-        merged = []
-        for i in range(0, len(level) - 1, 2):
-            merged.append(level[i] + level[i + 1])
+        # Each level adds every adjacent pair at once; an odd last
+        # partial moves up unchanged.
+        merged = level[0:len(level) - 1:2] + level[1::2]
         if len(level) % 2:
-            merged.append(level[-1])
+            merged = np.concatenate((merged, level[-1:]))
         level = merged
     return level[0]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hardware.cost_model import GpuModel
+from ..hardware.cost_model import CostEvent, GpuModel
 from ..hardware.counters import KernelLaunch
 from ..hardware.specs import GpuSpec, GTX_1660_TI
 from ..obs.export import kernel_pipeline
@@ -87,9 +87,10 @@ class Device:
         self.clock_offset = (
             self.tracer.device_offset() if self.tracer.enabled else 0.0
         )
-        #: Each distinct ``launch(...)`` argument tuple's KernelLaunch
-        #: and trace pipeline, so a repeated launch is one lookup.
-        self._launches: dict[tuple, tuple[KernelLaunch, str]] = {}
+        #: Each distinct ``launch(...)`` argument tuple's trace
+        #: pipeline, modeled seconds and first cost event (which holds
+        #: its KernelLaunch), so a repeated launch is one lookup.
+        self._launches: dict[tuple, tuple[str, float, CostEvent]] = {}
 
     # ------------------------------------------------------------------
     # Memory
@@ -177,9 +178,10 @@ class Device:
         """Account one kernel launch; returns its modeled seconds.
 
         Every call fires the fault injector, records the launch on the
-        model and emits its trace event; only building the
-        :class:`KernelLaunch` and its pipeline name is done once per
-        distinct argument tuple.
+        model and emits its trace event.  Building the
+        :class:`KernelLaunch`, its pipeline name and its cost is done
+        once per distinct argument tuple: a repeat ledgers the first
+        call's cost event again (:meth:`GpuModel.repeat`).
         """
         injector = current_run().injector if self.fires_injector else None
         if injector is not None:
@@ -188,15 +190,21 @@ class Device:
             name, phase, grid_blocks, threads_per_block, flops, gmem_bytes,
             atomic_ops, smem_bytes_per_block, registers_per_thread, ipc,
         )
+        model = self.model
+        tracing = self.tracer.enabled
+        if tracing:
+            start = self.clock_offset + model.total_seconds
         entry = self._launches.get(args)
         if entry is None:
+            seconds = model.launch(kernel_launch(*args))
             entry = self._launches[args] = (
-                kernel_launch(*args), self._pipeline(name)
+                self._pipeline(name), seconds, model.events[-1]
             )
-        launch, pipeline = entry
-        start = self.clock_offset + self.model.total_seconds
-        seconds = self.model.launch(launch)
-        if self.tracer.enabled:
+        else:
+            model.repeat(entry[2])
+        pipeline, seconds, event = entry
+        if tracing:
+            launch = event.launch
             self.tracer.kernel(
                 name,
                 pipeline,

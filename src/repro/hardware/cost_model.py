@@ -24,11 +24,14 @@ Three models mirror the paper's three execution platforms:
 Models are stateful per run: they accumulate per-phase seconds and hold
 the run's :class:`~repro.hardware.counters.WorkCounter`.  A
 ``GpuModel`` evaluates the roofline once per distinct
-:class:`~repro.hardware.counters.KernelLaunch` it sees (the engines
-repeat the same small launches every iteration), and its occupancy
-utilizations once per launch geometry; each repeat ledgers that
-launch's first, immutable :class:`CostEvent` again.  These memos live
-on the model, so they last one run.
+:class:`~repro.hardware.counters.KernelLaunch` in its table of
+roofline results, and its occupancy utilizations once per launch
+geometry.  The table ignores a launch name's ``@`` suffix (the fleet's
+``@dev{i}`` shard sites), so the shard models of one fleet, which
+share a table per card, cost identical shard launches once.  A
+:class:`~repro.gpu.device.Device` keeps each distinct launch's first,
+immutable :class:`CostEvent` and ledgers it again on a repeat
+(:meth:`GpuModel.repeat`).  These memos last one run.
 
 Cost ledger
 -----------
@@ -164,15 +167,22 @@ class HardwareModel(ABC):
     ) -> float:
         """Accrue ``seconds`` into ``phase`` and ledger a cost event.
 
-        ``parts`` are ``(component, ledger units)`` pairs; whatever
-        remains of the event's units lands on the ``residual``
+        ``parts`` are ``(component, ledger units)`` pairs, taken in
+        order, each cut to what the event's units leave of it (a fleet
+        launch's collective time can exceed its makespan growth by a
+        rounding); whatever remains lands on the ``residual``
         component, so the event's components sum to its units exactly
         by construction.  Returns the accrued seconds as a float.
         """
         seconds = float(seconds)
-        units = to_units(seconds)
-        remaining = units - sum(value for _, value in parts)
-        components = tuple((c, value) for c, value in parts if value)
+        units = remaining = to_units(seconds)
+        components = ()
+        for component, value in parts:
+            if value > remaining:
+                value = remaining
+            if value:
+                components += ((component, value),)
+                remaining -= value
         if remaining:
             components += ((residual, remaining),)
         self._record(CostEvent(kind, name, phase, units, components, launch))
@@ -186,7 +196,8 @@ class HardwareModel(ABC):
             self._phase_units.get(event.phase, 0) + units
         )
         self._total_units += units
-        self._total_seconds = to_seconds(self._total_units)
+        # to_seconds, inline: this runs on every accrual.
+        self._total_seconds = self._total_units / UNITS_PER_SECOND
         self.events.append(event)
 
 
@@ -282,12 +293,18 @@ class GpuModel(HardwareModel):
     #: Threads per core needed to hide arithmetic latency.
     _LATENCY_HIDING_THREADS_PER_CORE = 4
 
-    def __init__(self, spec: GpuSpec) -> None:
+    def __init__(self, spec: GpuSpec, rooflines: dict | None = None) -> None:
+        """``rooflines``: the table of roofline results to use, shared
+        by models of the same ``spec`` (a fleet's shards); by default
+        the model's own."""
         super().__init__()
         self.spec = spec
-        #: Seconds and first cost event of each distinct launch this
-        #: model has costed (see :meth:`launch`).
-        self._costs: dict[KernelLaunch, tuple[float, CostEvent]] = {}
+        #: The roofline result of each distinct launch, its name's
+        #: ``@`` suffix dropped, that a model of this table costed:
+        #: seconds, ledger units and their exact components.
+        self._rooflines: dict[tuple, tuple[float, int, tuple]] = (
+            {} if rooflines is None else rooflines
+        )
         #: ``(mem_util, compute_util)`` of each launch geometry (grid
         #: blocks, threads, shared memory, registers) seen so far.
         self._utilizations: dict[tuple, tuple[float, float]] = {}
@@ -385,13 +402,19 @@ class GpuModel(HardwareModel):
     def launch(self, launch: KernelLaunch) -> float:
         """Account one kernel launch; returns its modeled seconds.
 
-        Equal launches cost the same, so the roofline is evaluated on a
-        launch's first sighting only.  Every launch still ledgers one
-        :class:`CostEvent`: a repeat ledgers its first (immutable) event
-        again.
+        Launches that differ at most in their name's ``@`` suffix cost
+        the same, so the roofline is evaluated on the first of them in
+        this model's table only.  Every launch still ledgers its own
+        :class:`CostEvent`, with its own name and launch.
         """
         self.counter.record_launch(launch)
-        cost = self._costs.get(launch)
+        key = (
+            launch.name.partition("@")[0], launch.phase, launch.grid_blocks,
+            launch.threads_per_block, launch.flops, launch.gmem_bytes,
+            launch.atomic_ops, launch.smem_bytes_per_block,
+            launch.registers_per_thread, launch.ipc,
+        )
+        cost = self._rooflines.get(key)
         if cost is None:
             # Exact decomposition: the fixed launch overhead, then the
             # whole roofline max on its dominant component.
@@ -406,8 +429,20 @@ class GpuModel(HardwareModel):
                 residual=self.dominant_component(launch),
                 launch=launch,
             )
-            self._costs[launch] = (seconds, self.events[-1])
+            event = self.events[-1]
+            self._rooflines[key] = (seconds, event.units, event.components)
             return seconds
-        seconds, event = cost
-        self._record(event)
+        seconds, units, components = cost
+        self._record(CostEvent(
+            "kernel", launch.name, launch.phase, units, components, launch
+        ))
         return seconds
+
+    def repeat(self, event: CostEvent) -> None:
+        """Ledger a repeat of the launch whose first event is ``event``.
+
+        The launch is counted again and ``event`` (immutable) is
+        ledgered again, as :meth:`launch` would for an equal launch.
+        """
+        self.counter.record_launch(event.launch)
+        self._record(event)

@@ -93,6 +93,39 @@ class TestSubmitAndServe:
         )
         assert code == 0
 
+    def test_submit_npy_refuses_synthetic_data_flags(self, capsys, tmp_path):
+        npy = tmp_path / "data.npy"
+        np.save(npy, np.zeros((300, 6), dtype=np.float32))
+        spool = tmp_path / "spool"
+        code = main([
+            "submit", str(spool), "--npy", str(npy), "--n", "5000",
+            "--d", "3", "--clusters", "7", "--data-seed", "9",
+            "--k", "3", "--l", "3", "--id", "job-np",
+        ])
+        (message, _) = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert message.startswith(
+            "repro: error: --n, --d, --clusters, --data-seed would not "
+            "reach the served job: "
+        )
+        assert not (spool / "requests/job-np.json").exists()
+        # One flag at a time is named alone; the parser defaults pass.
+        code = main([
+            "submit", str(spool), "--npy", str(npy), "--d", "6",
+            "--id", "job-np",
+        ])
+        (message, _) = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert message.startswith("repro: error: --d would not reach")
+        code, _ = run(
+            capsys, "submit", str(spool), "--npy", str(npy), "--n", "20000",
+            "--d", "15", "--clusters", "10", "--data-seed", "0",
+            "--id", "job-np",
+        )
+        assert code == 0
+        request = json.loads((spool / "requests/job-np.json").read_text())
+        assert request["dataset"] == {"npy": str(npy)}
+
     def test_wait_without_server_times_out(self, capsys, tmp_path):
         spool = str(tmp_path / "spool")
         code = main([

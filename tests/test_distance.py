@@ -132,6 +132,32 @@ class TestExactness:
                 abs_diff_dim_sums(points[rows], medoid),
             )
 
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_partials_at_cuts_match_a_call_per_part(
+        self, chunk_rows, monkeypatch
+    ):
+        """Raw data, where sums can round: each partial of one gathered
+        block has the bits of a call on its part's rows alone."""
+        from repro.core import distance
+
+        if chunk_rows is not None:
+            monkeypatch.setattr(distance, "_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(9)
+        points = np.asfortranarray(
+            rng.lognormal(0.0, 3.0, (400, 5)).astype(np.float32)
+        )
+        medoid = points[7]
+        for fraction in (0.0, 0.1, 0.6, 1.0):
+            rows = np.flatnonzero(rng.random(len(points)) < fraction)
+            bounds = [0, 90, 90, 250, 400]
+            cuts = np.searchsorted(rows, bounds).tolist()
+            partials = abs_diff_dim_sums(points, medoid, rows, cuts)
+            assert partials.shape == (4, 5)
+            assert partials.dtype == np.float64
+            for partial, low, high in zip(partials, cuts, cuts[1:]):
+                expected = abs_diff_dim_sums(points, medoid, rows[low:high])
+                assert partial.tobytes() == expected.tobytes()
+
     @given(unit_matrix(max_n=30, max_d=5), st.integers(0, 29))
     @settings(max_examples=30, deadline=None)
     def test_property_split_identity(self, points, cut):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.distance import abs_diff_dim_sums, euclidean_to_point
 from repro.exceptions import ParameterError
 from repro.fleet import ShardPlan, split_exact, tree_merge
+from repro.fleet.partition import largest_remainder, row_axis, shard_shape
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -104,6 +105,15 @@ class TestSplitExact:
             ideal = total * weight / total_weight
             assert np.floor(ideal) <= count <= np.ceil(ideal)
 
+    @given(total=st.integers(min_value=0, max_value=10**9),
+           weights=weights_strategy)
+    def test_unchecked_core_matches(self, total, weights):
+        """``largest_remainder`` is ``split_exact`` after its checks."""
+        if sum(weights) <= 0:
+            return
+        floats = [float(w) for w in weights]
+        assert largest_remainder(total, floats) == split_exact(total, weights)
+
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ParameterError):
             split_exact(10, [0.0, 0.0])
@@ -177,3 +187,33 @@ class TestMergeExactness:
         assert tree_merge(parts)[0] == 10.0
         single = tree_merge([np.array([7.0])])
         assert single[0] == 7.0
+
+    def test_tree_merge_takes_a_stacked_array(self):
+        """A stacked array merges pair by pair like the list of its rows."""
+        rng = np.random.default_rng(4)
+        for shards in range(1, 7):
+            stacked = rng.lognormal(0.0, 3.0, (shards, 5))
+            merged = tree_merge(stacked)
+            assert merged.tobytes() == tree_merge(list(stacked)).tobytes()
+            level = list(stacked)
+            while len(level) > 1:
+                level = [
+                    level[i] + level[i + 1] if i + 1 < len(level) else level[i]
+                    for i in range(0, len(level), 2)
+                ]
+            assert merged.tobytes() == level[0].tobytes()
+        with pytest.raises(ParameterError):
+            tree_merge(np.zeros((0, 3)))
+
+
+class TestRowAxis:
+    def test_first_n_sized_axis(self):
+        assert row_axis((100, 8), 100) == 0
+        assert row_axis((4, 100), 100) == 1
+        assert row_axis((100, 100), 100) == 0
+        assert row_axis((4, 8), 100) is None
+
+    def test_shard_shape_cuts_that_axis(self):
+        assert shard_shape((4, 100), 100, 30) == (4, 30)
+        assert shard_shape((100, 8), 100, 30) == (30, 8)
+        assert shard_shape((4, 8), 100, 30) == (4, 8)

@@ -2,9 +2,9 @@
 
 ``Device`` and ``FleetDevice`` look a repeated ``launch(...)`` argument
 tuple up in a per-object dictionary instead of rebuilding its
-``KernelLaunch`` (on the fleet, also its per-shard dispatch), and a
-``GpuModel`` ledgers a repeat's first ``CostEvent`` again.  N identical
-launches must still
+``KernelLaunch`` (on the fleet, also its per-shard dispatch; on a
+device, also its cost), and a device's ``GpuModel`` ledgers a repeat's
+first ``CostEvent`` again.  N identical launches must still
 
 * call the installed fault injector N times, so a schedule that counts
   launches fires on the third;
@@ -15,6 +15,10 @@ launches must still
 ``FleetDevice`` keeps a running makespan instead of scanning every
 shard clock per launch; it must equal the largest shard clock after
 every launch, collective and transfer.
+
+The shard models of one card share a roofline table: shard launches
+that differ only in their ``@dev{i}`` suffix evaluate the roofline
+once, and each shard still ledgers its own event.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.fleet import default_fleet, mixed_fleet
 from repro.fleet.device import FleetDevice
 from repro.fleet.model import FleetModel
 from repro.gpu.device import Device
+from repro.hardware.cost_model import GpuModel, to_units
 from repro.hardware.specs import GTX_1660_TI
 from repro.obs.tracer import NULL_TRACER, Tracer, use_run
 from repro.params import ProclusParams
@@ -199,3 +204,60 @@ class TestFleetMakespan:
         )
         engine.fit(minmax_normalize(data))
         assert {"launch", "_collective", "to_device"} <= set(checked)
+
+
+class TestSharedRooflines:
+    """A fleet's shard models share one roofline table per card."""
+
+    @staticmethod
+    def counted_evaluations(monkeypatch) -> list:
+        evaluations = []
+        original = GpuModel.launch_time
+
+        def counted(self, launch):
+            evaluations.append(launch.name)
+            return original(self, launch)
+
+        monkeypatch.setattr(GpuModel, "launch_time", counted)
+        return evaluations
+
+    def test_equal_shard_launches_cost_once(self, monkeypatch):
+        evaluations = self.counted_evaluations(monkeypatch)
+        device = fleet_device(default_fleet(3))
+        # 3000 rows over three cards: every shard gets the same split.
+        device.launch(**SHARDED)
+        device.launch(**SHARDED)
+        assert evaluations == ["assign_points@dev0"]
+        shards = device.model.shards
+        first = shards[0].events[0]
+        for index, shard in enumerate(shards):
+            assert len(shard.events) == 2
+            event = shard.events[0]
+            name = f"assign_points@dev{index}"
+            assert event.name == event.launch.name == name
+            assert (event.units, event.components) == (
+                first.units, first.components
+            )
+
+    def test_each_card_keeps_its_own(self, monkeypatch):
+        evaluations = self.counted_evaluations(monkeypatch)
+        device = fleet_device(mixed_fleet(small=2, large=1))
+        device.launch(**SHARDED)
+        # The RTX 3090 (device 2) never reuses a GTX 1660 Ti's cost.
+        assert "assign_points@dev2" in evaluations
+        assert len(evaluations) == len(set(evaluations))
+
+    def test_fleet_event_comm_part_is_cut_to_its_units(self):
+        model = GpuModel(GTX_1660_TI)
+        units = to_units(1e-6)
+        model.account(
+            "fleet", "k", "p", 1e-6,
+            parts=(("comm", units + 5),), residual="compute",
+        )
+        assert model.events[-1].components == (("comm", units),)
+        model.account(
+            "fleet", "k", "p", 1e-6, parts=(("comm", 7),), residual="compute",
+        )
+        assert model.events[-1].components == (
+            ("comm", 7), ("compute", units - 7)
+        )
