@@ -16,7 +16,7 @@ Public surface:
 See ``docs/fleet.md`` for the sharding model and determinism contract.
 """
 
-from .device import FleetDevice, LogicalDevice, ShardDevice, SHARDED_KERNELS
+from .device import FleetDevice, ShardDevice, SHARDED_KERNELS
 from .engine import (
     FleetEngineMixin,
     FleetGpuFastProclusEngine,
@@ -50,7 +50,6 @@ __all__ = [
     "FleetModel",
     "fleet_report",
     "FleetDevice",
-    "LogicalDevice",
     "ShardDevice",
     "SHARDED_KERNELS",
     "FleetEngineMixin",

@@ -1,20 +1,21 @@
 """Multi-device facade behind the single-device :class:`Device` API.
 
-The GPU engines talk to exactly one device object: they allocate named
+The GPU engines talk to exactly one device object: they book named
 arrays, upload the dataset, and record kernel launches.  A
 :class:`FleetDevice` satisfies that contract while running two books:
 
 * a **logical book** keeps the solo run's view: every launch is
   recorded unchanged (full geometry) on the run's counter without being
-  costed, and a logical device holds the solo allocations and
-  transfers (solo spec, no tracing, no fault injection), so the run's
+  costed, and the solo dataset upload is accounted on the logical
+  model (untraced, never fault-injected), so the run's
   ``RunStats.counters`` are bit-identical to the solo run's;
 * **shard devices** — one :class:`ShardDevice` per fleet member with a
   non-empty point range — receive the physically sharded version:
   row-proportional work splits (exact largest-remainder apportionment,
   so the per-device ledgers sum back to the solo totals), per-device
-  Perfetto tracks, per-device memory managers (a shard OOM raises the
-  usual :class:`~repro.exceptions.DeviceOutOfMemoryError`), and
+  Perfetto tracks, per-device memory managers booking only that
+  shard's rows of each array (a shard OOM raises the usual
+  :class:`~repro.exceptions.DeviceOutOfMemoryError`), and
   fault-injection sites suffixed ``@dev{i}`` so chaos tests can target
   one shard.
 
@@ -32,23 +33,21 @@ makespan (critical path) accrues on the :class:`FleetModel`.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from ..gpu.device import Device, kernel_launch
-from ..gpu.memory import DeviceArray
+from ..gpu.device import Device, account_h2d, kernel_launch
 from ..hardware.cost_model import to_units
 from ..hardware.counters import KernelLaunch
 from ..hardware.specs import GpuSpec
 from ..obs.export import kernel_pipeline
-from ..obs.tracer import NULL_TRACER, Tracer
+from ..obs.tracer import Tracer
 from .fleet import Fleet
 from .interconnect import allreduce_seconds, broadcast_seconds
 from .model import FleetModel
 from .partition import ShardPlan, largest_remainder, row_axis, shard_shape
 
-__all__ = ["ShardDevice", "LogicalDevice", "FleetDevice", "SHARDED_KERNELS"]
+__all__ = ["ShardDevice", "FleetDevice", "SHARDED_KERNELS"]
 
 #: Kernels whose work is proportional to the points they touch — these
 #: split across the shards.  Everything else (greedy over the sample,
@@ -92,19 +91,6 @@ class ShardDevice(Device):
         return f"gpu{self.index}:transfer"
 
 
-class LogicalDevice(Device):
-    """The solo run's allocations and transfers, for the counter book.
-
-    Never traces, never consults the fault injector (faults fire on
-    the physical shards), and its memory capacity is widened to the
-    fleet's total so a job only a *fleet* can hold still books its
-    solo allocations.  Launches never reach it: :class:`FleetDevice`
-    records them on the run's counter directly.
-    """
-
-    fires_injector = False
-
-
 class FleetDevice:
     """The :class:`Device`-shaped facade the fleet engines launch into."""
 
@@ -120,16 +106,6 @@ class FleetDevice:
         self.tracer = tracer
         self.plan = plan
         self.n = plan.n
-        logical_spec = replace(
-            model.logical.spec,
-            memory_bytes=max(
-                model.logical.spec.memory_bytes,
-                fleet.total_usable_bytes + model.logical.spec.reserved_bytes,
-            ),
-        )
-        self.logical = LogicalDevice(
-            logical_spec, model=model.logical, tracer=NULL_TRACER
-        )
         self.clock_offset = tracer.device_offset() if tracer.enabled else 0.0
         #: One ShardDevice per member holding points; None for members
         #: with an empty range (zero weight / zero capacity).
@@ -261,27 +237,24 @@ class FleetDevice:
     # ------------------------------------------------------------------
     # Memory
     # ------------------------------------------------------------------
-    def alloc(
-        self, shape, dtype=np.float32, name: str = "unnamed"
-    ) -> DeviceArray:
-        """Allocate on every shard (split rows) and the logical book."""
+    def alloc(self, shape, dtype=np.float32, name: str = "unnamed") -> None:
+        """Book each shard's rows of the array (all of a row-less one)."""
         if isinstance(shape, (int, np.integer)):
             shape = (int(shape),)
-        array = self.logical.alloc(shape, dtype=dtype, name=name)
         for shard, count in zip(self._active, self._active_counts):
             shard.alloc(
                 shard_shape(tuple(shape), self.n, count),
                 dtype=dtype,
                 name=f"{name}@dev{shard.index}",
             )
-        return array
 
     def to_device(
         self, host: np.ndarray, name: str, phase: str = "transfer"
-    ) -> DeviceArray:
+    ) -> None:
         """Upload ``host`` — each shard receives its row slice."""
         before = self._makespan
-        array = self.logical.to_device(host, name, phase)
+        # The logical book counts the solo copy; the shards hold it.
+        account_h2d(self.model.logical, name, host.nbytes, phase)
         axis = row_axis(host.shape, self.n)
         for shard in self._active:
             if axis is None:
@@ -294,29 +267,14 @@ class FleetDevice:
             "transfer", f"h2d:{name}", phase,
             self._makespan - before, residual="transfer",
         )
-        return array
-
-    def to_host(self, array: DeviceArray, phase: str = "transfer") -> np.ndarray:
-        # The copy runs on the logical device, so no shard clock moves
-        # and the fleet accrues zero seconds.
-        host = self.logical.to_host(array, phase)
-        self.model.account(
-            "transfer", f"d2h:{array.name}", phase, 0.0, residual="transfer",
-        )
-        return host
 
     @property
     def memory(self):
-        return _FleetMemory(
-            [self.logical.memory]
-            + [shard.memory for shard in self._active]
-        )
+        return _FleetMemory([shard.memory for shard in self._active])
 
     @property
     def peak_bytes(self) -> int:
         """Largest per-device peak footprint (the binding constraint)."""
-        if not self._active:
-            return self.logical.peak_bytes
         return max(shard.peak_bytes for shard in self._active)
 
     # ------------------------------------------------------------------
@@ -434,7 +392,7 @@ class FleetDevice:
 
 
 class _FleetMemory:
-    """free_all() across the logical and every shard memory manager."""
+    """free_all() across every shard's memory manager."""
 
     def __init__(self, managers) -> None:
         self.managers = managers

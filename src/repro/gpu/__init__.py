@@ -3,10 +3,12 @@
 The paper's contribution is a set of CUDA kernels; this environment has
 no GPU, so the package provides:
 
-* :mod:`repro.gpu.memory` — a device memory manager with explicit
-  allocation, capacity enforcement (a 6 GB GTX 1660 Ti really does run
-  out of memory at ~8M points, as the paper reports), and peak tracking
-  used by the Fig. 3f space experiment;
+* :mod:`repro.gpu.memory` — a device memory manager that books each
+  allocation's bytes (no kernel reads device contents: the numeric
+  executor computes on host arrays) with capacity enforcement (a 6 GB
+  GTX 1660 Ti really does run out of memory at ~8M points, as the
+  paper reports) and peak tracking used by the Fig. 3f space
+  experiment;
 * :mod:`repro.gpu.emulator` — a faithful SIMT emulator (grids, blocks,
   threads, ``__syncthreads`` barriers, shared memory, atomics) used to
   validate the vectorized kernel implementations thread-for-thread on
@@ -18,7 +20,7 @@ no GPU, so the package provides:
 """
 
 from .device import Device
-from .memory import DeviceArray, MemoryManager
+from .memory import MemoryManager
 from .emulator import SimtEmulator, ThreadContext
 from .occupancy import OccupancyReport, occupancy_report
 from .profiler import KernelProfile, format_kernel_profile, profile_kernels
@@ -34,7 +36,6 @@ from . import atomics
 
 __all__ = [
     "Device",
-    "DeviceArray",
     "MemoryManager",
     "SimtEmulator",
     "ThreadContext",

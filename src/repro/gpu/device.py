@@ -1,12 +1,12 @@
-"""Device facade: allocation, host/device transfer, and kernel launches.
+"""Device facade: allocation, host-to-device transfer, and kernel launches.
 
-A :class:`Device` ties together the memory manager (capacity + peak
-tracking), the roofline cost model (modeled kernel times), and simple
-PCIe transfer accounting.  The GPU algorithm variants perform all of
-their computation "on the device": every kernel has a vectorized NumPy
-implementation that records an equivalent
-:class:`~repro.hardware.counters.KernelLaunch` here, and the cost model
-turns those launches into modeled seconds.
+A :class:`Device` ties together the memory manager (a byte ledger with
+capacity + peak tracking), the roofline cost model (modeled kernel
+times), and simple PCIe transfer accounting.  The GPU algorithm
+variants perform all of their computation "on the device": every
+kernel has a vectorized NumPy implementation that records an
+equivalent :class:`~repro.hardware.counters.KernelLaunch` here, and
+the cost model turns those launches into modeled seconds.
 """
 
 from __future__ import annotations
@@ -17,17 +17,44 @@ from ..hardware.cost_model import CostEvent, GpuModel
 from ..hardware.counters import KernelLaunch
 from ..hardware.specs import GpuSpec, GTX_1660_TI
 from ..obs.export import kernel_pipeline
-from ..obs.tracer import Tracer, current_run
-from .memory import DeviceArray, MemoryManager
+from ..obs.tracer import NULL_TRACER, Tracer, current_run
+from .memory import MemoryManager
 
-__all__ = ["Device", "kernel_launch"]
+__all__ = ["Device", "account_h2d", "kernel_launch"]
 
-#: Sustained host<->device PCIe bandwidth (B/s); PROCLUS transfers the
-#: dataset once and the labels back once, so this barely matters — the
-#: paper explicitly keeps all computation on the GPU to avoid transfers.
+#: Sustained host-to-device PCIe bandwidth (B/s); PROCLUS transfers the
+#: dataset once, so this barely matters — the paper explicitly keeps
+#: all computation on the GPU to avoid transfers.
 _PCIE_BANDWIDTH = 12e9
-#: Fixed latency of one host<->device copy.
+#: Fixed latency of one host-to-device copy.
 _TRANSFER_LATENCY_S = 10e-6
+
+
+def account_h2d(
+    model: GpuModel,
+    name: str,
+    nbytes: int,
+    phase: str,
+    tracer: Tracer = NULL_TRACER,
+    pipeline: str = "transfer",
+    clock_offset: float = 0.0,
+) -> None:
+    """Account one host-to-device copy of ``nbytes`` on ``model``.
+
+    Ledgers its modeled PCIe seconds as ``h2d:<name>`` in ``phase``,
+    adds the bytes to ``gpu.h2d_bytes`` and, when ``tracer`` is on,
+    places the copy on ``pipeline`` at the model's clock.
+    """
+    seconds = _TRANSFER_LATENCY_S + nbytes / _PCIE_BANDWIDTH
+    start = clock_offset + model.total_seconds
+    model.account(
+        "transfer", f"h2d:{name}", phase, seconds, residual="transfer"
+    )
+    model.counter.add("gpu.h2d_bytes", nbytes)
+    if tracer.enabled:
+        tracer.kernel(
+            f"h2d:{name}", pipeline, phase, start, seconds, clock="modeled"
+        )
 
 
 def kernel_launch(
@@ -64,12 +91,6 @@ def kernel_launch(
 class Device:
     """A simulated CUDA device with a calibrated performance model."""
 
-    #: Whether this device consults the run's fault injector.  The
-    #: fleet's *logical* device holds the solo run's allocations and
-    #: transfers purely for accounting and must not double-fire faults
-    #: already injected on the physical shard devices.
-    fires_injector = True
-
     def __init__(
         self,
         spec: GpuSpec = GTX_1660_TI,
@@ -78,9 +99,7 @@ class Device:
     ) -> None:
         self.spec = spec
         self.model = model if model is not None else GpuModel(spec)
-        self.memory = MemoryManager(
-            spec.usable_bytes, fires_injector=self.fires_injector
-        )
+        self.memory = MemoryManager(spec.usable_bytes)
         self.tracer = tracer if tracer is not None else current_run().tracer
         #: Shift of this device's modeled clock on the shared trace
         #: timeline (non-zero when an earlier device already ran).
@@ -100,9 +119,9 @@ class Device:
         shape: int | tuple[int, ...],
         dtype: np.dtype | type = np.float32,
         name: str = "unnamed",
-    ) -> DeviceArray:
-        """Allocate device global memory (raises when the card is full)."""
-        return self.memory.alloc(shape, dtype=dtype, name=name)
+    ) -> None:
+        """Book device global memory (raises when the card is full)."""
+        self.memory.alloc(shape, dtype=dtype, name=name)
 
     def _pipeline(self, name: str) -> str:
         """Trace pipeline (Perfetto track) for a kernel launched here.
@@ -113,46 +132,21 @@ class Device:
         return kernel_pipeline(name)
 
     def _transfer_pipeline(self) -> str:
-        """Trace pipeline for host<->device copies on this device."""
+        """Trace pipeline for host-to-device copies on this device."""
         return "transfer"
 
-    def to_device(self, host: np.ndarray, name: str, phase: str = "transfer") -> DeviceArray:
-        """Copy a host array onto the device, accounting the transfer."""
-        injector = current_run().injector if self.fires_injector else None
+    def to_device(
+        self, host: np.ndarray, name: str, phase: str = "transfer"
+    ) -> None:
+        """Book ``host``'s bytes on the device and account the copy."""
+        injector = current_run().injector
         if injector is not None:
             injector.on_transfer("h2d", name, host.nbytes)
-        array = self.memory.alloc(host.shape, dtype=host.dtype, name=name)
-        array.data[...] = host
-        seconds = _TRANSFER_LATENCY_S + host.nbytes / _PCIE_BANDWIDTH
-        start = self.clock_offset + self.model.total_seconds
-        self.model.account(
-            "transfer", f"h2d:{name}", phase, seconds, residual="transfer"
+        self.memory.alloc(host.shape, dtype=host.dtype, name=name)
+        account_h2d(
+            self.model, name, host.nbytes, phase, self.tracer,
+            self._transfer_pipeline(), self.clock_offset,
         )
-        self.model.counter.add("gpu.h2d_bytes", host.nbytes)
-        if self.tracer.enabled:
-            self.tracer.kernel(
-                f"h2d:{name}", self._transfer_pipeline(), phase, start, seconds,
-                clock="modeled",
-            )
-        return array
-
-    def to_host(self, array: DeviceArray, phase: str = "transfer") -> np.ndarray:
-        """Copy a device array back to the host, accounting the transfer."""
-        injector = current_run().injector if self.fires_injector else None
-        if injector is not None:
-            injector.on_transfer("d2h", array.name, array.nbytes)
-        seconds = _TRANSFER_LATENCY_S + array.nbytes / _PCIE_BANDWIDTH
-        start = self.clock_offset + self.model.total_seconds
-        self.model.account(
-            "transfer", f"d2h:{array.name}", phase, seconds, residual="transfer"
-        )
-        self.model.counter.add("gpu.d2h_bytes", array.nbytes)
-        if self.tracer.enabled:
-            self.tracer.kernel(
-                f"d2h:{array.name}", self._transfer_pipeline(), phase, start,
-                seconds, clock="modeled",
-            )
-        return array.copy_to_host()
 
     @property
     def peak_bytes(self) -> int:
@@ -183,7 +177,7 @@ class Device:
         once per distinct argument tuple: a repeat ledgers the first
         call's cost event again (:meth:`GpuModel.repeat`).
         """
-        injector = current_run().injector if self.fires_injector else None
+        injector = current_run().injector
         if injector is not None:
             injector.on_launch(name, phase)
         args = (

@@ -84,8 +84,10 @@ def _ledger_components(model: GpuModel) -> dict[str, dict[str, float]]:
 def profile_kernels(model: GpuModel) -> list[KernelProfile]:
     """Aggregate a GPU model's recorded launches per kernel name.
 
-    Returns profiles sorted by total time, descending (the nvprof
-    convention).
+    Every launch the model counts is also on its cost ledger
+    (:meth:`GpuModel.launch` / :meth:`GpuModel.repeat`), which supplies
+    the per-component seconds.  Returns profiles sorted by total time,
+    descending (the nvprof convention).
     """
     groups: dict[str, list[KernelLaunch]] = {}
     for launch in model.counter.kernel_launches:
@@ -93,19 +95,7 @@ def profile_kernels(model: GpuModel) -> list[KernelProfile]:
     ledger = _ledger_components(model)
     profiles = []
     for name, launches in groups.items():
-        components = ledger.get(name)
-        if components is None:
-            # Counter-only model (no ledger events): recompute each
-            # launch's decomposition from the roofline terms.
-            components = {}
-            for launch in launches:
-                seconds = model.launch_time(launch)
-                overhead = model.spec.kernel_launch_overhead_s
-                components["launch"] = components.get("launch", 0.0) + overhead
-                dominant = model.dominant_component(launch)
-                components[dominant] = (
-                    components.get(dominant, 0.0) + seconds - overhead
-                )
+        components = ledger[name]
         total = sum(components.values())
         # The bound of the most expensive single launch characterizes
         # the kernel (small setup calls of the same kernel don't).

@@ -133,10 +133,8 @@ class GpuEngineMixin:
         for name, shape, dtype in self.device_arrays(
             n, d, self.params, self._m_rows(), self.dist_chunks
         ):
-            if name != "data":
+            if name != "data" or resident:
                 self.device.alloc(shape, dtype, name)
-            elif resident:
-                self.device.alloc(shape, dtype, name).data[...] = data
             else:
                 self.device.to_device(data, name)
                 if self.shared_state is not None:

@@ -2,7 +2,7 @@
 
 A real GPU cannot fail on demand; the simulated device can.  The
 :class:`FaultInjector` threads into every operation of the substrate —
-allocations (:mod:`repro.gpu.memory`), kernel launches and host<->device
+allocations (:mod:`repro.gpu.memory`), kernel launches and host-to-device
 transfers (:mod:`repro.gpu.device`), and emulated kernel launches
 (:mod:`repro.gpu.emulator`) — and raises the *same typed errors the
 substrate itself would raise*, so recovery code cannot distinguish an
@@ -21,7 +21,7 @@ kind            raises / fires on
                 kernel launch; *sticky* by default — every subsequent
                 operation fails until :meth:`FaultInjector.device_reset`
 ``corrupt``     :class:`~repro.exceptions.TransferCorruptionError` on
-                a host<->device transfer (ECC-style, detected)
+                a host-to-device transfer (ECC-style, detected)
 ``timeout``     :class:`~repro.exceptions.KernelTimeoutError` on a
                 kernel launch (vectorized or emulated) — the watchdog
 ``device-down`` :class:`~repro.exceptions.DeviceLostError` on *any*
@@ -102,11 +102,11 @@ class FaultSpec:
     site:
         ``fnmatch`` pattern matched (case-sensitively) against the
         operation name: the allocation name for ``oom``, the kernel
-        name for launch-class faults, ``h2d:<name>``/``d2h:<name>``
-        for transfers.  ``*`` (the default) matches every operation.
-        For ``device-down``, a bare device tag (``dev1``) is shorthand
-        for ``*@dev1`` — the first operation touching that fleet shard
-        kills it.
+        name for launch-class faults, ``h2d:<name>`` for transfers
+        (the dataset upload is the only copy).  ``*`` (the default)
+        matches every operation.  For ``device-down``, a bare device
+        tag (``dev1``) is shorthand for ``*@dev1`` — the first operation
+        touching that fleet shard kills it.
     at:
         Fire on the Nth *matching* operation (1-based).
     count:
@@ -188,7 +188,7 @@ def parse_fault(text: str) -> FaultSpec:
 
     Syntax: ``kind[@site][#at[+count|+*]][?probability][!nonsticky]``.
     Examples: ``oom@Dist``, ``launch@assign_points#3``,
-    ``transient@compute_l.*#2``, ``corrupt@d2h:*``, ``oom#2+*``
+    ``transient@compute_l.*#2``, ``corrupt@h2d:*``, ``oom#2+*``
     (every allocation from the 2nd on), ``timeout?0.25``,
     ``device-down@dev1`` (kill fleet shard 1 on first touch).
     """
@@ -443,7 +443,7 @@ class FaultInjector:
         raise error
 
     def on_transfer(self, direction: str, name: str, nbytes: int) -> None:
-        """Called by ``Device.to_device`` / ``Device.to_host``."""
+        """Called by :meth:`repro.gpu.device.Device.to_device`."""
         self._check_sticky()
         site = f"{direction}:{name}"
         self._check_lost("transfer", site)

@@ -6,16 +6,22 @@ completion, cache eviction — appends one :class:`ServeEvent` carrying
 the queue and running depths *at that moment*, so the event stream is a
 complete step-function record of service occupancy over time.
 :func:`repro.viz.timeline.render_serve_lanes` renders it as ASCII
-lanes; the loadgen report embeds it as plain dicts.
+lanes; the loadgen report embeds it as plain dicts.  A long-lived
+service keeps only the latest :data:`MAX_EVENTS` of them.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-__all__ = ["EVENT_KINDS", "ServeEvent", "ServeLog"]
+__all__ = ["EVENT_KINDS", "MAX_EVENTS", "ServeEvent", "ServeLog"]
+
+#: Events a :class:`ServeLog` keeps: the latest ~1,800 requests at
+#: about 4.4 events each; older events are dropped first.
+MAX_EVENTS = 8192
 
 #: Every event kind the service emits, in rough lifecycle order.
 EVENT_KINDS = (
@@ -56,11 +62,11 @@ class ServeEvent:
 
 
 class ServeLog:
-    """Thread-safe, append-only list of :class:`ServeEvent`."""
+    """Thread-safe log of the latest :data:`MAX_EVENTS` :class:`ServeEvent`."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._events: list[ServeEvent] = []
+        self._events: deque[ServeEvent] = deque(maxlen=MAX_EVENTS)
 
     def record(self, event: ServeEvent) -> None:
         with self._lock:

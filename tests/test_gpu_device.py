@@ -26,26 +26,18 @@ class TestMemory:
         assert device.memory.capacity_bytes == GTX_1660_TI.usable_bytes
         assert device.memory.capacity_bytes < GTX_1660_TI.memory_bytes
 
-    def test_to_device_copies_content(self, device):
+    def test_to_device_books_the_array(self, device):
         host = np.arange(12, dtype=np.float32).reshape(3, 4)
-        d = device.to_device(host, "data")
-        assert np.array_equal(d.data, host)
-        host[0, 0] = 99.0
-        assert d.data[0, 0] == 0.0  # device copy is independent
-
-    def test_to_host_round_trip(self, device):
-        host = np.arange(6, dtype=np.float32)
-        d = device.to_device(host, "x")
-        back = device.to_host(d)
-        assert np.array_equal(back, host)
+        assert device.to_device(host, "data") is None
+        assert device.memory.allocated_bytes == 48
+        assert device.peak_bytes == 48
 
     def test_transfers_accounted(self, device):
         host = np.zeros(1000, dtype=np.float32)
-        d = device.to_device(host, "x")
-        device.to_host(d)
+        device.to_device(host, "x")
         c = device.model.counter
         assert c.get("gpu.h2d_bytes") == 4000
-        assert c.get("gpu.d2h_bytes") == 4000
+        assert [event.name for event in device.model.events] == ["h2d:x"]
         assert device.model.phase_seconds["transfer"] > 0
 
 

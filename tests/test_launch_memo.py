@@ -179,14 +179,14 @@ class TestFleetMakespan:
         for kernel in [SHARDED, SHARDED, ROOT, ROOT, SHARDED, ROOT] * 3:
             device.launch(**kernel)
             assert device._makespan == makespan_of(device)
-        device.to_host(device.alloc((N_POINTS,), np.int32, "labels"))
+        device.alloc((N_POINTS,), np.int32, "labels")
         assert device._makespan == makespan_of(device)
         assert {"allreduce", "broadcast"} <= set(collectives)
 
     @pytest.mark.parametrize("fleet", [mixed_fleet, lambda: default_fleet(3)])
     def test_tracks_a_whole_fit(self, fleet, monkeypatch):
         checked = []
-        for method in ("launch", "_collective", "to_device", "to_host"):
+        for method in ("launch", "_collective", "to_device"):
             original = getattr(FleetDevice, method)
 
             def wrapper(self, *args, _original=original, **kwargs):

@@ -197,7 +197,7 @@ class TestAmbientInstallation:
             with pytest.raises(DeviceOutOfMemoryError):
                 device.alloc(4, name="x")
         assert current_run().injector is None
-        device.alloc(4, name="x").free()
+        device.alloc(4, name="x")
         assert len(injector.injected) == 1
 
     def test_schedule_accepts_strings_and_specs(self):

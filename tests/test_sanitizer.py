@@ -13,7 +13,7 @@ import pytest
 
 from tests import negative_kernels as bad
 from repro.exceptions import SanitizerError
-from repro.gpu import DeviceArray, MemoryManager, SimtEmulator
+from repro.gpu import SimtEmulator
 from repro.gpu.sanitizer import (
     ATOMIC_PLAIN_CONFLICT,
     OUT_OF_BOUNDS,
@@ -151,17 +151,6 @@ class TestWiring:
         assert sanitizer.report.launches == 2
         assert sanitizer.report.kinds == {ATOMIC_PLAIN_CONFLICT}
         assert sanitizer.report.by_kind(ATOMIC_PLAIN_CONFLICT)[0].launch == 2
-
-    def test_device_array_tracked_labels_diagnostics(self):
-        manager = MemoryManager(capacity_bytes=1 << 20)
-        array = manager.alloc(8, np.float32, name="delta")
-        array.fill(0.0)
-        sanitizer = Sanitizer()
-        emulator = SimtEmulator(sanitizer=sanitizer)
-        with pytest.raises(SanitizerError):
-            emulator.launch(bad.oob_write_kernel, 1, 8,
-                            array.tracked(sanitizer))
-        assert sanitizer.report.by_kind(OUT_OF_BOUNDS)[0].array == "delta"
 
 
 class TestTrackedArray:

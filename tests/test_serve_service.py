@@ -41,6 +41,7 @@ from repro.serve import (
     ResultCache,
     estimate_device_bytes,
 )
+from repro.serve.events import MAX_EVENTS, ServeEvent, ServeLog
 from repro.serve.request import Job
 
 
@@ -211,6 +212,21 @@ class TestResultCache:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ParameterError):
             ResultCache(max_entries=-1)
+
+
+class TestServeLog:
+    def test_keeps_only_the_latest_events(self):
+        log = ServeLog()
+        total = MAX_EVENTS + 100
+        for job_id in range(total):
+            log.record(ServeEvent(ts=float(job_id), kind="submit",
+                                  job_id=job_id))
+        assert MAX_EVENTS == 8192
+        assert len(log) == MAX_EVENTS
+        kept = [event.job_id for event in log.snapshot()]
+        assert kept == list(range(100, total))
+        assert log.count("submit") == MAX_EVENTS
+        assert log.as_dicts()[0]["job_id"] == 100
 
 
 @pytest.fixture(scope="module")
