@@ -33,7 +33,6 @@ from .rng import RandomSource
 from .exceptions import (
     AdmissionError,
     CheckpointError,
-    ConvergenceError,
     DataValidationError,
     DeviceError,
     DeviceOutOfMemoryError,
@@ -88,7 +87,6 @@ __all__ = [
     "DeviceOutOfMemoryError",
     "KernelLaunchError",
     "EmulationError",
-    "ConvergenceError",
     "TransientDeviceError",
     "TransferCorruptionError",
     "KernelTimeoutError",

@@ -22,7 +22,6 @@ __all__ = [
     "KernelTimeoutError",
     "EmulationError",
     "SanitizerError",
-    "ConvergenceError",
     "CheckpointError",
     "ResilienceExhaustedError",
     "ServeError",
@@ -132,10 +131,6 @@ class SanitizerError(EmulationError):
         self.diagnostic = diagnostic
 
 
-class ConvergenceError(ReproError, RuntimeError):
-    """The iterative phase exceeded its iteration budget."""
-
-
 class CheckpointError(ReproError, RuntimeError):
     """A checkpoint is missing, corrupt, or incompatible with the run.
 
@@ -153,8 +148,8 @@ class AdmissionError(ServeError):
     """The service refused to enqueue a request (admission control).
 
     Raised at submit time when the queue is full, the modeled-device
-    backlog exceeds the configured budget, or the request could never
-    fit the modeled card's memory.  Carries ``reason`` (``"queue"``,
+    backlog exceeds the configured budget, or no admitting modeled card
+    can hold the request.  Carries ``reason`` (``"queue"``,
     ``"backlog"``, or ``"memory"``) so clients can distinguish
     back-off-and-retry conditions from permanently infeasible requests.
     """

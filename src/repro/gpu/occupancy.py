@@ -45,30 +45,6 @@ class OccupancyReport:
         )
 
 
-def _resident_blocks(
-    spec: GpuSpec,
-    threads_per_block: int,
-    registers_per_thread: int,
-    smem_bytes_per_block: int,
-) -> tuple[int, str]:
-    """Blocks of the launch that fit on one SM, and the binding limit."""
-    warps = math.ceil(threads_per_block / spec.warp_size)
-    threads_rounded = warps * spec.warp_size
-    limits = {
-        "blocks": spec.max_blocks_per_sm,
-        "threads": max(1, spec.max_threads_per_sm // threads_rounded),
-    }
-    if registers_per_thread > 0:
-        regs_per_block = registers_per_thread * threads_rounded
-        # A block whose registers exceed the SM's file cannot launch at
-        # all (cudaErrorLaunchOutOfResources on real hardware).
-        limits["registers"] = spec.registers_per_sm // regs_per_block
-    if smem_bytes_per_block > 0:
-        limits["shared memory"] = spec.shared_mem_per_sm // smem_bytes_per_block
-    limiter = min(limits, key=limits.get)  # type: ignore[arg-type]
-    return limits[limiter], limiter
-
-
 def occupancy_report(
     spec: GpuSpec,
     grid_blocks: int,
@@ -86,8 +62,8 @@ def occupancy_report(
             f"block size {threads_per_block} exceeds device limit "
             f"{spec.max_threads_per_block}"
         )
-    resident, limiter = _resident_blocks(
-        spec, threads_per_block, registers_per_thread, smem_bytes_per_block
+    resident, limiter = spec.resident_blocks(
+        threads_per_block, registers_per_thread, smem_bytes_per_block
     )
     if resident < 1:
         raise ValueError(

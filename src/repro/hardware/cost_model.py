@@ -314,22 +314,17 @@ class GpuModel(HardwareModel):
         return self.spec.name
 
     def resident_blocks_per_sm(self, launch: KernelLaunch) -> int:
-        """Blocks of this launch that fit concurrently on one SM."""
-        spec = self.spec
-        warps = math.ceil(launch.threads_per_block / spec.warp_size)
-        threads_rounded = warps * spec.warp_size
-        limits = [
-            spec.max_blocks_per_sm,
-            max(1, spec.max_threads_per_sm // max(threads_rounded, 1)),
-        ]
-        if launch.smem_bytes_per_block > 0:
-            limits.append(
-                max(1, spec.shared_mem_per_sm // launch.smem_bytes_per_block)
-            )
-        regs_per_block = launch.registers_per_thread * threads_rounded
-        if regs_per_block > 0:
-            limits.append(max(1, spec.registers_per_sm // regs_per_block))
-        return max(1, min(limits))
+        """Blocks of this launch that fit concurrently on one SM.
+
+        :meth:`GpuSpec.resident_blocks`, clamped to at least one: the
+        model costs a launch the occupancy report would refuse as if
+        one block fit.
+        """
+        blocks, _ = self.spec.resident_blocks(
+            launch.threads_per_block, launch.registers_per_thread,
+            launch.smem_bytes_per_block,
+        )
+        return max(1, blocks)
 
     def _utilization(self, launch: KernelLaunch) -> tuple[float, float]:
         """Return ``(mem_util, compute_util)`` in ``(0, 1]`` for a launch.

@@ -20,6 +20,7 @@ from the operation counts, not from these constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -127,6 +128,39 @@ class GpuSpec:
     def effective_bandwidth(self) -> float:
         """Sustained global-memory bandwidth in bytes/s."""
         return self.mem_bandwidth_bytes_per_s * self.mem_bandwidth_efficiency
+
+    def resident_blocks(
+        self,
+        threads_per_block: int,
+        registers_per_thread: int,
+        smem_bytes_per_block: int,
+    ) -> tuple[int, str]:
+        """Blocks of a launch that fit on one SM, and the binding limit.
+
+        The CUDA occupancy rules: per-SM block, thread, register and
+        shared-memory budgets, threads rounded up to whole warps.  0
+        blocks means the launch cannot run at all.
+        """
+        threads_rounded = (
+            math.ceil(threads_per_block / self.warp_size) * self.warp_size
+        )
+        limits = {
+            "blocks": self.max_blocks_per_sm,
+            "threads": max(
+                1, self.max_threads_per_sm // max(threads_rounded, 1)
+            ),
+        }
+        regs_per_block = registers_per_thread * threads_rounded
+        if regs_per_block > 0:
+            # A block whose registers exceed the SM's file cannot launch
+            # at all (cudaErrorLaunchOutOfResources on real hardware).
+            limits["registers"] = self.registers_per_sm // regs_per_block
+        if smem_bytes_per_block > 0:
+            limits["shared memory"] = (
+                self.shared_mem_per_sm // smem_bytes_per_block
+            )
+        limiter = min(limits, key=limits.get)  # type: ignore[arg-type]
+        return limits[limiter], limiter
 
 
 #: CPU of the small/medium workstation (6 physical cores, 12 threads).

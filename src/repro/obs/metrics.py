@@ -5,11 +5,11 @@ of counting work: :class:`~repro.hardware.counters.WorkCounter` (raw
 operation counts), the per-phase seconds dict on every
 :class:`~repro.hardware.cost_model.HardwareModel`, and the
 :class:`~repro.hardware.counters.KernelLaunch` list consumed by the
-profiler.  The registry absorbs all three behind one API — the
-*adapters* (:meth:`MetricsRegistry.absorb_run_stats`,
-:meth:`MetricsRegistry.absorb_work_counter`,
-:meth:`MetricsRegistry.absorb_kernel_times`) translate the existing
-structures without requiring their call sites to change.
+profiler.  The registry absorbs them behind one API — the *adapters*
+:meth:`MetricsRegistry.absorb_run_stats` (a run's work counters and
+per-phase seconds) and :meth:`MetricsRegistry.absorb_kernel_times`
+(per-kernel modeled seconds from a model's cost ledger) translate the
+existing structures without requiring their call sites to change.
 
 Instruments are cheap mutable cells; the registry is thread-safe for
 instrument creation (value updates are per-instrument and assumed
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from ..hardware.cost_model import HardwareModel
-    from ..hardware.counters import WorkCounter
     from ..result import RunStats
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
@@ -210,13 +209,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Adapters for the pre-existing accounting structures
     # ------------------------------------------------------------------
-    def absorb_work_counter(self, counter: "WorkCounter") -> None:
-        """Fold a :class:`WorkCounter`'s totals into registry counters."""
-        for name, value in counter.as_dict().items():
-            self.counter(name).inc(value)
-        for launch in counter.kernel_launches:
-            self.counter(f"kernel.{launch.name}.launches").inc(1)
-
     def absorb_phase_seconds(self, phase_seconds: Mapping[str, float]) -> None:
         """Fold a per-phase seconds mapping into ``phase_seconds.*`` counters."""
         for phase, seconds in phase_seconds.items():

@@ -17,8 +17,8 @@ classes, which determines the recovery action:
   retries the same rung (:mod:`repro.fleet.recovery`); a solo run can
   only degrade to a rung that avoids the dead device.
 * **FATAL** — user errors (bad data, bad parameters) and internal
-  invariant violations (over-releasing a memory budget, emulation
-  errors).  Never retried; re-raised unchanged.
+  invariant violations (sanitizer findings, emulation errors).  Never
+  retried; re-raised unchanged.
 
 The **degradation ladder** orders configurations from fastest to most
 conservative.  Because every PROCLUS variant in this repository
@@ -95,8 +95,8 @@ def classify_error(error: BaseException) -> ErrorClass:
     if isinstance(error, (DataValidationError, ParameterError)):
         return ErrorClass.FATAL
     if isinstance(error, (DeviceError, EmulationError, ReproError)):
-        # Budget over-release, sanitizer findings, emulator
-        # divergence: deterministic bugs, not conditions to retry.
+        # Sanitizer findings, emulator divergence: deterministic
+        # bugs, not conditions to retry.
         return ErrorClass.FATAL
     return ErrorClass.FATAL
 

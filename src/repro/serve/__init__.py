@@ -11,7 +11,8 @@ serving layer:
   so requests can reference data by content instead of re-uploading it;
 * :class:`~repro.serve.scheduler.JobScheduler` — priority queue with
   admission control (queue depth, modeled-backlog, device-memory
-  feasibility against the modeled card);
+  feasibility) and the per-card book of modeled device memory that
+  admits, places and reserves every job;
 * the request **coalescer** — concurrently queued requests agreeing on
   ``(fingerprint, backend, seed, k, A, B)`` execute as one group
   (``ClusterService._run_coalesced`` over
@@ -22,8 +23,8 @@ serving layer:
 * :class:`~repro.serve.cache.ResultCache` — memoizes full results per
   ``(fingerprint, backend, seed, params)`` with LRU eviction;
 * :class:`~repro.serve.service.ClusterService` — worker threads tying
-  it together, running every job under the resilience policies and a
-  :class:`~repro.gpu.memory.MemoryBudget` sized to the modeled GPU;
+  it together, running every job under the resilience policies on the
+  card (or fleet) the scheduler's book placed it on;
 * :func:`~repro.serve.loadgen.run_loadgen` — seeded synthetic request
   mixes producing the ``BENCH_serve.json`` report.
 """

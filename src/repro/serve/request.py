@@ -134,8 +134,8 @@ class Job:
     request: ClusterRequest
     job_id: int
     estimated_bytes: int = 0
-    #: Per-device footprint of a ``fleet-*`` job (None for solo jobs);
-    #: admission checks it componentwise against the fleet.
+    #: Per-card footprint of a ``fleet-*`` job (None for solo jobs);
+    #: admission checks it card by card against the scheduler's book.
     shard_bytes: "tuple[int, ...] | None" = None
     handles: list[JobHandle] = field(default_factory=list)
 

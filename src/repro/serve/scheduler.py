@@ -1,4 +1,5 @@
-"""Priority queue, admission control, and the request coalescer.
+"""Priority queue, admission control, the request coalescer, and the
+per-card book of modeled device memory.
 
 Admission decisions are made against the *modeled* device, in the same
 units the paper reports:
@@ -7,17 +8,24 @@ units the paper reports:
   own up-front allocation list
   (:meth:`repro.gpu_impl.accounting.GpuEngineMixin.device_arrays`, the
   list its ``_setup`` allocates from), so the estimate is exact and a
-  request that could never fit the modeled card (Section 5: space
-  becomes the limit at 8M points on the 6 GB GTX 1660 Ti) is rejected
-  at submit time instead of failing mid-run.
-  ``fleet-*`` jobs carry per-shard estimates
-  (:func:`estimate_shard_bytes`) and are admitted componentwise
-  against the fleet's per-device capacities, so a job too big for any
-  single card still runs when its shards fit the fleet together;
+  request that no admitting card can hold (Section 5: space becomes
+  the limit at 8M points on the 6 GB GTX 1660 Ti) is rejected at
+  submit time instead of failing mid-run.  ``fleet-*`` jobs carry
+  per-shard estimates (:func:`estimate_shard_bytes`) and are admitted
+  card by card, so a job too big for any single card still runs when
+  its shards fit the fleet together; a solo job needs one admitting
+  card that holds it;
 * **backlog** — completed runs feed an exponentially weighted average
   of modeled device seconds per backend, and the queue's summed
   estimate is capped, bounding modeled wait time;
 * **queue** — a plain depth bound.
+
+The scheduler's per-card book (:class:`Card`, one line per modeled
+card, a single line on a solo service) is the one record of device
+memory: admission, placement (:meth:`JobScheduler.place`), the
+non-blocking :meth:`~JobScheduler.reserve` and
+:meth:`~JobScheduler.release`, quarantine, and the service's
+``stats()`` all read it.
 
 :meth:`JobScheduler.pop_group` implements the coalescer: it pops the
 best job and drains every other queued job with the same
@@ -32,18 +40,25 @@ import heapq
 import itertools
 import math
 import threading
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..core.api import BACKENDS
-from ..exceptions import AdmissionError, ParameterError
+from ..exceptions import AdmissionError, DeviceOutOfMemoryError, ParameterError
 from ..fleet.fleet import Fleet
 from ..fleet.partition import shard_shape
 from ..gpu_impl.accounting import GpuEngineMixin
 from ..params import ProclusParams
 from .request import Job
 
-__all__ = ["JobScheduler", "estimate_device_bytes", "estimate_shard_bytes"]
+__all__ = [
+    "Card",
+    "JobScheduler",
+    "estimate_device_bytes",
+    "estimate_shard_bytes",
+]
 
 def _device_arrays(n, d, params, backend, dist_chunks):
     """The engine's own up-front allocation list; empty on the CPU."""
@@ -65,19 +80,13 @@ def estimate_device_bytes(
     params: ProclusParams,
     backend: str,
     dist_chunks: int = 1,
-    fleet: Fleet | None = None,
 ) -> int:
     """Modeled device bytes a run will allocate up front.
 
     Returns 0 for CPU backends, which use no device memory.  For a
-    ``fleet-*`` backend this is the *largest single-device* footprint
-    of the sharded run (over a one-card fleet when ``fleet`` is
-    omitted); use :func:`estimate_shard_bytes` for the per-device
-    breakdown.
+    ``fleet-*`` backend this is the footprint of the whole run on one
+    card; :func:`estimate_shard_bytes` gives the per-device breakdown.
     """
-    if fleet is not None and backend.startswith("fleet-"):
-        return max(estimate_shard_bytes(n, d, params, backend, fleet,
-                                        dist_chunks))
     return sum(
         _nbytes(shape, dtype)
         for _, shape, dtype in _device_arrays(n, d, params, backend,
@@ -110,8 +119,33 @@ def estimate_shard_bytes(
     )
 
 
+@dataclass(slots=True)
+class Card:
+    """One modeled card's line in the scheduler's book."""
+
+    usable_bytes: int
+    quarantined: bool = False
+    reserved_bytes: int = 0
+    peak_bytes: int = 0
+
+    @property
+    def capacity_bytes(self) -> int:
+        """Admitting capacity: the usable bytes, 0 while quarantined."""
+        return 0 if self.quarantined else self.usable_bytes
+
+    @property
+    def free_bytes(self) -> int:
+        return max(0, self.capacity_bytes - self.reserved_bytes)
+
+
 class JobScheduler:
-    """Thread-safe priority queue with admission control and coalescing."""
+    """Thread-safe priority queue with admission control, coalescing,
+    and the per-card book of modeled device memory.
+
+    ``device_capacities`` lists each card's usable bytes (negative
+    values book as 0: such a card admits nothing).  With no cards, only
+    jobs that need no device memory are admitted.
+    """
 
     #: EWMA smoothing for the per-backend modeled-seconds estimate.
     EWMA_ALPHA = 0.3
@@ -120,8 +154,7 @@ class JobScheduler:
         self,
         max_queue_depth: int = 64,
         max_backlog_seconds: float = math.inf,
-        capacity_bytes: int | None = None,
-        device_capacities: "tuple[int, ...] | None" = None,
+        device_capacities: Sequence[int] = (),
     ) -> None:
         if max_queue_depth < 1:
             raise ParameterError(
@@ -133,38 +166,82 @@ class JobScheduler:
             )
         self.max_queue_depth = max_queue_depth
         self.max_backlog_seconds = max_backlog_seconds
-        self.capacity_bytes = capacity_bytes
-        #: Per-device capacities of the fleet (when serving one); jobs
-        #: carrying per-shard estimates are admitted componentwise
-        #: against these instead of against ``capacity_bytes``.
-        self.device_capacities = device_capacities
+        #: The book: one line per card, in device order.
+        self.cards = [
+            Card(max(0, int(usable))) for usable in device_capacities
+        ]
+        #: Peak of the bytes reserved on all cards together.
+        self.peak_reserved_bytes = 0
         self._lock = threading.Lock()
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = itertools.count()
         self._ewma_seconds: dict[str, float] = {}
 
-    def set_device_capacity(self, index: int, capacity_bytes: int) -> None:
-        """Adjust one fleet member's admission capacity in place.
+    # ------------------------------------------------------------------
+    # The per-card book
+    # ------------------------------------------------------------------
+    @property
+    def device_capacities(self) -> tuple[int, ...]:
+        """Each card's admitting capacity (0 while quarantined)."""
+        with self._lock:
+            return tuple(card.capacity_bytes for card in self.cards)
 
-        Health-aware serving drives this: a quarantined member's
-        capacity drops to 0 (no shard may be admitted onto it) and is
-        restored on readmission.  Raises :class:`ParameterError` when
-        the scheduler has no per-device capacities or ``index`` is out
-        of range.
+    @property
+    def quarantined(self) -> frozenset[int]:
+        """Indices of the quarantined cards."""
+        with self._lock:
+            return frozenset(
+                index for index, card in enumerate(self.cards)
+                if card.quarantined
+            )
+
+    def set_quarantined(self, index: int, quarantined: bool) -> bool:
+        """Take card ``index`` out of rotation, or return it.
+
+        A quarantined card admits, places and reserves nothing.
+        Returns False when the card already was in that state.
         """
         with self._lock:
-            if self.device_capacities is None:
-                raise ParameterError(
-                    "scheduler has no per-device capacities to adjust"
-                )
-            if not 0 <= index < len(self.device_capacities):
-                raise ParameterError(
-                    f"device index {index} out of range for "
-                    f"{len(self.device_capacities)} devices"
-                )
-            capacities = list(self.device_capacities)
-            capacities[index] = max(0, int(capacity_bytes))
-            self.device_capacities = tuple(capacities)
+            card = self.cards[index]
+            if card.quarantined == quarantined:
+                return False
+            card.quarantined = quarantined
+            return True
+
+    def place(self) -> int:
+        """The card with the most free bytes, lowest index first."""
+        with self._lock:
+            free = [card.free_bytes for card in self.cards]
+        return free.index(max(free))
+
+    def reserve(self, needs: Sequence[int]) -> None:
+        """Book ``needs[i]`` bytes on card ``i``: all of them or none.
+
+        Never waits: one group executes at a time, so the previous
+        group has released its bytes.  Raises
+        :class:`~repro.exceptions.DeviceOutOfMemoryError` when a card
+        cannot hold its part, e.g. because it was quarantined after the
+        job was admitted.
+        """
+        with self._lock:
+            for card, need in zip(self.cards, needs):
+                if need > card.free_bytes:
+                    raise DeviceOutOfMemoryError(
+                        need, card.free_bytes, card.capacity_bytes
+                    )
+            for card, need in zip(self.cards, needs):
+                card.reserved_bytes += need
+                card.peak_bytes = max(card.peak_bytes, card.reserved_bytes)
+            self.peak_reserved_bytes = max(
+                self.peak_reserved_bytes,
+                sum(card.reserved_bytes for card in self.cards),
+            )
+
+    def release(self, needs: Sequence[int]) -> None:
+        """Release a booking made with :meth:`reserve`."""
+        with self._lock:
+            for card, need in zip(self.cards, needs):
+                card.reserved_bytes -= need
 
     # ------------------------------------------------------------------
     # Admission
@@ -179,31 +256,25 @@ class JobScheduler:
                     f"{self.max_queue_depth} jobs); retry later",
                     reason="queue",
                 )
-            if (
-                job.shard_bytes is not None
-                and self.device_capacities is not None
-            ):
-                # Sharded job on a fleet: each shard must fit its own
-                # device.  A job too big for any single card is still
-                # admitted when its shards fit the fleet together.
+            capacities = [card.capacity_bytes for card in self.cards]
+            if job.shard_bytes is not None:
+                # Each shard must fit its own card: a job too big for
+                # any single card is still admitted when its shards fit
+                # the fleet together.
                 for index, (need, cap) in enumerate(
-                    zip(job.shard_bytes, self.device_capacities)
+                    zip(job.shard_bytes, capacities)
                 ):
                     if need > cap:
                         raise AdmissionError(
                             f"shard {index} needs {need} modeled device "
-                            f"bytes but device {index} has {cap}; it can "
-                            f"never run",
+                            f"bytes but device {index} admits {cap}",
                             reason="memory",
                         )
-            elif (
-                self.capacity_bytes is not None
-                and job.estimated_bytes > self.capacity_bytes
-            ):
+            elif job.estimated_bytes > max(capacities, default=0):
                 raise AdmissionError(
                     f"request needs {job.estimated_bytes} modeled device "
-                    f"bytes but the card has {self.capacity_bytes}; it can "
-                    f"never run",
+                    f"bytes but the largest admitting card has "
+                    f"{max(capacities, default=0)}",
                     reason="memory",
                 )
             backlog = self._backlog_seconds_locked()

@@ -5,9 +5,10 @@ registered once and referenced by fingerprint, submissions pass
 admission control and wait in a priority queue, worker threads drain
 the queue in coalesced groups (one group executing at a time), every
 job runs under the resilience policies
-(:class:`~repro.resilience.runner.ResilientRunner`), and device use is
-booked against a :class:`~repro.gpu.memory.MemoryBudget` sized to the
-modeled card.
+(:class:`~repro.resilience.runner.ResilientRunner`), and device memory
+is booked in the scheduler's per-card book
+(:class:`~repro.serve.scheduler.Card`: one line for the modeled card,
+or one per fleet member), which admits, places and reserves every job.
 
 **Determinism contract.**  Every response is bit-identical to the
 direct solo call ``proclus(data, params=..., backend=..., seed=...)``:
@@ -43,10 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from ..core.multiparam import build_solo_shared_state
-from ..exceptions import DeviceOutOfMemoryError, ReproError, ServeError
+from ..exceptions import ReproError, ServeError
 from ..fleet.fleet import Fleet
 from ..fleet.recovery import degraded_fleet
-from ..gpu.memory import MemoryBudget
 from ..hardware.specs import GTX_1660_TI, GpuSpec
 from ..obs.monitor import ServiceMonitor
 from ..obs.recorder import FlightRecorder
@@ -92,17 +92,16 @@ class ClusterService:
         time per service (see :meth:`_worker`).
     gpu_spec:
         The modeled card (default: the paper's GTX 1660 Ti).  Its
-        usable memory sizes the device budget; GPU jobs run against it.
+        usable memory is the scheduler's one-card book; GPU jobs run
+        against it.
     fleet:
         Serve against a :class:`~repro.fleet.Fleet` of modeled devices
-        instead of one card.  Each member gets its own
-        :class:`MemoryBudget` ledger; ``fleet-*`` jobs shard across the
-        fleet (reserving per-shard footprints componentwise), solo GPU
-        jobs are placed on the member with the most free modeled
-        memory (with one group executing at a time, the largest
-        healthy member, lowest index first).  Admission then bounds
-        solo jobs by the largest member and sharded jobs by the
-        componentwise per-device capacities.
+        instead of one card; the book then has one line per member.
+        ``fleet-*`` jobs shard across the fleet (admitted and reserved
+        card by card), solo GPU jobs need one admitting card and are
+        placed on the one with the most free modeled memory (with one
+        group executing at a time, the largest healthy member, lowest
+        index first).
     policy:
         Retry/degradation policy for every job (default
         :class:`RetryPolicy`).
@@ -162,29 +161,16 @@ class ClusterService:
         self.registry = DatasetRegistry()
         self.cache = ResultCache(cache_entries)
         self.fleet = fleet
-        if fleet is not None:
-            #: Per-device reservation ledgers (None for zero-capacity
-            #: members, which hold no shards and run no jobs).
-            self.device_budgets: "list[MemoryBudget | None] | None" = [
-                MemoryBudget(spec.usable_bytes)
-                if spec.usable_bytes > 0 else None
-                for spec in fleet.specs
-            ]
-            self.budget = MemoryBudget(fleet.total_usable_bytes)
-            capacity_bytes = fleet.max_usable_bytes
-            device_capacities = tuple(
-                max(0, spec.usable_bytes) for spec in fleet.specs
-            )
-        else:
-            self.device_budgets = None
-            self.budget = MemoryBudget(self.gpu_spec.usable_bytes)
-            capacity_bytes = self.gpu_spec.usable_bytes
-            device_capacities = None
+        #: The cards jobs run on: the fleet, or the one modeled card.
+        self._cards = fleet if fleet is not None else Fleet(
+            specs=(self.gpu_spec,)
+        )
         self.scheduler = JobScheduler(
             max_queue_depth=max_queue_depth,
             max_backlog_seconds=max_backlog_seconds,
-            capacity_bytes=capacity_bytes,
-            device_capacities=device_capacities,
+            device_capacities=[
+                spec.usable_bytes for spec in self._cards.specs
+            ],
         )
         self.log = ServeLog()
         #: Live monitoring sink (None unless ``monitor_dir`` was given).
@@ -211,8 +197,6 @@ class ClusterService:
             self.monitor.on_unhealthy = self._on_slo_breach
         #: Fault injector installed around every job (fault drills).
         self.injector = injector if injector is not None else run.injector
-        #: Fleet members currently quarantined by health-aware serving.
-        self._quarantined: set[int] = set()
         self.runner = ResilientRunner(policy)
         #: Aggregated stats of every engine run the service executed
         #: (cache hits and coalesced sharing make this smaller than the
@@ -382,10 +366,11 @@ class ClusterService:
     def quarantine_device(self, index: int, reason: str = "") -> bool:
         """Pull fleet member ``index`` out of serving rotation.
 
-        New sharded jobs re-shard over the remaining members (the
-        quarantined member keeps its index at weight zero, so device
-        numbering is stable); solo GPU placement skips it; admission
-        control sees its capacity as zero.  Emits a ``device_down``
+        Its line in the scheduler's book admits nothing: new sharded
+        jobs re-shard over the remaining members (the quarantined
+        member keeps its index at weight zero, so device numbering is
+        stable), and no solo GPU job is admitted onto or placed on it;
+        a queued job that no longer fits fails.  Emits a ``device_down``
         service event (which feeds the ``fleet-availability`` and
         ``fleet-mttr`` SLOs).  Returns False when the member was
         already quarantined.  Raises :class:`ServeError` without a
@@ -393,15 +378,18 @@ class ClusterService:
         leave no member serving.
         """
         self._check_device_index(index)
-        if index in self._quarantined:
-            return False
-        if degraded_fleet(self.fleet, self._quarantined | {index}) is None:
-            raise ServeError(
-                f"cannot quarantine dev{index}: no fleet member with "
-                f"capacity would remain"
-            )
-        self._quarantined.add(index)
-        self.scheduler.set_device_capacity(index, 0)
+        # Check and quarantine under one lock, so two concurrent calls
+        # cannot each leave the other's member as the last one serving.
+        with self._cond:
+            quarantined = self.scheduler.quarantined
+            if index in quarantined:
+                return False
+            if degraded_fleet(self.fleet, quarantined | {index}) is None:
+                raise ServeError(
+                    f"cannot quarantine dev{index}: no fleet member with "
+                    f"capacity would remain"
+                )
+            self.scheduler.set_quarantined(index, True)
         self.obs.metrics.counter("fleet.quarantined").inc()
         self._event("device_down", detail=reason, device=index)
         return True
@@ -415,12 +403,8 @@ class ClusterService:
         was not quarantined.
         """
         self._check_device_index(index)
-        if index not in self._quarantined:
+        if not self.scheduler.set_quarantined(index, False):
             return False
-        self._quarantined.discard(index)
-        self.scheduler.set_device_capacity(
-            index, max(0, self.fleet.specs[index].usable_bytes)
-        )
         self.obs.metrics.counter("fleet.readmitted").inc()
         self._event("device_recovered", device=index)
         return True
@@ -428,7 +412,7 @@ class ClusterService:
     @property
     def quarantined_devices(self) -> frozenset[int]:
         """Fleet member indices currently quarantined."""
-        return frozenset(self._quarantined)
+        return self.scheduler.quarantined
 
     def _check_device_index(self, index: int) -> None:
         if self.fleet is None:
@@ -464,23 +448,22 @@ class ClusterService:
             for name, value in counters.items()
             if name.startswith(("serve.", "fleet."))
         }
+        cards = self.scheduler.cards
         devices = None
         if self.fleet is not None:
             devices = [
                 {
                     "spec": spec.name,
-                    "capacity_bytes": max(0, spec.usable_bytes),
-                    "peak_reserved_bytes": (
-                        budget.peak_reserved_bytes if budget is not None else 0
-                    ),
+                    "capacity_bytes": card.usable_bytes,
+                    "peak_reserved_bytes": card.peak_bytes,
                 }
-                for spec, budget in zip(self.fleet.specs, self.device_budgets)
+                for spec, card in zip(self.fleet.specs, cards)
             ]
         return {
             "fleet": self.fleet.name if self.fleet is not None else None,
             "devices": devices,
             "quarantined": sorted(
-                f"dev{index}" for index in self._quarantined
+                f"dev{index}" for index in self.scheduler.quarantined
             ),
             "queued": self.scheduler.depth,
             "running": self._running,
@@ -488,8 +471,8 @@ class ClusterService:
             "cache": self.cache.stats(),
             "counters": serve_counters,
             "executed_modeled_seconds": self.executed_stats.modeled_seconds,
-            "peak_reserved_bytes": self.budget.peak_reserved_bytes,
-            "budget_capacity_bytes": self.budget.capacity_bytes,
+            "peak_reserved_bytes": self.scheduler.peak_reserved_bytes,
+            "budget_capacity_bytes": sum(card.usable_bytes for card in cards),
         }
 
     # ------------------------------------------------------------------
@@ -526,9 +509,12 @@ class ClusterService:
     def _run_group(self, group: list[Job]) -> None:
         leader = group[0].request
         data = self.registry.get(leader.fingerprint)
-        nbytes = max(job.estimated_bytes for job in group)
-        engine_kwargs, reservations = self._reserve_group(leader, group, nbytes)
+        engine_kwargs, booked = None, ()
         try:
+            # Inside the try: a group that no longer fits (its card was
+            # quarantined after admission) fails its handles, and the
+            # worker keeps serving.
+            engine_kwargs, booked = self._place_group(group, *data.shape)
             if len(group) > 1:
                 self._event(
                     "coalesce", group[0].job_id, leader,
@@ -581,18 +567,20 @@ class ClusterService:
                 self.obs.metrics.counter("serve.failed").inc()
                 for handle in job.handles:
                     handle._fail(error, now)
-            if self.recorder is not None and not self.recorder.dumped_error(
-                error
+            if (
+                self.recorder is not None
+                and engine_kwargs is not None
+                and not self.recorder.dumped_error(error)
             ):
                 # Exhaustion bundles were already dumped by the runner
                 # (with the full job context); everything else — FATAL
-                # classifications, substrate bugs — is captured here.
+                # classifications, substrate bugs — is captured here.  A
+                # group that was never placed ran nothing to replay.
                 self.recorder.record_failure("job-failure", error)
                 self.recorder.auto_dump("job-failure", error)
             return
         finally:
-            for budget, amount in reservations:
-                budget.release(amount)
+            self.scheduler.release(booked)
 
         for job, outcome in zip(group, outcomes):
             result = outcome.result
@@ -638,84 +626,51 @@ class ClusterService:
 
         Quarantined members are zeroed in place, so sharded jobs
         re-shard over the healthy members while device numbering (and
-        the componentwise budget/admission ledgers) stay aligned.
+        the per-card book) stay aligned.
         """
-        if self.fleet is not None:
-            if self._quarantined:
-                degraded = degraded_fleet(self.fleet, self._quarantined)
-                if degraded is not None:
-                    return degraded
-            return self.fleet
-        return Fleet(specs=(self.gpu_spec,))
+        quarantined = self.scheduler.quarantined
+        if quarantined:
+            return degraded_fleet(self._cards, quarantined) or self._cards
+        return self._cards
 
-    def _reserve_group(
-        self, leader: ClusterRequest, group: list[Job], nbytes: int
-    ) -> "tuple[dict, list[tuple[MemoryBudget, int]]]":
-        """Reserve modeled memory for one group; pick where it runs.
+    def _place_group(
+        self, group: list[Job], n: int, d: int
+    ) -> "tuple[dict, tuple[int, ...]]":
+        """Pick where one group runs and book its modeled memory.
 
-        Returns the engine kwargs and the ``(budget, bytes)``
-        reservations to release when the group finishes.  Sharded jobs
-        reserve each shard's footprint on its device ledger; on a fleet
-        service, solo GPU jobs are placed on the device with the most
-        free modeled memory (ties to the lowest index).  ``self.budget``
-        stays the aggregate book either way.  The previous group has
-        released its reservations before this one is popped, so a
-        reservation never waits.  Per-device budgets are acquired in
-        index order.
+        Returns the engine kwargs and the per-card bytes booked, which
+        the caller releases when the group finishes.  A sharded group
+        books each shard's footprint on the cards serving now; a solo
+        GPU group books its footprint on the card with the most free
+        bytes (lowest index first); a CPU group books nothing.  Raises
+        :class:`~repro.exceptions.DeviceOutOfMemoryError` when a card
+        cannot hold its part.
         """
-        backend = leader.backend
-        reservations: "list[tuple[MemoryBudget, int]]" = []
+        backend = group[0].request.backend
         if backend.startswith("fleet-"):
             fleet = self._fleet_for()
-            engine_kwargs = {"fleet": fleet}
-            shard_bytes = tuple(
-                max(parts)
-                for parts in zip(*(job.shard_bytes for job in group))
+            booked = tuple(
+                max(parts) for parts in zip(*(
+                    estimate_shard_bytes(n, d, job.request.params, backend,
+                                         fleet)
+                    for job in group
+                ))
             )
-            if self.device_budgets is not None:
-                for budget, need in zip(self.device_budgets, shard_bytes):
-                    if budget is not None and need > 0:
-                        budget.reserve(need)
-                        reservations.append((budget, need))
-            total = sum(shard_bytes)
-            self.budget.reserve(total)
-            reservations.append((self.budget, total))
+            self.scheduler.reserve(booked)
             self.obs.metrics.counter("fleet.jobs").inc()
-        elif backend.startswith("gpu"):
-            if self.device_budgets is not None and self.fleet is not None:
-                index = self._place(nbytes)
-                budget = self.device_budgets[index]
-                budget.reserve(nbytes)
-                reservations.append((budget, nbytes))
-                engine_kwargs = {"gpu_spec": self.fleet.specs[index]}
-                self.obs.metrics.counter(
-                    f"fleet.placements.dev{index}"
-                ).inc()
-            else:
-                engine_kwargs = {"gpu_spec": self.gpu_spec}
-            self.budget.reserve(nbytes)
-            reservations.append((self.budget, nbytes))
-        else:
-            engine_kwargs = {}
-            self.budget.reserve(nbytes)
-            reservations.append((self.budget, nbytes))
-        return engine_kwargs, reservations
-
-    def _place(self, nbytes: int) -> int:
-        """Fleet member for a solo GPU job: most free modeled memory."""
-        best, best_free = None, -1
-        for index, budget in enumerate(self.device_budgets):
-            if budget is None or not budget.fits(nbytes):
-                continue
-            if index in self._quarantined:
-                continue
-            if budget.free_bytes > best_free:
-                best, best_free = index, budget.free_bytes
-        if best is None:  # pragma: no cover - admission checks this
-            raise DeviceOutOfMemoryError(
-                nbytes, 0, max(0, self.fleet.max_usable_bytes)
-            )
-        return best
+            return {"fleet": fleet}, booked
+        if not backend.startswith("gpu"):
+            return {}, ()
+        index = self.scheduler.place()
+        nbytes = max(job.estimated_bytes for job in group)
+        booked = tuple(
+            nbytes if card == index else 0
+            for card in range(self._cards.num_devices)
+        )
+        self.scheduler.reserve(booked)
+        if self.fleet is not None:
+            self.obs.metrics.counter(f"fleet.placements.dev{index}").inc()
+        return {"gpu_spec": self._cards.specs[index]}, booked
 
     def _run_coalesced(
         self, data: np.ndarray, group: list[Job], engine_kwargs: dict

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import (
-    ConvergenceError,
     DataValidationError,
     DeviceError,
     DeviceOutOfMemoryError,
@@ -25,7 +24,6 @@ from repro.exceptions import (
         DeviceOutOfMemoryError,
         KernelLaunchError,
         EmulationError,
-        ConvergenceError,
     ],
 )
 def test_all_derive_from_repro_error(exc):

@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -76,6 +77,45 @@ class TestQuarantineServing:
             service.quarantine_device(0)
             with pytest.raises(ServeError, match="would remain"):
                 service.quarantine_device(1)
+        finally:
+            service.close()
+
+    def test_concurrent_quarantines_never_empty_the_fleet(self, monkeypatch):
+        """Two members quarantined at once: exactly one call wins.
+
+        The check for a remaining member is slowed down, so both calls
+        are inside it together unless the service serializes them.
+        """
+        import repro.serve.service as service_module
+
+        check = service_module.degraded_fleet
+
+        def slow_check(*args):
+            time.sleep(0.01)
+            return check(*args)
+
+        monkeypatch.setattr(service_module, "degraded_fleet", slow_check)
+        service = self._service(devices=2)
+        barrier = threading.Barrier(2)
+        outcomes = []
+
+        def quarantine(index):
+            barrier.wait(timeout=10)
+            try:
+                outcomes.append(service.quarantine_device(index))
+            except ServeError:
+                outcomes.append("refused")
+
+        try:
+            threads = [threading.Thread(target=quarantine, args=(index,))
+                       for index in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert sorted(map(str, outcomes)) == ["True", "refused"]
+            assert len(service.quarantined_devices) == 1
         finally:
             service.close()
 

@@ -3,12 +3,14 @@
 Covers the scheduler-side contract of ``ClusterService(fleet=...)``:
 componentwise admission of sharded jobs (a job too big for every
 single device still runs when its shards fit the fleet), zero-capacity
-fleet members, and the per-backend EWMA backlog estimator under mixed
+fleet members, quarantined cards (seen by admission and by placement
+alike), and the per-backend EWMA backlog estimator under mixed
 solo/sharded traffic.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from repro import proclus
 from repro.data.normalize import minmax_normalize
 from repro.data.synthetic import generate_subspace_data
-from repro.exceptions import AdmissionError
+from repro.exceptions import AdmissionError, DeviceOutOfMemoryError
 from repro.fleet import Fleet, default_fleet
 from repro.hardware.specs import GTX_1660_TI
 from repro.params import ProclusParams
@@ -28,6 +30,7 @@ from repro.serve import (
     estimate_shard_bytes,
 )
 from repro.serve.request import ClusterRequest, Job
+from tests.test_serve_service import gate_fit
 
 
 def tiny_card(usable_bytes: int):
@@ -80,13 +83,6 @@ class TestShardEstimates:
         assert shards[0] == estimate_device_bytes(10_000, 12, params,
                                                   "gpu-fast")
 
-    def test_device_bytes_for_fleet_backend_is_max_shard(self, params):
-        fleet = default_fleet(3)
-        shards = estimate_shard_bytes(8_192, 15, params, "fleet-gpu", fleet)
-        assert estimate_device_bytes(
-            8_192, 15, params, "fleet-gpu", fleet=fleet
-        ) == max(shards)
-
 
 class TestComponentwiseAdmission:
     def test_job_bigger_than_any_device_fits_the_fleet(self, params):
@@ -100,7 +96,6 @@ class TestComponentwiseAdmission:
         assert max(shards) <= capacity < solo_bytes
 
         scheduler = JobScheduler(
-            capacity_bytes=fleet.max_usable_bytes,
             device_capacities=tuple(s.usable_bytes for s in fleet.specs),
         )
         with pytest.raises(AdmissionError) as excinfo:
@@ -149,7 +144,9 @@ class TestZeroCapacityMember:
         fleet = Fleet(specs=(GTX_1660_TI, tiny_card(0)))
         reference = proclus(data, params=params, backend="gpu", seed=0)
         with ClusterService(workers=1, fleet=fleet) as service:
-            assert service.device_budgets[1] is None
+            assert service.scheduler.device_capacities == (
+                GTX_1660_TI.usable_bytes, 0
+            )
             handle = service.submit(data, backend="fleet-gpu",
                                     params=params, seed=0)
             result = handle.result(timeout=120)
@@ -169,6 +166,75 @@ class TestZeroCapacityMember:
             counters = service.stats()["counters"]
         assert counters.get("fleet.placements.dev0", 0) == 2
         assert "fleet.placements.dev1" not in counters
+
+
+class TestQuarantinedCard:
+    """A quarantined card admits and places nothing.
+
+    Card 0 has too little room for the solo gpu-fast job below; card 1
+    holds it, so quarantining card 1 leaves no card that can.
+    """
+
+    PARAMS = ProclusParams(k=4, l=3, a=20, b=4)
+    SOLO_BYTES = 265_408
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        generated = generate_subspace_data(n=2000, d=8, n_clusters=4, seed=3)
+        return minmax_normalize(generated.data)
+
+    @pytest.fixture
+    def service(self):
+        fleet = Fleet(specs=(tiny_card(100_000), tiny_card(10_000_000)))
+        service = ClusterService(workers=1, fleet=fleet)
+        yield service
+        service.close(drain=False)
+
+    def test_solo_job_refused_when_only_a_quarantined_card_holds_it(
+        self, service, small
+    ):
+        assert estimate_device_bytes(
+            2000, 8, self.PARAMS, "gpu-fast"
+        ) == self.SOLO_BYTES
+        assert service.quarantine_device(1, reason="drill")
+        with pytest.raises(AdmissionError) as excinfo:
+            service.submit(small, backend="gpu-fast", params=self.PARAMS,
+                           seed=0)
+        assert excinfo.value.reason == "memory"
+        assert service.scheduler.device_capacities == (100_000, 0)
+
+    def test_queued_job_whose_card_is_quarantined_fails_typed(
+        self, service, small
+    ):
+        running, release = threading.Event(), threading.Event()
+
+        def hold_first(seed):
+            if seed == 0:
+                running.set()
+                assert release.wait(timeout=30)
+
+        def submit(backend, seed):
+            return service.submit(small, backend=backend,
+                                  params=self.PARAMS, seed=seed)
+
+        gate_fit(service, hold_first)
+        first = submit("fast", 0)
+        assert running.wait(timeout=30)
+        queued = submit("gpu-fast", 1)  # card 1 can hold it: admitted
+        assert service.quarantine_device(1, reason="drill")
+        release.set()
+        assert first.result(timeout=30).k == 4
+        with pytest.raises(DeviceOutOfMemoryError):
+            queued.result(timeout=10)
+        assert queued.status == "failed"
+        assert all(thread.is_alive() for thread in service._workers)
+        assert submit("fast", 2).result(timeout=30).k == 4
+        stats = service.stats()
+        assert stats["counters"]["serve.failed"] == 1
+        assert stats["counters"]["serve.completed"] == 2
+        assert "fleet.placements.dev1" not in stats["counters"]
+        assert [entry["peak_reserved_bytes"]
+                for entry in stats["devices"]] == [0, 0]
 
 
 class TestBacklogEwmaMixedTraffic:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import DeviceError, DeviceOutOfMemoryError
+from repro.exceptions import DeviceOutOfMemoryError
 from repro.gpu.memory import MemoryManager
 
 
@@ -77,73 +77,3 @@ class TestFree:
         manager.free_all()
         assert manager.allocated_bytes == 0
         assert manager.peak_bytes == 32
-
-
-class TestMemoryBudget:
-    def test_reserve_release_and_peak(self):
-        from repro.gpu.memory import MemoryBudget
-
-        budget = MemoryBudget(1_000)
-        budget.reserve(600)
-        budget.reserve(300)
-        assert budget.reserved_bytes == 900
-        assert budget.free_bytes == 100
-        budget.release(300)
-        budget.release(600)
-        assert budget.reserved_bytes == 0
-        assert budget.peak_reserved_bytes == 900
-
-    def test_over_capacity_reservation_rejected(self):
-        from repro.gpu.memory import MemoryBudget
-
-        budget = MemoryBudget(1_000)
-        with pytest.raises(DeviceOutOfMemoryError):
-            budget.reserve(1_001)
-        assert budget.fits(1_000)
-        assert not budget.fits(1_001)
-
-    def test_timeout_when_capacity_held(self):
-        from repro.gpu.memory import MemoryBudget
-
-        budget = MemoryBudget(1_000)
-        budget.reserve(800)
-        with pytest.raises(DeviceOutOfMemoryError):
-            budget.reserve(400, timeout=0.05)
-        assert budget.waits == 1
-        assert budget.reserved_bytes == 800
-
-    def test_blocked_reservation_proceeds_on_release(self):
-        import threading
-
-        from repro.gpu.memory import MemoryBudget
-
-        budget = MemoryBudget(1_000)
-        budget.reserve(800)
-        acquired = threading.Event()
-
-        def contender():
-            budget.reserve(400, timeout=5.0)
-            acquired.set()
-
-        thread = threading.Thread(target=contender)
-        thread.start()
-        assert not acquired.wait(0.05)
-        budget.release(800)
-        assert acquired.wait(5.0)
-        thread.join()
-        assert budget.reserved_bytes == 400
-
-    def test_over_release_rejected(self):
-        from repro.gpu.memory import MemoryBudget
-
-        budget = MemoryBudget(1_000)
-        budget.reserve(100)
-        with pytest.raises(DeviceError):
-            budget.release(200)
-
-    def test_invalid_capacity_rejected(self):
-        from repro.exceptions import ParameterError
-        from repro.gpu.memory import MemoryBudget
-
-        with pytest.raises(ParameterError):
-            MemoryBudget(0)

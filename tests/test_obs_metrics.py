@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware.counters import KernelLaunch, WorkCounter
+from repro.hardware.counters import KernelLaunch
 from repro.hardware.cost_model import GpuModel, ScalarCpuModel
 from repro.hardware.specs import GTX_1660_TI, INTEL_I7_9750H
 from repro.obs import MetricsRegistry
@@ -122,15 +122,6 @@ class TestHistogramPercentiles:
 
 
 class TestAdapters:
-    def test_absorb_work_counter(self):
-        counter = WorkCounter()
-        counter.add("cpu.flops", 100)
-        counter.record_launch(_launch())
-        registry = MetricsRegistry()
-        registry.absorb_work_counter(counter)
-        assert registry.counter("cpu.flops").value == 100
-        assert registry.counter("kernel.compute_l.distances.launches").value == 1
-
     def test_absorb_phase_seconds(self):
         registry = MetricsRegistry()
         registry.absorb_phase_seconds({"compute_l": 0.5, "evaluate": 0.25})

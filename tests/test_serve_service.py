@@ -23,6 +23,7 @@ from repro import proclus
 from repro.core.base import EngineBase
 from repro.exceptions import (
     AdmissionError,
+    DeviceOutOfMemoryError,
     ParameterError,
     ResilienceExhaustedError,
     ServeError,
@@ -171,7 +172,7 @@ class TestJobScheduler:
         assert info.value.reason == "queue"
 
     def test_memory_admission(self):
-        scheduler = JobScheduler(capacity_bytes=1_000)
+        scheduler = JobScheduler(device_capacities=(1_000,))
         scheduler.admit(make_job(0, estimated_bytes=999))
         with pytest.raises(AdmissionError) as info:
             scheduler.admit(make_job(1, estimated_bytes=1_001))
@@ -186,6 +187,60 @@ class TestJobScheduler:
         with pytest.raises(AdmissionError) as info:
             scheduler.admit(make_job(1))
         assert info.value.reason == "backlog"
+
+
+class TestCardBook:
+    """The scheduler's per-card book: reserve, release, place, quarantine."""
+
+    def test_reserve_release_and_peak(self):
+        scheduler = JobScheduler(device_capacities=(1_000, 500))
+        scheduler.reserve((600, 0))
+        scheduler.reserve((300, 500))
+        assert [card.reserved_bytes for card in scheduler.cards] == [900, 500]
+        assert [card.free_bytes for card in scheduler.cards] == [100, 0]
+        scheduler.release((300, 500))
+        scheduler.release((600, 0))
+        assert [card.reserved_bytes for card in scheduler.cards] == [0, 0]
+        assert [card.peak_bytes for card in scheduler.cards] == [900, 500]
+        assert scheduler.peak_reserved_bytes == 1_400
+
+    def test_reserve_refuses_what_a_card_cannot_hold(self):
+        scheduler = JobScheduler(device_capacities=(1_000, 1_000))
+        with pytest.raises(DeviceOutOfMemoryError):
+            scheduler.reserve((500, 1_001))
+        # All or none: the first card's part was not booked either.
+        assert [card.reserved_bytes for card in scheduler.cards] == [0, 0]
+        assert scheduler.peak_reserved_bytes == 0
+
+    def test_place_picks_most_free_lowest_index_first(self):
+        scheduler = JobScheduler(device_capacities=(1_000, 2_000, 2_000))
+        assert scheduler.place() == 1
+        scheduler.reserve((0, 500, 0))
+        assert scheduler.place() == 2
+
+    def test_quarantine_zeroes_the_admitting_capacity(self):
+        scheduler = JobScheduler(device_capacities=(1_000, 2_000, -5))
+        assert scheduler.device_capacities == (1_000, 2_000, 0)
+        assert scheduler.set_quarantined(1, True)
+        assert not scheduler.set_quarantined(1, True)
+        assert scheduler.quarantined == frozenset({1})
+        assert scheduler.device_capacities == (1_000, 0, 0)
+        assert scheduler.place() == 0
+        with pytest.raises(AdmissionError) as info:
+            scheduler.admit(make_job(0, estimated_bytes=1_001))
+        assert info.value.reason == "memory"
+        with pytest.raises(DeviceOutOfMemoryError):
+            scheduler.reserve((0, 1, 0))
+        assert scheduler.set_quarantined(1, False)
+        assert scheduler.device_capacities == (1_000, 2_000, 0)
+        scheduler.admit(make_job(0, estimated_bytes=1_001))
+
+    def test_no_cards_admit_only_jobs_without_device_memory(self):
+        scheduler = JobScheduler()
+        scheduler.admit(make_job(0, backend="fast"))
+        with pytest.raises(AdmissionError) as info:
+            scheduler.admit(make_job(1, estimated_bytes=1))
+        assert info.value.reason == "memory"
 
 
 class TestResultCache:
