@@ -1,9 +1,10 @@
 """Pin the one-call-per-phase-step bodies to their per-medoid loops.
 
-``find_dimensions``, ``cluster_sizes_from_labels`` and the three
-engines' ``_compute_l_and_x`` used to loop once per medoid; they now
-make one NumPy call per step over all medoids.  The reference bodies
-below are those loops.  The library must return the same bits:
+``find_dimensions``, ``cluster_sizes_from_labels`` and the engines'
+``_compute_l_and_x`` used to loop once per medoid; they now make one
+NumPy call per step over all medoids.  The reference bodies below are
+those loops, and the two ablation engines' own bodies.  The library
+must return the same bits:
 
 * ``find_dimensions`` on spread matrices with many tied values;
 * ``cluster_sizes_from_labels`` with outliers and empty clusters;
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.ablation import FastDistOnlyEngine, FastHOnlyEngine
 from repro.core.fast import FastProclusEngine
 from repro.core.fast_star import FastStarProclusEngine
 from repro.core.phases import cluster_sizes_from_labels, find_dimensions
@@ -153,6 +155,63 @@ def ref_proclus_l_and_x(engine, mcur):
     return x, sizes
 
 
+def ref_dist_only_l_and_x(engine, mcur):
+    data = engine._data
+    n, d = data.shape
+    k = len(mcur)
+    cache = engine._cache
+    medoid_ids = engine._medoid_ids[mcur]
+    missing = mcur[~cache.dist_found[mcur]]
+    for mi in missing:
+        cache.dist[mi] = engine._distance_row(data[engine._medoid_ids[mi]])
+    cache.dist_found[missing] = True
+    medoid_dist = cache.dist[mcur][:, medoid_ids]
+    np.fill_diagonal(medoid_dist, np.inf)
+    delta = medoid_dist.min(axis=1)
+    x = np.zeros((k, d), dtype=np.float64)
+    sizes = np.zeros(k, dtype=np.int64)
+    for i, mi in enumerate(mcur):
+        mask = cache.dist[mi] <= delta[i]
+        count = int(np.count_nonzero(mask))
+        sizes[i] = count
+        x[i] = engine._dim_sums(mask, data[engine._medoid_ids[mi]]) / count
+    return x, sizes
+
+
+def ref_h_only_l_and_x(engine, mcur):
+    data = engine._data
+    n, d = data.shape
+    k = len(mcur)
+    cache = engine._cache
+    medoid_ids = engine._medoid_ids[mcur]
+    for mi in mcur:
+        cache.dist[mi] = engine._distance_row(data[engine._medoid_ids[mi]])
+    medoid_dist = cache.dist[mcur][:, medoid_ids]
+    np.fill_diagonal(medoid_dist, np.inf)
+    delta = medoid_dist.min(axis=1)
+    x = np.zeros((k, d), dtype=np.float64)
+    sizes = np.zeros(k, dtype=np.int64)
+    for i, mi in enumerate(mcur):
+        row = cache.dist[mi]
+        previous = cache.prev_delta[mi]
+        current = delta[i]
+        if current >= previous:
+            mask = (row > previous) & (row <= current)
+            lam = 1
+        else:
+            mask = (row > current) & (row <= previous)
+            lam = -1
+        count = int(np.count_nonzero(mask))
+        if count:
+            point = data[engine._medoid_ids[mi]]
+            cache.h[mi] += lam * engine._dim_sums(mask, point)
+            cache.size_l[mi] += lam * count
+        cache.prev_delta[mi] = current
+        sizes[i] = cache.size_l[mi]
+        x[i] = cache.h[mi] / cache.size_l[mi]
+    return x, sizes
+
+
 # ----------------------------------------------------------------------
 # Pins
 # ----------------------------------------------------------------------
@@ -187,6 +246,8 @@ ENGINES = {
     "proclus": (ProclusEngine, ref_proclus_l_and_x),
     "fast": (FastProclusEngine, ref_fast_l_and_x),
     "fast-star": (FastStarProclusEngine, ref_fast_star_l_and_x),
+    "fast-dist-only": (FastDistOnlyEngine, ref_dist_only_l_and_x),
+    "fast-h-only": (FastHOnlyEngine, ref_h_only_l_and_x),
 }
 
 
