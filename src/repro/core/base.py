@@ -4,8 +4,11 @@
 iterative, refinement phases).  Variants differ in exactly two places:
 
 * :meth:`EngineBase._compute_l_and_x` — how the sphere sets ``L_i`` and
-  the average-distance matrix ``X`` are obtained (full recomputation in
-  the baseline; cached distances + incremental ``H`` in FAST/FAST*);
+  the average-distance matrix ``X`` are obtained.  Each variant only
+  chooses which distance rows to compute and which ``X`` step to run;
+  the steps are written once: the ``δ`` step and the full-sphere ``X``
+  here, the cached-row fill and the incremental ``H`` update in
+  :class:`~repro.core.fast.FastProclusEngine`;
 * the ``_account_*`` hooks — how performed work is charged to a
   hardware cost model (scalar CPU here; multi-core and per-kernel GPU
   accounting in the subclasses).
@@ -183,6 +186,38 @@ class EngineBase(abc.ABC):
         sphere sizes ``|L_i|``.
         """
 
+    # ------------------------------------------------------------------
+    # ComputeL steps (Algorithm 3) the variants compose
+    # ------------------------------------------------------------------
+    def _delta(self, dist: np.ndarray, medoid_ids: np.ndarray) -> np.ndarray:
+        """``δ_i``: each current medoid's distance to its nearest other.
+
+        ``dist`` holds the current medoids' distance rows, in the order
+        of their point ids ``medoid_ids``.
+        """
+        medoid_dist = dist[:, medoid_ids]
+        np.fill_diagonal(medoid_dist, np.inf)
+        delta = medoid_dist.min(axis=1)
+        self._account_delta(len(medoid_ids))
+        return delta
+
+    def _full_sphere_x(
+        self, dist: np.ndarray, medoid_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``X`` and ``|L_i|`` summed afresh over every sphere (no ``H``).
+
+        ``dist`` and ``medoid_ids`` are as for :meth:`_delta`, whose
+        radii bound the spheres.
+        """
+        masks = dist <= self._delta(dist, medoid_ids)[:, None]
+        sizes = np.count_nonzero(masks, axis=1)
+        medoid_points = self._data[medoid_ids]
+        x = np.empty(medoid_points.shape, dtype=np.float64)
+        for i, mask in enumerate(masks):
+            x[i] = self._dim_sums(mask, medoid_points[i]) / sizes[i]
+        self._account_l_and_x(int(sizes.sum()))
+        return x, sizes
+
     def _modeled_peak_bytes(self) -> int:
         """Peak working-set estimate of the modeled implementation."""
         n, d = self._data.shape
@@ -227,6 +262,14 @@ class EngineBase(abc.ABC):
 
     def _account_x_finalize(self, k: int, d: int) -> None:
         self.model.work("find_dimensions", scalar_ops=k * d)
+
+    def _account_l_and_x(self, points: int) -> None:
+        """Charge the ``L`` scan and the ``X`` sums over ``points`` points."""
+        n, d = self._data.shape
+        k = self.params.k
+        self._account_scan_l(n, k, points)
+        self._account_x_sums(points, d, k)
+        self._account_x_finalize(k, d)
 
     def _account_find_dimensions(self, k: int, d: int) -> None:
         kd = k * d

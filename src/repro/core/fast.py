@@ -10,6 +10,15 @@ Implements the paper's Section 3 strategies:
   *change* ``DeltaL_i`` between usages (Theorems 3.1 and 3.2) instead
   of recomputed from the full sphere.
 
+Each strategy is one method of :class:`FastProclusEngine`:
+:meth:`~FastProclusEngine._fill_rows` computes the cache rows it is
+given, and :meth:`~FastProclusEngine._update_h` moves ``H`` and ``|L|``
+of the cache rows it is given to the current spheres.  FAST fills the
+rows missing from ``Dist`` and updates the current medoids' rows;
+FAST* (:mod:`repro.core.fast_star`) and the ablations
+(:mod:`repro.core.ablation`) are subclasses that pass other rows, or
+take the baseline's full-sphere ``X`` instead of ``H``.
+
 Thanks to the exact accumulation in :mod:`repro.core.distance`, the
 incrementally maintained ``X = H / |L|`` matches the baseline's bit for
 bit, so FAST-PROCLUS provably returns the baseline's clustering.
@@ -47,31 +56,35 @@ class FastProclusEngine(EngineBase):
     def _compute_l_and_x(
         self, mcur: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        data = self._data
-        n, d = data.shape
-        k = len(mcur)
-        cache = self._cache
-        medoid_ids = self._medoid_ids[mcur]
-
         # Distances: only rows never computed before (DistFound check).
-        missing = mcur[~cache.dist_found[mcur]]
-        for mi in missing:
-            point = data[self._medoid_ids[mi]]
-            cache.dist[mi] = self._distance_row(point)
-        self._account_distance_rows(len(missing), n, d)
-        cache.dist_found[missing] = True
+        missing = mcur[~self._cache.dist_found[mcur]]
+        self._fill_rows(missing, self._medoid_ids[missing])
+        return self._update_h(mcur, self._medoid_ids[mcur])
 
-        # delta_i from the cached rows.
-        dist = cache.dist[mcur]
-        medoid_dist = dist[:, medoid_ids]
-        np.fill_diagonal(medoid_dist, np.inf)
-        delta = medoid_dist.min(axis=1)
-        self._account_delta(k)
+    def _fill_rows(self, rows: np.ndarray, point_ids: np.ndarray) -> None:
+        """Compute the ``Dist`` rows ``rows``: distances to ``point_ids``."""
+        cache = self._cache
+        for row, point_id in zip(rows, point_ids):
+            cache.dist[row] = self._distance_row(self._data[point_id])
+        self._account_distance_rows(len(rows), *self._data.shape)
+        cache.dist_found[rows] = True
 
-        # Sphere changes of all k medoids in one broadcast: a growing
+    def _update_h(
+        self, rows: np.ndarray, medoid_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``X = H / |L|`` of the cache ``rows`` after moving each row's
+        ``H`` and ``|L|`` to its current sphere (Theorem 3.2).
+
+        ``rows`` hold the current medoids' cached state, in the order
+        of their point ids ``medoid_ids``.
+        """
+        cache = self._cache
+        dist = cache.dist[rows]
+        delta = self._delta(dist, medoid_ids)
+        # Sphere changes of all k rows in one broadcast: a growing
         # radius adds the points in (previous, current] (lambda = +1),
         # a shrinking one removes those in (current, previous].
-        previous = cache.prev_delta[mcur]
+        previous = cache.prev_delta[rows]
         grows = delta >= previous
         low = np.where(grows, previous, delta)[:, None]
         high = np.where(grows, delta, previous)[:, None]
@@ -80,14 +93,11 @@ class FastProclusEngine(EngineBase):
         counts = np.count_nonzero(masks, axis=1)
         lam = np.where(grows, 1, -1)
         for i in np.flatnonzero(counts):
-            point = data[medoid_ids[i]]
-            cache.h[mcur[i]] += lam[i] * self._dim_sums(masks[i], point)
-        cache.size_l[mcur] += lam * counts
-        cache.prev_delta[mcur] = delta
-        sizes = cache.size_l[mcur]
-        x = cache.h[mcur] / sizes[:, None]
-        total_changed = int(counts.sum())
-        self._account_scan_l(n, k, total_changed)
-        self._account_x_sums(total_changed, d, k)
-        self._account_x_finalize(k, d)
+            point = self._data[medoid_ids[i]]
+            cache.h[rows[i]] += lam[i] * self._dim_sums(masks[i], point)
+        cache.size_l[rows] += lam * counts
+        cache.prev_delta[rows] = delta
+        sizes = cache.size_l[rows]
+        x = cache.h[rows] / sizes[:, None]
+        self._account_l_and_x(int(counts.sum()))
         return x, sizes

@@ -2,8 +2,10 @@
 
 Runs every registered backend on a common workload with a common seed
 and checks the paper's correctness premise — identical clusterings —
-programmatically.  Exposed through ``python -m repro validate`` so a
-user can re-establish the invariant on their own machine in seconds.
+programmatically, with :func:`~repro.result.bit_identical`: labels,
+medoids, subspaces, both costs and the iteration trajectory.  Exposed
+through ``python -m repro validate`` so a user can re-establish the
+invariant on their own machine in seconds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from ..core.api import BACKENDS, proclus
 from ..data.normalize import minmax_normalize
 from ..data.synthetic import generate_subspace_data
 from ..params import ProclusParams
+from ..result import bit_identical
 
 __all__ = ["ValidationReport", "validate_equivalence"]
 
@@ -56,7 +59,7 @@ def validate_equivalence(
     params: ProclusParams | None = None,
     backends: tuple[str, ...] | None = None,
 ) -> ValidationReport:
-    """Check that every backend reproduces the baseline clustering."""
+    """Check that every backend reproduces the baseline bit for bit."""
     if params is None:
         params = ProclusParams(k=5, l=4, a=30, b=5)
     names = tuple(backends) if backends is not None else tuple(sorted(BACKENDS))
@@ -73,6 +76,6 @@ def validate_equivalence(
                 continue
             result = proclus(data, backend=name, params=params, seed=seed)
             report.runs += 1
-            if not result.same_clustering(baseline):
+            if not bit_identical(result, baseline):
                 report.failures.append((name, seed))
     return report

@@ -87,14 +87,6 @@ class Fleet:
         """Contiguous row partition of ``n`` points over the members."""
         return ShardPlan(n=n, counts=split_exact(n, self.effective_weights()))
 
-    @property
-    def total_usable_bytes(self) -> int:
-        return sum(max(0, spec.usable_bytes) for spec in self.specs)
-
-    @property
-    def max_usable_bytes(self) -> int:
-        return max(max(0, spec.usable_bytes) for spec in self.specs)
-
 
 def default_fleet(devices: int = 2, spec: GpuSpec = GTX_1660_TI) -> Fleet:
     """A homogeneous fleet of ``devices`` copies of ``spec``."""

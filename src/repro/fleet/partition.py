@@ -12,7 +12,7 @@ Two primitives carry the determinism contract:
 * :func:`split_exact` — largest-remainder integer apportionment.  The
   returned counts always sum to the total *exactly* (no float drift),
   respect zero weights (a zero-capacity device gets zero points), and
-  are invariant to the absolute scale of the weights.
+  do not change when every weight is scaled by a power of two.
 * :func:`tree_merge` — pairwise reduction of per-shard partial sums in
   a fixed order.  Because every accumulated term is a float32 value in
   ``[0, 2)`` summed into float64 (:mod:`repro.core.distance`), the
@@ -45,6 +45,13 @@ def split_exact(total: int, weights: tuple[float, ...] | list[float]) -> tuple[i
     Returns integer counts summing to exactly ``total``.  Zero-weight
     entries receive zero items.  Ties in the fractional remainders are
     broken by lower index, so the split is fully deterministic.
+
+    Scaling every weight by a power of two scales every float quota
+    exactly, so it returns the same split.  Other scales may round the
+    quotas differently and hand a spare item to another near-tied
+    remainder: ``(4, 0, 0)`` for ``split_exact(4, [0.01, 0.001, 0.001])``
+    but ``(3, 1, 0)`` for the same weights times 0.001.  Each count
+    still lies within one item of its exact share.
     """
     if not isinstance(total, (int, np.integer)) or isinstance(total, bool):
         raise ParameterError(f"total must be an int, got {type(total).__name__}")

@@ -89,11 +89,24 @@ class TestSplitExact:
 
     @given(total=st.integers(min_value=0, max_value=100_000),
            weights=weights_strategy,
-           scale=st.floats(min_value=1e-3, max_value=1e3,
-                           allow_nan=False, allow_infinity=False))
+           scale=st.integers(min_value=-10, max_value=10).map(lambda e: 2.0**e))
     def test_scale_invariance(self, total, weights, scale):
+        """A power-of-two scale scales every float quota exactly."""
         scaled = [weight * scale for weight in weights]
         assert split_exact(total, scaled) == split_exact(total, weights)
+
+    def test_other_scales_keep_the_quota_rule(self):
+        """Other scales round the quotas differently, so a spare item
+        may go to another near-tied remainder; both splits stay within
+        one item of every exact share."""
+        weights = [0.01, 0.001, 0.001]
+        for scale in (1.0, 0.001):
+            scaled = [weight * scale for weight in weights]
+            counts = split_exact(4, scaled)
+            assert sum(counts) == 4
+            for weight, count in zip(weights, counts):
+                ideal = 4 * weight / sum(weights)
+                assert np.floor(ideal) <= count <= np.ceil(ideal)
 
     @given(total=st.integers(min_value=0, max_value=100_000),
            weights=weights_strategy)

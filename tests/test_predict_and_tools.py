@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import assign_new_points, proclus
+from repro.core.api import BACKENDS
 from repro.data.normalize import minmax_normalize
 from repro.data.synthetic import generate_subspace_data
 from repro.eval.validation import validate_equivalence
@@ -83,6 +84,21 @@ class TestValidation:
         )
         assert report.passed
         assert report.backends == ("proclus", "fast", "gpu-fast")
+
+    def test_cost_drift_alone_fails(self, monkeypatch):
+        """The same labels, medoids and subspaces at another cost diverge."""
+
+        class Drifting(BACKENDS["fast"]):
+            def fit(self, data):
+                result = super().fit(data)
+                result.cost = float(np.nextafter(result.cost, np.inf))
+                return result
+
+        monkeypatch.setitem(BACKENDS, "fast", Drifting)
+        report = validate_equivalence(
+            n=500, d=8, seeds=(0,), backends=("proclus", "fast")
+        )
+        assert report.failures == [("fast", 0)]
 
 
 class TestKernelProfiler:
