@@ -15,91 +15,44 @@ Entry points:
 * :mod:`repro.bench` — the harness regenerating the paper's figures.
 """
 
-from .core.api import BACKENDS, proclus, run_parameter_study
-from .core.multiparam import MultiParamResult, ReuseLevel
-from .core.predict import assign_new_points
-from .core.serialization import (
-    load_engine_state,
-    load_result,
-    save_engine_state,
-    save_result,
-)
-from .core.state import IterativeState
-from .core.trace import RunTrace
-from .estimator import PROCLUS
-from .params import ParameterGrid, ProclusParams
-from .result import OUTLIER_LABEL, ProclusResult, RunStats
-from .rng import RandomSource
-from .exceptions import (
-    AdmissionError,
-    CheckpointError,
-    DataValidationError,
-    DeviceError,
-    DeviceOutOfMemoryError,
-    EmulationError,
-    KernelLaunchError,
-    KernelTimeoutError,
-    ParameterError,
-    ReproError,
-    ResilienceExhaustedError,
-    ServeError,
-    TransferCorruptionError,
-    TransientDeviceError,
-)
-from .obs.tracer import use_run
-from .resilience import (
-    FaultInjector,
-    RetryPolicy,
-    ResilientRunner,
-    resilient_fit,
-)
-from .data.fingerprint import dataset_fingerprint
-
-# Imported last: repro.serve builds on most of the layers above.
-from .serve import ClusterService
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "proclus",
-    "run_parameter_study",
-    "BACKENDS",
-    "ProclusParams",
-    "ParameterGrid",
-    "ProclusResult",
-    "RunStats",
-    "MultiParamResult",
-    "ReuseLevel",
-    "assign_new_points",
-    "save_result",
-    "load_result",
-    "save_engine_state",
-    "load_engine_state",
-    "IterativeState",
-    "RunTrace",
-    "PROCLUS",
-    "RandomSource",
-    "OUTLIER_LABEL",
-    "ReproError",
-    "ParameterError",
-    "DataValidationError",
-    "DeviceError",
-    "DeviceOutOfMemoryError",
-    "KernelLaunchError",
-    "EmulationError",
-    "TransientDeviceError",
-    "TransferCorruptionError",
-    "KernelTimeoutError",
-    "CheckpointError",
-    "ResilienceExhaustedError",
-    "FaultInjector",
-    "use_run",
-    "RetryPolicy",
-    "ResilientRunner",
-    "resilient_fit",
-    "ClusterService",
-    "ServeError",
-    "AdmissionError",
-    "dataset_fingerprint",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core.api": ("proclus", "run_parameter_study", "BACKENDS"),
+    "params": ("ProclusParams", "ParameterGrid"),
+    "result": ("ProclusResult", "RunStats", "OUTLIER_LABEL"),
+    "core.multiparam": ("MultiParamResult", "ReuseLevel"),
+    "core.predict": ("assign_new_points",),
+    "core.serialization": (
+        "save_result", "load_result", "save_engine_state", "load_engine_state",
+    ),
+    "core.state": ("IterativeState",),
+    "core.trace": ("RunTrace",),
+    "estimator": ("PROCLUS",),
+    "rng": ("RandomSource",),
+    "exceptions": (
+        "ReproError",
+        "ParameterError",
+        "DataValidationError",
+        "DeviceError",
+        "DeviceOutOfMemoryError",
+        "KernelLaunchError",
+        "EmulationError",
+        "TransientDeviceError",
+        "TransferCorruptionError",
+        "KernelTimeoutError",
+        "CheckpointError",
+        "ResilienceExhaustedError",
+        "ServeError",
+        "AdmissionError",
+    ),
+    "resilience.faults": ("FaultInjector",),
+    "obs.tracer": ("use_run",),
+    "resilience.policy": ("RetryPolicy",),
+    "resilience.runner": ("ResilientRunner", "resilient_fit"),
+    "serve.service": ("ClusterService",),
+    "data.fingerprint": ("dataset_fingerprint",),
+})
+__all__.append("__version__")

@@ -11,26 +11,17 @@ suite finishes in minutes on a laptop; set ``REPRO_BENCH_SCALE=paper``
 to sweep the paper's full dataset sizes (hours, needs tens of GB RAM).
 """
 
-from .baseline import (
-    QUICK_TIER,
-    QuickWorkload,
-    load_baselines,
-    run_quick_tier,
-    write_baselines,
-)
-from .regress import run_regression_check
-from .reporting import ExperimentReport
-from .workloads import bench_scale, default_n, repeats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentReport",
-    "bench_scale",
-    "default_n",
-    "repeats",
-    "QuickWorkload",
-    "QUICK_TIER",
-    "run_quick_tier",
-    "write_baselines",
-    "load_baselines",
-    "run_regression_check",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "reporting": ("ExperimentReport",),
+    "workloads": ("bench_scale", "default_n", "repeats"),
+    "baseline": (
+        "QuickWorkload",
+        "QUICK_TIER",
+        "run_quick_tier",
+        "write_baselines",
+        "load_baselines",
+    ),
+    "regress": ("run_regression_check",),
+})

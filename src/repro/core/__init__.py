@@ -1,26 +1,21 @@
-"""Core PROCLUS algorithms: baseline, FAST, FAST*, and the public API."""
+"""Core PROCLUS algorithms: baseline, FAST, FAST*, and the public API.
 
-from .api import proclus, run_parameter_study, BACKENDS
-from .proclus import ProclusEngine
-from .fast import FastProclusEngine
-from .fast_star import FastStarProclusEngine
-from .multiparam import MultiParamResult, ReuseLevel
-from .predict import assign_new_points
-from .serialization import load_result, save_result
-from .trace import IterationRecord, RunTrace
+``repro.core.proclus`` is the baseline engine's module; the function
+is :func:`repro.proclus` (defined in :mod:`repro.core.api`).  The
+import system binds a loaded submodule on its package, so a lazily
+exported function of the same name would be one or the other depending
+on import order.
+"""
 
-__all__ = [
-    "proclus",
-    "run_parameter_study",
-    "BACKENDS",
-    "ProclusEngine",
-    "FastProclusEngine",
-    "FastStarProclusEngine",
-    "MultiParamResult",
-    "ReuseLevel",
-    "assign_new_points",
-    "save_result",
-    "load_result",
-    "RunTrace",
-    "IterationRecord",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "api": ("run_parameter_study", "BACKENDS"),
+    "proclus": ("ProclusEngine",),
+    "fast": ("FastProclusEngine",),
+    "fast_star": ("FastStarProclusEngine",),
+    "multiparam": ("MultiParamResult", "ReuseLevel"),
+    "predict": ("assign_new_points",),
+    "serialization": ("save_result", "load_result"),
+    "trace": ("RunTrace", "IterationRecord"),
+})

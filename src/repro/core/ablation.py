@@ -16,8 +16,9 @@ accumulation makes all summation orders equal).
 
 Both are :class:`~repro.core.fast.FastProclusEngine` subclasses on its
 shared cache: dist-only fills the missing rows and takes the baseline's
-full-sphere ``X``; H-only refills all ``k`` rows every iteration and
-updates ``H`` over them.
+full-sphere ``X``; H-only keeps ``H`` per potential medoid but no
+``Dist``, recomputing the ``k`` current rows every iteration into a
+``k``-row scratch and updating ``H`` over them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fast import FastProclusEngine
+from .state import MedoidCache
 
 __all__ = ["FastDistOnlyEngine", "FastHOnlyEngine"]
 
@@ -59,10 +61,25 @@ class FastHOnlyEngine(FastProclusEngine):
         # Only k distance rows are live at a time (no cache), plus H.
         return n * d * 4 + k * n * 4 + m * d * 8 + n * 4
 
+    def _setup(self, data: np.ndarray) -> None:
+        n, d = data.shape
+        if self.shared_state is not None:
+            self._cache = self.shared_state.cache
+        else:
+            # H, prev_delta and |L| per potential medoid, but no Dist.
+            self._cache = MedoidCache.create(
+                self.params.effective_num_potential(n), n, d, with_dist=False
+            )
+        #: The current medoids' distance rows, in ``MCur`` order.
+        self._dist = np.empty((self.params.k, n), dtype=np.float32)
+
     def _compute_l_and_x(
         self, mcur: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        # Distances recomputed from scratch for all current medoids —
-        # but stored per potential medoid so DeltaL can be derived.
-        self._fill_rows(mcur, self._medoid_ids[mcur])
-        return self._update_h(mcur, self._medoid_ids[mcur])
+        # Distances recomputed from scratch for all current medoids;
+        # H and |L| stay per potential medoid so DeltaL can be derived.
+        medoid_ids = self._medoid_ids[mcur]
+        for i, point_id in enumerate(medoid_ids):
+            self._dist[i] = self._distance_row(self._data[point_id])
+        self._account_distance_rows(len(mcur), *self._data.shape)
+        return self._update_h(mcur, medoid_ids, self._dist)

@@ -59,7 +59,9 @@ class FastProclusEngine(EngineBase):
         # Distances: only rows never computed before (DistFound check).
         missing = mcur[~self._cache.dist_found[mcur]]
         self._fill_rows(missing, self._medoid_ids[missing])
-        return self._update_h(mcur, self._medoid_ids[mcur])
+        return self._update_h(
+            mcur, self._medoid_ids[mcur], self._cache.dist[mcur]
+        )
 
     def _fill_rows(self, rows: np.ndarray, point_ids: np.ndarray) -> None:
         """Compute the ``Dist`` rows ``rows``: distances to ``point_ids``."""
@@ -70,16 +72,16 @@ class FastProclusEngine(EngineBase):
         cache.dist_found[rows] = True
 
     def _update_h(
-        self, rows: np.ndarray, medoid_ids: np.ndarray
+        self, rows: np.ndarray, medoid_ids: np.ndarray, dist: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``X = H / |L|`` of the cache ``rows`` after moving each row's
         ``H`` and ``|L|`` to its current sphere (Theorem 3.2).
 
-        ``rows`` hold the current medoids' cached state, in the order
-        of their point ids ``medoid_ids``.
+        ``rows`` hold the current medoids' cached state and ``dist``
+        their distance rows, in the order of their point ids
+        ``medoid_ids``.
         """
         cache = self._cache
-        dist = cache.dist[rows]
         delta = self._delta(dist, medoid_ids)
         # Sphere changes of all k rows in one broadcast: a growing
         # radius adds the points in (previous, current] (lambda = +1),

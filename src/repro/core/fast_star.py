@@ -48,4 +48,6 @@ class FastStarProclusEngine(FastProclusEngine):
             self._cache.reset_row(slot)
         self._slot_ids[changed] = medoid_ids[changed]
         self._fill_rows(changed, medoid_ids[changed])
-        return self._update_h(np.arange(len(mcur)), medoid_ids)
+        return self._update_h(
+            np.arange(len(mcur)), medoid_ids, self._cache.dist
+        )

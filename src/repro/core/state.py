@@ -42,10 +42,16 @@ class MedoidCache:
     size_l: np.ndarray  #: (m,) int64 |L_i| at previous usage
 
     @classmethod
-    def create(cls, m: int, n: int, d: int) -> "MedoidCache":
-        """Allocate an empty cache for ``m`` potential medoids."""
+    def create(
+        cls, m: int, n: int, d: int, with_dist: bool = True
+    ) -> "MedoidCache":
+        """Allocate an empty cache for ``m`` potential medoids.
+
+        ``with_dist=False`` leaves ``dist`` without rows: the H-only
+        ablation recomputes the current medoids' rows every iteration.
+        """
         return cls(
-            dist=np.zeros((m, n), dtype=np.float32),
+            dist=np.zeros((m if with_dist else 0, n), dtype=np.float32),
             dist_found=np.zeros(m, dtype=bool),
             h=np.zeros((m, d), dtype=np.float64),
             prev_delta=np.full(m, NEVER_USED_DELTA, dtype=np.float32),
@@ -54,7 +60,7 @@ class MedoidCache:
 
     @property
     def m(self) -> int:
-        return self.dist.shape[0]
+        return len(self.dist_found)
 
     def reset_row(self, row: int) -> None:
         """Invalidate one cached medoid row (FAST* slot reuse)."""

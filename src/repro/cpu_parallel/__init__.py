@@ -1,13 +1,11 @@
 """Multi-core CPU variants (the paper's OpenMP implementations)."""
 
-from .multicore import (
-    MulticoreProclusEngine,
-    MulticoreFastProclusEngine,
-    MulticoreFastStarProclusEngine,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MulticoreProclusEngine",
-    "MulticoreFastProclusEngine",
-    "MulticoreFastStarProclusEngine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "multicore": (
+        "MulticoreProclusEngine",
+        "MulticoreFastProclusEngine",
+        "MulticoreFastStarProclusEngine",
+    ),
+})

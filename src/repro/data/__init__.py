@@ -8,24 +8,15 @@ available offline, so :mod:`repro.data.realworld` synthesizes stand-ins
 with the published sizes and dimensionalities (see ``DESIGN.md``).
 """
 
-from .fingerprint import dataset_fingerprint
-from .synthetic import SyntheticDataset, generate_subspace_data, default_dataset
-from .normalize import minmax_normalize
-from .realworld import REAL_WORLD_SIZES, load_dataset, dataset_names
-from .io import save_dataset, load_saved_dataset
-from .loaders import LoadedTable, load_delimited
+from .._lazy import lazy_exports
 
-__all__ = [
-    "dataset_fingerprint",
-    "SyntheticDataset",
-    "generate_subspace_data",
-    "default_dataset",
-    "minmax_normalize",
-    "REAL_WORLD_SIZES",
-    "load_dataset",
-    "dataset_names",
-    "save_dataset",
-    "load_saved_dataset",
-    "LoadedTable",
-    "load_delimited",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fingerprint": ("dataset_fingerprint",),
+    "synthetic": (
+        "SyntheticDataset", "generate_subspace_data", "default_dataset",
+    ),
+    "normalize": ("minmax_normalize",),
+    "realworld": ("REAL_WORLD_SIZES", "load_dataset", "dataset_names"),
+    "io": ("save_dataset", "load_saved_dataset"),
+    "loaders": ("LoadedTable", "load_delimited"),
+})

@@ -8,25 +8,16 @@ external quality metrics (ARI, NMI, purity, subspace recovery) so the
 examples can demonstrate that the clusterings are also *good*.
 """
 
-from .metrics import (
-    adjusted_rand_index,
-    confusion_matrix,
-    normalized_mutual_information,
-    purity,
-    subspace_recovery,
-)
-from .timing import TimingResult, time_backend, time_parameter_study
-from .validation import ValidationReport, validate_equivalence
+from .._lazy import lazy_exports
 
-__all__ = [
-    "adjusted_rand_index",
-    "confusion_matrix",
-    "normalized_mutual_information",
-    "purity",
-    "subspace_recovery",
-    "TimingResult",
-    "time_backend",
-    "time_parameter_study",
-    "ValidationReport",
-    "validate_equivalence",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "metrics": (
+        "adjusted_rand_index",
+        "confusion_matrix",
+        "normalized_mutual_information",
+        "purity",
+        "subspace_recovery",
+    ),
+    "timing": ("TimingResult", "time_backend", "time_parameter_study"),
+    "validation": ("ValidationReport", "validate_equivalence"),
+})

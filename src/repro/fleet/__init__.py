@@ -16,61 +16,31 @@ Public surface:
 See ``docs/fleet.md`` for the sharding model and determinism contract.
 """
 
-from .device import FleetDevice, ShardDevice, SHARDED_KERNELS
-from .engine import (
-    FleetEngineMixin,
-    FleetGpuFastProclusEngine,
-    FleetGpuFastStarProclusEngine,
-    FleetGpuProclusEngine,
-)
-from .fleet import Fleet, default_fleet, mixed_fleet
-from .interconnect import (
-    allreduce_seconds,
-    broadcast_seconds,
-    link_bandwidth,
-    link_latency,
-)
-from .model import FleetModel, fleet_report
-from .partition import ShardPlan, split_exact, tree_merge
-from .recovery import (
-    RecoveryPlan,
-    active_devices,
-    dead_device_indices,
-    degraded_fleet,
-    plan_recovery,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Fleet",
-    "default_fleet",
-    "mixed_fleet",
-    "ShardPlan",
-    "split_exact",
-    "tree_merge",
-    "FleetModel",
-    "fleet_report",
-    "FleetDevice",
-    "ShardDevice",
-    "SHARDED_KERNELS",
-    "FleetEngineMixin",
-    "FleetGpuProclusEngine",
-    "FleetGpuFastProclusEngine",
-    "FleetGpuFastStarProclusEngine",
-    "allreduce_seconds",
-    "broadcast_seconds",
-    "link_bandwidth",
-    "link_latency",
-    "run_fleet_bench",
-    "RecoveryPlan",
-    "active_devices",
-    "dead_device_indices",
-    "degraded_fleet",
-    "plan_recovery",
-]
-
-
-def run_fleet_bench(*args, **kwargs):
-    # Deferred import: bench pulls in the full bench machinery.
-    from .bench import run_fleet_bench as _run
-
-    return _run(*args, **kwargs)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fleet": ("Fleet", "default_fleet", "mixed_fleet"),
+    "partition": ("ShardPlan", "split_exact", "tree_merge"),
+    "model": ("FleetModel", "fleet_report"),
+    "device": ("FleetDevice", "ShardDevice", "SHARDED_KERNELS"),
+    "engine": (
+        "FleetEngineMixin",
+        "FleetGpuProclusEngine",
+        "FleetGpuFastProclusEngine",
+        "FleetGpuFastStarProclusEngine",
+    ),
+    "interconnect": (
+        "allreduce_seconds",
+        "broadcast_seconds",
+        "link_bandwidth",
+        "link_latency",
+    ),
+    "bench": ("run_fleet_bench",),
+    "recovery": (
+        "RecoveryPlan",
+        "active_devices",
+        "dead_device_indices",
+        "degraded_fleet",
+        "plan_recovery",
+    ),
+})

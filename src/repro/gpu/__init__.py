@@ -19,37 +19,21 @@ no GPU, so the package provides:
   launches, and the roofline cost model together.
 """
 
-from .device import Device
-from .memory import MemoryManager
-from .emulator import SimtEmulator, ThreadContext
-from .occupancy import OccupancyReport, occupancy_report
-from .profiler import KernelProfile, format_kernel_profile, profile_kernels
-from .checker import ScheduleCheckResult, check_schedule_independence
-from .sanitizer import (
-    Diagnostic,
-    Sanitizer,
-    SanitizerReport,
-    TrackedArray,
-    sanitize_launch,
-)
-from . import atomics
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Device",
-    "MemoryManager",
-    "SimtEmulator",
-    "ThreadContext",
-    "OccupancyReport",
-    "occupancy_report",
-    "KernelProfile",
-    "profile_kernels",
-    "format_kernel_profile",
-    "ScheduleCheckResult",
-    "check_schedule_independence",
-    "Diagnostic",
-    "Sanitizer",
-    "SanitizerReport",
-    "TrackedArray",
-    "sanitize_launch",
-    "atomics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "device": ("Device",),
+    "memory": ("MemoryManager",),
+    "emulator": ("SimtEmulator", "ThreadContext"),
+    "occupancy": ("OccupancyReport", "occupancy_report"),
+    "profiler": ("KernelProfile", "profile_kernels", "format_kernel_profile"),
+    "checker": ("ScheduleCheckResult", "check_schedule_independence"),
+    "sanitizer": (
+        "Diagnostic",
+        "Sanitizer",
+        "SanitizerReport",
+        "TrackedArray",
+        "sanitize_launch",
+    ),
+    "atomics": ("atomics",),
+})

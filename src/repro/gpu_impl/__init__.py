@@ -12,12 +12,10 @@ implementations of the paper's kernels for the emulator; tests verify
 them thread-for-thread against the vectorized phase math.
 """
 
-from .gpu_proclus import GpuProclusEngine
-from .gpu_fast import GpuFastProclusEngine
-from .gpu_fast_star import GpuFastStarProclusEngine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GpuProclusEngine",
-    "GpuFastProclusEngine",
-    "GpuFastStarProclusEngine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "gpu_proclus": ("GpuProclusEngine",),
+    "gpu_fast": ("GpuFastProclusEngine",),
+    "gpu_fast_star": ("GpuFastStarProclusEngine",),
+})

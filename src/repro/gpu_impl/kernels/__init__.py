@@ -15,20 +15,14 @@ schedule-independent and matches the vectorized implementation bit for
 bit.
 """
 
-from .greedy import greedy_select_emulated
-from .compute_l import compute_l_emulated
-from .find_dimensions import find_dimensions_emulated
-from .assign_points import assign_points_emulated
-from .evaluate import evaluate_clusters_emulated
-from .outliers import find_outliers_emulated
-from .fast_compute_l import fast_compute_l_emulated
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "greedy_select_emulated",
-    "compute_l_emulated",
-    "find_dimensions_emulated",
-    "assign_points_emulated",
-    "evaluate_clusters_emulated",
-    "find_outliers_emulated",
-    "fast_compute_l_emulated",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "greedy": ("greedy_select_emulated",),
+    "compute_l": ("compute_l_emulated",),
+    "find_dimensions": ("find_dimensions_emulated",),
+    "assign_points": ("assign_points_emulated",),
+    "evaluate": ("evaluate_clusters_emulated",),
+    "outliers": ("find_outliers_emulated",),
+    "fast_compute_l": ("fast_compute_l_emulated",),
+})

@@ -8,41 +8,25 @@ modeled seconds on the paper's hardware.  See ``DESIGN.md`` for why
 this substitution preserves the paper's claims.
 """
 
-from .specs import (
-    CpuSpec,
-    GpuSpec,
-    GTX_1660_TI,
-    RTX_3090,
-    INTEL_I7_9750H,
-    INTEL_I9_10940X,
-    gpu_for_problem,
-    cpu_for_problem,
-)
-from .counters import WorkCounter, KernelLaunch
-from .cost_model import (
-    HardwareModel,
-    ScalarCpuModel,
-    MulticoreCpuModel,
-    GpuModel,
-)
-from .calibration import Anchor, CalibrationResult, solve_rates
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CpuSpec",
-    "GpuSpec",
-    "GTX_1660_TI",
-    "RTX_3090",
-    "INTEL_I7_9750H",
-    "INTEL_I9_10940X",
-    "gpu_for_problem",
-    "cpu_for_problem",
-    "WorkCounter",
-    "KernelLaunch",
-    "HardwareModel",
-    "ScalarCpuModel",
-    "MulticoreCpuModel",
-    "GpuModel",
-    "Anchor",
-    "CalibrationResult",
-    "solve_rates",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "specs": (
+        "CpuSpec",
+        "GpuSpec",
+        "GTX_1660_TI",
+        "RTX_3090",
+        "INTEL_I7_9750H",
+        "INTEL_I9_10940X",
+        "gpu_for_problem",
+        "cpu_for_problem",
+    ),
+    "counters": ("WorkCounter", "KernelLaunch"),
+    "cost_model": (
+        "HardwareModel",
+        "ScalarCpuModel",
+        "MulticoreCpuModel",
+        "GpuModel",
+    ),
+    "calibration": ("Anchor", "CalibrationResult", "solve_rates"),
+})

@@ -33,127 +33,69 @@ and dumps a schema-versioned postmortem bundle on terminal failures;
 deterministically replays those bundles (``repro postmortem``).
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .tracer import (
-    NULL_TRACER,
-    CounterSample,
-    KernelEvent,
-    RunContext,
-    Span,
-    Tracer,
-    current_run,
-    use_run,
-)
-from .export import (
-    PIPELINES,
-    chrome_trace,
-    kernel_pipeline,
-    read_jsonl,
-    report_envelope,
-    run_record,
-    study_record,
-    validate_bench_report,
-    validate_chrome_trace,
-    validate_serve_report,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .explain import (
-    EXPLAIN_SCHEMA,
-    attribute_run,
-    attribution_record,
-    collapsed_stacks,
-    diff_attribution,
-    explain_report,
-    fleet_attribution,
-    format_collapsed,
-    speedscope_profile,
-    validate_explain_report,
-)
-from .monitor import (
-    ServiceMonitor,
-    SloObjective,
-    SloTracker,
-    default_slos,
-    load_health,
-)
-from .prometheus import (
-    escape_label_value,
-    format_labels,
-    parse_labels,
-    parse_prometheus_text,
-    prometheus_text,
-    unescape_label_value,
-)
-from .recorder import (
-    POSTMORTEM_SCHEMA,
-    RECORDER_STREAMS,
-    FlightRecorder,
-)
-from .postmortem import (
-    POSTMORTEM_REPORT_SCHEMA,
-    analyze_bundle,
-    comparable_events,
-    load_bundle,
-    replay_bundle,
-    result_digest,
-    validate_postmortem,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "KernelEvent",
-    "CounterSample",
-    "Tracer",
-    "NULL_TRACER",
-    "RunContext",
-    "current_run",
-    "use_run",
-    "PIPELINES",
-    "kernel_pipeline",
-    "chrome_trace",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    "validate_serve_report",
-    "validate_bench_report",
-    "report_envelope",
-    "run_record",
-    "study_record",
-    "write_jsonl",
-    "read_jsonl",
-    "EXPLAIN_SCHEMA",
-    "attribute_run",
-    "attribution_record",
-    "collapsed_stacks",
-    "diff_attribution",
-    "explain_report",
-    "fleet_attribution",
-    "format_collapsed",
-    "speedscope_profile",
-    "validate_explain_report",
-    "ServiceMonitor",
-    "SloObjective",
-    "SloTracker",
-    "default_slos",
-    "load_health",
-    "prometheus_text",
-    "parse_prometheus_text",
-    "escape_label_value",
-    "unescape_label_value",
-    "format_labels",
-    "parse_labels",
-    "POSTMORTEM_SCHEMA",
-    "RECORDER_STREAMS",
-    "FlightRecorder",
-    "POSTMORTEM_REPORT_SCHEMA",
-    "load_bundle",
-    "validate_postmortem",
-    "analyze_bundle",
-    "replay_bundle",
-    "result_digest",
-    "comparable_events",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "tracer": (
+        "Span",
+        "KernelEvent",
+        "CounterSample",
+        "Tracer",
+        "NULL_TRACER",
+        "RunContext",
+        "current_run",
+        "use_run",
+    ),
+    "export": (
+        "PIPELINES",
+        "kernel_pipeline",
+        "chrome_trace",
+        "write_chrome_trace",
+        "validate_chrome_trace",
+        "validate_serve_report",
+        "validate_bench_report",
+        "report_envelope",
+        "run_record",
+        "study_record",
+        "write_jsonl",
+        "read_jsonl",
+    ),
+    "explain": (
+        "EXPLAIN_SCHEMA",
+        "attribute_run",
+        "attribution_record",
+        "collapsed_stacks",
+        "diff_attribution",
+        "explain_report",
+        "fleet_attribution",
+        "format_collapsed",
+        "speedscope_profile",
+        "validate_explain_report",
+    ),
+    "monitor": (
+        "ServiceMonitor",
+        "SloObjective",
+        "SloTracker",
+        "default_slos",
+        "load_health",
+    ),
+    "prometheus": (
+        "prometheus_text",
+        "parse_prometheus_text",
+        "escape_label_value",
+        "unescape_label_value",
+        "format_labels",
+        "parse_labels",
+    ),
+    "recorder": ("POSTMORTEM_SCHEMA", "RECORDER_STREAMS", "FlightRecorder"),
+    "postmortem": (
+        "POSTMORTEM_REPORT_SCHEMA",
+        "load_bundle",
+        "validate_postmortem",
+        "analyze_bundle",
+        "replay_bundle",
+        "result_digest",
+        "comparable_events",
+    ),
+})

@@ -15,40 +15,24 @@ All internal arithmetic is exact: the ledger holds integer amounts of
 modeled seconds bit for bit.
 """
 
-from .attribution import (
-    KernelAttribution,
-    RunAttribution,
-    attribute_run,
-    attribution_record,
-)
-from .diff import (
-    diff_attribution,
-    diff_counters,
-    load_comparable,
-    summarize_attribution,
-    triage_record,
-    triage_lines,
-)
-from .fleetattr import fleet_attribution
-from .flamegraph import collapsed_stacks, format_collapsed, speedscope_profile
-from .report import EXPLAIN_SCHEMA, explain_report, validate_explain_report
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "KernelAttribution",
-    "RunAttribution",
-    "attribute_run",
-    "attribution_record",
-    "diff_attribution",
-    "diff_counters",
-    "load_comparable",
-    "summarize_attribution",
-    "triage_record",
-    "triage_lines",
-    "fleet_attribution",
-    "collapsed_stacks",
-    "format_collapsed",
-    "speedscope_profile",
-    "EXPLAIN_SCHEMA",
-    "explain_report",
-    "validate_explain_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "attribution": (
+        "KernelAttribution",
+        "RunAttribution",
+        "attribute_run",
+        "attribution_record",
+    ),
+    "diff": (
+        "diff_attribution",
+        "diff_counters",
+        "load_comparable",
+        "summarize_attribution",
+        "triage_record",
+        "triage_lines",
+    ),
+    "fleetattr": ("fleet_attribution",),
+    "flamegraph": ("collapsed_stacks", "format_collapsed", "speedscope_profile"),
+    "report": ("EXPLAIN_SCHEMA", "explain_report", "validate_explain_report"),
+})

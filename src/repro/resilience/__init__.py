@@ -33,45 +33,29 @@ The injector is one field of the run's
 recorder and correlation id.
 """
 
-from .checkpoint import StudyCheckpoint, data_fingerprint
-from .faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultSpec,
-    InjectionRecord,
-    parse_fault,
-)
-from .policy import (
-    DEFAULT_LADDERS,
-    ErrorClass,
-    LadderStep,
-    RetryPolicy,
-    classify_error,
-    default_ladder,
-)
-from .runner import (
-    ResilienceEvent,
-    ResilientOutcome,
-    ResilientRunner,
-    resilient_fit,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FaultSpec",
-    "FaultInjector",
-    "InjectionRecord",
-    "parse_fault",
-    "ErrorClass",
-    "classify_error",
-    "LadderStep",
-    "RetryPolicy",
-    "DEFAULT_LADDERS",
-    "default_ladder",
-    "ResilienceEvent",
-    "ResilientOutcome",
-    "ResilientRunner",
-    "resilient_fit",
-    "StudyCheckpoint",
-    "data_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "faults": (
+        "FAULT_KINDS",
+        "FaultSpec",
+        "FaultInjector",
+        "InjectionRecord",
+        "parse_fault",
+    ),
+    "policy": (
+        "ErrorClass",
+        "classify_error",
+        "LadderStep",
+        "RetryPolicy",
+        "DEFAULT_LADDERS",
+        "default_ladder",
+    ),
+    "runner": (
+        "ResilienceEvent",
+        "ResilientOutcome",
+        "ResilientRunner",
+        "resilient_fit",
+    ),
+    "checkpoint": ("StudyCheckpoint", "data_fingerprint"),
+})

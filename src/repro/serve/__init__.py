@@ -29,28 +29,17 @@ serving layer:
   mixes producing the ``BENCH_serve.json`` report.
 """
 
-from .cache import ResultCache
-from .events import ServeEvent, ServeLog
-from .loadgen import run_loadgen
-from .registry import DatasetRegistry
-from .request import ClusterRequest, JobHandle
-from .scheduler import JobScheduler, estimate_device_bytes, estimate_shard_bytes
-from .service import ClusterService
-from .spool import read_response, serve_spool, write_request
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClusterRequest",
-    "ClusterService",
-    "DatasetRegistry",
-    "JobHandle",
-    "JobScheduler",
-    "ResultCache",
-    "ServeEvent",
-    "ServeLog",
-    "estimate_device_bytes",
-    "estimate_shard_bytes",
-    "read_response",
-    "run_loadgen",
-    "serve_spool",
-    "write_request",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "request": ("ClusterRequest", "JobHandle"),
+    "service": ("ClusterService",),
+    "registry": ("DatasetRegistry",),
+    "scheduler": (
+        "JobScheduler", "estimate_device_bytes", "estimate_shard_bytes",
+    ),
+    "cache": ("ResultCache",),
+    "events": ("ServeEvent", "ServeLog"),
+    "spool": ("read_response", "serve_spool", "write_request"),
+    "loadgen": ("run_loadgen",),
+})

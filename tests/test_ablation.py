@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import proclus
+from repro import BACKENDS, proclus
 from repro.params import ProclusParams
 
 ABLATIONS = ["fast-dist-only", "fast-h-only", "gpu-fast-dist-only", "gpu-fast-h-only"]
@@ -68,3 +68,21 @@ class TestAblationCounters:
         fast = proclus(data, backend="gpu-fast", params=params, seed=1)
         # No B*k x n Dist cache -> much smaller footprint.
         assert h_only.stats.peak_device_bytes < fast.stats.peak_device_bytes
+
+
+class TestHOnlyHostRows:
+    @pytest.mark.parametrize("backend", ["fast-h-only", "gpu-fast-h-only"])
+    def test_holds_k_distance_rows(self, small_dataset, small_params, backend):
+        """H-only keeps H per potential medoid but only the k current
+        distance rows, in MCur order, and no Dist cache."""
+        data, _ = small_dataset
+        n = len(data)
+        engine = BACKENDS[backend](params=small_params, seed=2)
+        result = engine.fit(data)
+        assert engine._dist.shape == (small_params.k, n)
+        assert engine._cache.dist.shape[0] == 0
+        potential = small_params.effective_num_potential(n)
+        assert engine._cache.m == len(engine._cache.h) == potential
+        assert result.same_clustering(
+            proclus(data, backend="proclus", params=small_params, seed=2)
+        )

@@ -19,6 +19,7 @@ from repro.core.distance import (
     euclidean_to_point,
     segmental_distances,
 )
+from repro.fleet.partition import tree_merge
 
 unit_floats = st.floats(0.0, 1.0, width=32)
 
@@ -169,6 +170,28 @@ class TestExactness:
 
     def test_max_exact_points_documented_bound(self):
         assert MAX_EXACT_POINTS == 2**28
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: a term below 0.5 has bits finer than "
+        "2**-24, so sums joining tiny and unit-sized terms can round",
+    )
+    def test_merged_halves_equal_one_pass_with_tiny_terms(self):
+        """The exact-sum hole, checked: 50 rows scaled below 1e-6 and
+        the medoid at 0 give terms with bits finer than a float64 sum of
+        thousands of unit-sized terms can hold, so the two halves'
+        partials merged by ``tree_merge`` differ from the one-pass sum
+        (by 1.8e-12 in two of the four dimensions here).  Strict, so it
+        fails the day the sums become order-independent."""
+        rng = np.random.default_rng(0)
+        n = 30_000
+        points = rng.random((n, 4), dtype=np.float32)
+        points[rng.choice(n, 50, replace=False)] *= np.float32(1e-6)
+        medoid = np.zeros(4, dtype=np.float32)
+        rows = np.flatnonzero(rng.random(n) < 0.9)
+        cuts = [0, len(rows) // 2, len(rows)]
+        merged = tree_merge(abs_diff_dim_sums(points, medoid, rows, cuts))
+        assert np.array_equal(merged, abs_diff_dim_sums(points, medoid, rows))
 
 
 class TestSegmental:

@@ -184,15 +184,16 @@ def ref_h_only_l_and_x(engine, mcur):
     k = len(mcur)
     cache = engine._cache
     medoid_ids = engine._medoid_ids[mcur]
-    for mi in mcur:
-        cache.dist[mi] = engine._distance_row(data[engine._medoid_ids[mi]])
-    medoid_dist = cache.dist[mcur][:, medoid_ids]
+    dist = np.empty((k, n), dtype=np.float32)
+    for i, mi in enumerate(mcur):
+        dist[i] = engine._distance_row(data[engine._medoid_ids[mi]])
+    medoid_dist = dist[:, medoid_ids]
     np.fill_diagonal(medoid_dist, np.inf)
     delta = medoid_dist.min(axis=1)
     x = np.zeros((k, d), dtype=np.float64)
     sizes = np.zeros(k, dtype=np.int64)
     for i, mi in enumerate(mcur):
-        row = cache.dist[mi]
+        row = dist[i]
         previous = cache.prev_delta[mi]
         current = delta[i]
         if current >= previous:
