@@ -13,6 +13,11 @@ iterative, refinement phases).  Variants differ in exactly two places:
   hardware cost model (scalar CPU here; multi-core and per-kernel GPU
   accounting in the subclasses).
 
+The SIMT-emulated engines (:mod:`repro.gpu_impl.emulated_engine`) run
+this same loop and launch their kernels in its hooks, the host steps
+:meth:`EngineBase._find_dimensions`, :meth:`EngineBase._cluster_x` and
+:meth:`EngineBase._find_outliers` included.
+
 Because the *math* is shared and all accumulations are exact
 (:mod:`repro.core.distance`), every variant produces an identical
 clustering for the same seed — the paper's correctness claim.
@@ -344,6 +349,33 @@ class EngineBase(abc.ABC):
         return evaluate_clusters(self._columns, labels, dims)
 
     # ------------------------------------------------------------------
+    # Host steps of the loop (the emulated engines launch kernels here)
+    # ------------------------------------------------------------------
+    def _find_dimensions(self, x: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        """FindDimensions: the subspaces ``D_i`` of the ``(k, d)`` ``X``."""
+        return find_dimensions(x, self.params.l)
+
+    def _cluster_x(
+        self, labels: np.ndarray, medoid_points: np.ndarray
+    ) -> np.ndarray:
+        """The refinement's ``X``: each medoid's average distance per
+        dimension over its cluster in ``labels`` (zeros when empty)."""
+        k, d = medoid_points.shape
+        masks = labels == np.arange(k)[:, None]
+        counts = np.count_nonzero(masks, axis=1)
+        x = np.zeros((k, d), dtype=np.float64)
+        for i in np.flatnonzero(counts):
+            x[i] = self._dim_sums(masks[i], medoid_points[i]) / counts[i]
+        return x
+
+    def _find_outliers(
+        self, seg: np.ndarray, medoid_points: np.ndarray, dims: list
+    ) -> np.ndarray:
+        """The refinement's outlier mask; ``seg`` is the second output
+        of :meth:`_assign_points`."""
+        return find_outliers(seg, medoid_points, dims)
+
+    # ------------------------------------------------------------------
     # The algorithm (Algorithm 1)
     # ------------------------------------------------------------------
     def fit(self, data: np.ndarray) -> ProclusResult:
@@ -511,7 +543,7 @@ class EngineBase(abc.ABC):
                         x, _sizes_l = self._compute_l_and_x(mcur)
 
                     with obs.span("find_dimensions"):
-                        dims = find_dimensions(x, p.l)
+                        dims = self._find_dimensions(x)
                         self._account_find_dimensions(k, d)
 
                     with obs.span("assign_points"):
@@ -580,14 +612,9 @@ class EngineBase(abc.ABC):
         with obs.span("refinement") as refinement_span:
             with obs.span("find_dimensions"):
                 medoid_points = data[self._medoid_ids[mbest]]
-                masks = labels_best == np.arange(k)[:, None]
-                counts = np.count_nonzero(masks, axis=1)
-                x_ref = np.zeros((k, d), dtype=np.float64)
-                for i in np.flatnonzero(counts):
-                    x_ref[i] = self._dim_sums(masks[i], medoid_points[i]) / counts[i]
+                x_ref = self._cluster_x(labels_best, medoid_points)
                 self._account_refinement_x(n, d, k)
-
-                dims = find_dimensions(x_ref, p.l)
+                dims = self._find_dimensions(x_ref)
                 self._account_find_dimensions(k, d)
 
             with obs.span("assign_points"):
@@ -596,7 +623,7 @@ class EngineBase(abc.ABC):
                 self._account_assign(n, k, total_dims, d)
 
             with obs.span("outliers"):
-                outliers = find_outliers(seg, medoid_points, dims)
+                outliers = self._find_outliers(seg, medoid_points, dims)
                 self._account_outliers(n, k, total_dims)
                 labels = labels.copy()
                 labels[outliers] = OUTLIER_LABEL

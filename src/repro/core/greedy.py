@@ -21,7 +21,7 @@ import numpy as np
 from ..exceptions import ParameterError
 from .distance import euclidean_to_point
 
-__all__ = ["greedy_select", "draw_potential_medoids"]
+__all__ = ["greedy_select", "draw_sample", "draw_potential_medoids"]
 
 
 def greedy_select(sample: np.ndarray, count: int, seed_index: int) -> np.ndarray:
@@ -62,24 +62,34 @@ def greedy_select(sample: np.ndarray, count: int, seed_index: int) -> np.ndarray
     return chosen
 
 
+def draw_sample(n: int, params, rng) -> tuple[np.ndarray, int]:
+    """The initialization's random draws for ``n`` points.
+
+    ``rng`` (a :class:`~repro.rng.RandomSource`) makes exactly two
+    draws, the sample ``Data'`` and then the greedy seed.  Returns
+    ``(sample_indices, seed_index)``: the point ids of ``Data'`` and
+    the first medoid's index into them.
+    """
+    sample_size = params.effective_sample_size(n)
+    sample_indices = rng.sample_indices(n, sample_size)
+    return sample_indices, rng.greedy_seed(sample_size)
+
+
 def draw_potential_medoids(
     data: np.ndarray, params, rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``Data'`` and greedily pick ``M`` for one parameter set.
 
-    The initialization protocol of every run: ``rng`` (a
-    :class:`~repro.rng.RandomSource`) makes exactly two draws, the
-    sample and then the greedy seed.  Serving's coalesced groups call
-    this with a fresh source of the request's seed, so they pick the
-    very ``M`` a solo run with that seed would.
+    The initialization protocol of every run (:func:`draw_sample`,
+    then :func:`greedy_select`).  Serving's coalesced groups call this
+    with a fresh source of the request's seed, so they pick the very
+    ``M`` a solo run with that seed would.
 
     Returns ``(sample_indices, medoid_ids)``: the point ids of
     ``Data'`` and of ``M``.
     """
     n = data.shape[0]
-    sample_size = params.effective_sample_size(n)
-    sample_indices = rng.sample_indices(n, sample_size)
-    seed_index = rng.greedy_seed(sample_size)
+    sample_indices, seed_index = draw_sample(n, params, rng)
     local = greedy_select(
         data[sample_indices], params.effective_num_potential(n), seed_index
     )

@@ -38,6 +38,7 @@ from ..obs.tracer import current_run
 from ..params import ParameterGrid, ProclusParams
 from ..result import ProclusResult, RunStats
 from ..rng import RandomSource
+from .ablation import FastHOnlyEngine
 from .base import EngineBase, validate_data
 from .greedy import draw_potential_medoids
 from .state import MedoidCache, SharedStudyState
@@ -96,7 +97,10 @@ class MultiParamResult:
 
 
 def build_solo_shared_state(
-    data: np.ndarray, params: ProclusParams, rng: RandomSource
+    data: np.ndarray,
+    params: ProclusParams,
+    rng: RandomSource,
+    engines: list[type[EngineBase]] | None = None,
 ) -> SharedStudyState:
     """Draw the sample and greedy pick once, to share across runs.
 
@@ -110,6 +114,12 @@ def build_solo_shared_state(
     coalescer relies on (requests agreeing on seed, ``k``, ``A`` and
     ``B`` share sample, greedy pick, and FAST caches without changing
     any request's result).  A study passes its grid's largest ``k``.
+
+    ``engines`` are the engine classes that may fit on the state: a
+    study's engine, or every rung of its runner's ladder.  When each is
+    an H-only ablation, which computes its current medoids' distance
+    rows into a ``k``-row scratch of its own, the cache holds no
+    ``Dist`` rows.
     """
     n, d = data.shape
     if params.effective_num_potential(n) < params.k:
@@ -117,10 +127,13 @@ def build_solo_shared_state(
             f"dataset of {n} points cannot supply {params.k} medoids"
         )
     sample_indices, medoid_ids = draw_potential_medoids(data, params, rng)
+    h_only = engines is not None and all(
+        issubclass(engine, FastHOnlyEngine) for engine in engines
+    )
     return SharedStudyState(
         sample_indices=sample_indices,
         medoid_ids=medoid_ids,
-        cache=MedoidCache.create(len(medoid_ids), n, d),
+        cache=MedoidCache.create(len(medoid_ids), n, d, with_dist=not h_only),
     )
 
 
@@ -216,7 +229,9 @@ def run_study(
         if level >= ReuseLevel.PARTIAL_RESULTS and not completed:
             with obs.span("shared_state", category="study") as shared_span:
                 shared = build_solo_shared_state(
-                    data, grid.base.with_(k=grid.max_k), master
+                    data, grid.base.with_(k=grid.max_k), master,
+                    [engine_factory] if runner is None
+                    else runner.engines_for(backend),
                 )
             shared_span_id = shared_span.span_id
 

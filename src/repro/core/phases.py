@@ -20,6 +20,7 @@ from .distance import segmental_distances
 
 __all__ = [
     "find_dimensions",
+    "pick_dimensions",
     "assign_points",
     "evaluate_clusters",
     "compute_bad_medoids",
@@ -57,7 +58,17 @@ def find_dimensions(x: np.ndarray, l: int) -> tuple[tuple[int, ...], ...]:
         sigma = np.zeros(k)
     z = np.zeros_like(deviation)
     np.divide(deviation, sigma[:, None], out=z, where=sigma[:, None] > 0)
+    return pick_dimensions(z, l)
 
+
+def pick_dimensions(z: np.ndarray, l: int) -> tuple[tuple[int, ...], ...]:
+    """FindDimensions' pick of the subspaces ``D_i`` from ``Z``.
+
+    The two lowest-``Z`` dimensions per medoid, then the remaining
+    ``k*l - 2k`` lowest over all medoids (:func:`find_dimensions`).
+    The emulated engines feed it the ``Z`` their kernel computes.
+    """
+    k, d = z.shape
     picked = np.zeros((k, d), dtype=bool)
     # Two lowest-Z dimensions per medoid (stable sort: ties -> lowest j).
     order = np.argsort(z, axis=1, kind="stable")

@@ -1,363 +1,204 @@
-"""End-to-end PROCLUS on the SIMT emulator (validation engine).
+"""End-to-end PROCLUS on the SIMT emulator (validation engines).
 
-This engine is the "host program" of the paper's CUDA implementation:
-it drives the emulated kernels of Algorithms 2-6 (greedy pick, ComputeL,
-FindDimensions, AssignPoints, EvaluateCluster, RemoveOutliers) through
-the full three-phase PROCLUS algorithm, with every data-parallel step
-executed thread by thread under the cooperative emulator.
+These engines are the "host program" of the paper's CUDA
+implementation: :class:`EmulatedKernelsMixin` runs the emulated
+kernels of Algorithms 2-6 (greedy pick, ComputeL, FindDimensions,
+AssignPoints, EvaluateCluster, RemoveOutliers) in the hooks of
+:class:`~repro.core.base.EngineBase`, whose ``fit`` runs Algorithm 1
+for them as for every backend, every data-parallel step executed
+thread by thread under the cooperative emulator.  As each GPU engine
+is :class:`~repro.gpu_impl.accounting.GpuEngineMixin` over a CPU
+engine, each emulated engine is the mixin over the CPU engine it
+emulates: GPU-PROCLUS over :class:`~repro.core.proclus.ProclusEngine`,
+and Section 4.2's GPU-FAST pipeline over
+:class:`~repro.core.fast.FastProclusEngine` (on its
+:class:`~repro.core.state.MedoidCache`) and
+:class:`~repro.core.fast_star.FastStarProclusEngine` (on its ``k``
+slot rows).
 
-It exists for validation, not speed: the integration tests run it on
-small datasets and assert that its clustering is identical to every
-vectorized backend's.  Expect it to be several orders of magnitude
-slower than the vectorized engines — each emulated thread is a Python
-generator.
-
-The randomness protocol is the shared one, so for equal seeds the
-emulated run is directly comparable to any other backend.
+They exist for validation, not speed: the integration tests run them
+on small datasets and assert that their clustering is identical to
+every vectorized backend's.  Expect them to be several orders of
+magnitude slower than the vectorized engines — each emulated thread is
+a Python generator.  They model no time: their stats count the
+emulator's kernel launches only.
 """
 
 from __future__ import annotations
 
-import math
-import time
-
 import numpy as np
 
-from ..core.base import EngineBase
-from ..core.phases import cluster_sizes_from_labels, compute_bad_medoids
-from ..exceptions import DataValidationError
+from ..core.fast import FastProclusEngine
+from ..core.fast_star import FastStarProclusEngine
+from ..core.greedy import draw_sample
+from ..core.phases import pick_dimensions
+from ..core.proclus import ProclusEngine
 from ..gpu.emulator import SimtEmulator
-from ..result import OUTLIER_LABEL, ProclusResult, RunStats
+from ..hardware.cost_model import HardwareModel
+from ..hardware.counters import WorkCounter
 from .kernels.assign_points import assign_points_emulated
-from .kernels.compute_l import compute_l_emulated
+from .kernels.compute_l import compute_l_emulated, pad_sets
 from .kernels.evaluate import evaluate_clusters_emulated
-from .kernels.find_dimensions import (
-    _x_sums_kernel,
-    find_dimensions_emulated,
-    _select_dimensions_from_z,
-)
 from .kernels.fast_compute_l import fast_compute_l_emulated
-from .kernels.find_dimensions import _z_kernel
+from .kernels.find_dimensions import x_emulated, z_emulated
 from .kernels.greedy import greedy_select_emulated
 from .kernels.outliers import find_outliers_emulated
 
 __all__ = [
+    "EmulatedKernelsMixin",
     "EmulatedGpuProclusEngine",
     "EmulatedGpuFastProclusEngine",
     "EmulatedGpuFastStarProclusEngine",
 ]
 
 
-def _pad_sets(sets: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pack variable-length index sets into the (k, n) device layout."""
-    k = len(sets)
-    padded = np.full((k, n), -1, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
-    for i, members in enumerate(sets):
-        padded[i, : len(members)] = members
-        sizes[i] = len(members)
-    return padded, sizes
+class _LaunchCounter(WorkCounter):
+    """Reads back the emulator's launch count as the only counter."""
+
+    def __init__(self, emulator: SimtEmulator) -> None:
+        super().__init__()
+        self._emulator = emulator
+
+    def as_dict(self) -> dict[str, float]:
+        return {"emulator.kernel_launches": float(self._emulator.launches)}
 
 
-class EmulatedGpuProclusEngine(EngineBase):
-    """GPU-PROCLUS executed kernel-for-kernel on the SIMT emulator."""
+class _EmulatorModel(HardwareModel):
+    """The emulated engines' hardware model: it models no time."""
 
-    backend_name = "gpu-emulated"
+    name = "SIMT emulator"
+
+    def __init__(self, emulator: SimtEmulator) -> None:
+        super().__init__()
+        self.counter = _LaunchCounter(emulator)
+
+    def work(
+        self, phase: str, scalar_ops: float = 0.0, vector_ops: float = 0.0
+    ) -> float:
+        return 0.0
+
+
+class EmulatedKernelsMixin:
+    """The engine hooks, run as emulated kernels."""
 
     def __init__(self, *args, schedule_seed: int | None = None, **kwargs) -> None:
         """``schedule_seed`` shuffles intra-round thread order, proving
         the result does not depend on warp scheduling."""
-        super().__init__(*args, **kwargs)
         self.emulator = SimtEmulator(schedule_seed=schedule_seed)
+        super().__init__(*args, **kwargs)
 
-    def _compute_l_and_x(self, mcur):  # pragma: no cover - _run overridden
-        raise NotImplementedError
+    def _make_model(self, n: int, d: int) -> HardwareModel:
+        return _EmulatorModel(self.emulator)
+
+    def _modeled_peak_bytes(self) -> int:
+        return 0
 
     def _initialization_phase(self, data: np.ndarray) -> np.ndarray:
-        """Sample Data' and run Algorithm 2 on the emulator."""
+        """Sample ``Data'`` and pick ``M`` with Algorithm 2's kernels."""
         if self.shared_state is not None:
-            return self.shared_state.medoid_ids
-        n, d = data.shape
-        p = self.params
-        sample_size = p.effective_sample_size(n)
-        count = p.effective_num_potential(n)
-        sample_indices = self.rng.sample_indices(n, sample_size)
-        seed_index = self.rng.greedy_seed(sample_size)
+            return super()._initialization_phase(data)
+        n = len(data)
+        sample_indices, seed_index = draw_sample(n, self.params, self.rng)
         local = greedy_select_emulated(
-            data[sample_indices], count, seed_index, emulator=self.emulator
+            data[sample_indices], self.params.effective_num_potential(n),
+            seed_index, emulator=self.emulator,
         )
         return sample_indices[local]
 
-    def _dims_for_iteration(
-        self, data: np.ndarray, medoid_ids: np.ndarray, mcur: np.ndarray
-    ) -> tuple[tuple[int, ...], ...]:
-        """One iteration's ComputeL + FindDimensions (Algorithms 3-4)."""
-        obs = self._obs
-        with obs.span("compute_l"):
-            l_sets, _, _ = compute_l_emulated(
-                data, medoid_ids, emulator=self.emulator
-            )
-            l_pad, l_sizes = _pad_sets(l_sets, data.shape[0])
-        with obs.span("find_dimensions"):
-            dims, _ = find_dimensions_emulated(
-                data, medoid_ids, l_pad, l_sizes, self.params.l,
-                emulator=self.emulator,
-            )
-        return dims
+    def _clusters(self, labels: np.ndarray, k: int):
+        """The ``k`` clusters of ``labels`` in the padded ``C`` layout."""
+        return pad_sets([np.flatnonzero(labels == i) for i in range(k)], len(labels))
 
-    def _run(self, data: np.ndarray, started: float) -> ProclusResult:
-        n, d = data.shape
-        p = self.params
-        k = p.k
-        em = self.emulator
-        obs = self._obs
+    # -- ComputeL (Section 4.2's pipeline; the plain engine has its own)
+    def _fill_rows(self, rows: np.ndarray, point_ids: np.ndarray) -> None:
+        """Nothing: the pipeline's distance kernel fills the rows whose
+        ``DistFound`` flag is unset."""
 
-        with obs.span("initialization"):
-            self._medoid_ids = self._initialization_phase(data)
-        m = len(self._medoid_ids)
-
-        if self.initial_medoids is not None:
-            mcur = np.asarray(self.initial_medoids, dtype=np.int64).copy()
-            if len(mcur) != k or len(np.unique(mcur)) != k:
-                raise DataValidationError(
-                    f"initial_medoids must hold {k} distinct positions into M"
-                )
-        else:
-            mcur = self.rng.initial_medoids(m, k)
-
-        cost_best = math.inf
-        mbest = mcur.copy()
-        c_best: list[np.ndarray] | None = None
-        sizes_best: np.ndarray | None = None
-        best_iteration = 0
-        stale = 0
-        total = 0
-        with obs.span("iterative") as iterative_span:
-            while stale < p.patience and total < p.max_iterations:
-                with obs.span("iteration", iteration=total) as iteration_span:
-                    medoid_ids = self._medoid_ids[mcur]
-                    dims = self._dims_for_iteration(data, medoid_ids, mcur)
-                    with obs.span("assign_points"):
-                        labels, c_sets = assign_points_emulated(
-                            data, medoid_ids, dims, emulator=em
-                        )
-                    with obs.span("evaluate"):
-                        c_pad, c_sizes = _pad_sets(c_sets, n)
-                        cost = evaluate_clusters_emulated(
-                            data, c_pad, c_sizes, dims, emulator=em
-                        )
-                        sizes = cluster_sizes_from_labels(labels, k)
-
-                    total += 1
-                    stale += 1
-                    if cost < cost_best:
-                        cost_best = cost
-                        mbest = mcur.copy()
-                        c_best = c_sets
-                        sizes_best = sizes
-                        best_iteration = total - 1
-                        stale = 0
-
-                    with obs.span("update"):
-                        bad = compute_bad_medoids(
-                            sizes_best, n, p.min_deviation, p.bad_medoid_rule
-                        )
-
-                        if self.trace_ is not None:
-                            self.trace_.append(
-                                iteration=total - 1,
-                                cost=cost,
-                                improved=stale == 0,
-                                best_cost=cost_best,
-                                medoid_positions=mcur,
-                                cluster_sizes=sizes,
-                                bad_medoids=bad,
-                            )
-
-                        candidates = np.setdiff1d(np.arange(m), mbest)
-                        replace = min(len(bad), len(candidates))
-                        mcur = mbest.copy()
-                        if replace > 0:
-                            replacements = self.rng.replacement_medoids(
-                                candidates, replace
-                            )
-                            mcur[bad[:replace]] = replacements
-
-                    iteration_span.set(cost=float(cost), improved=stale == 0)
-                    self._record_iteration_samples()
-            iterative_span.set(iterations=total)
-
-        # --- refinement: L <- CBest, then the same kernels -----------
-        assert c_best is not None
-        with obs.span("refinement") as refinement_span:
-            with obs.span("find_dimensions"):
-                medoid_ids = self._medoid_ids[mbest]
-                c_pad, c_sizes = _pad_sets(c_best, n)
-                x = np.zeros((k, d), dtype=np.float64)
-                em.launch(
-                    _x_sums_kernel, (d, k), 32,
-                    data, data[medoid_ids], c_pad, c_sizes, x,
-                )
-                x /= np.maximum(c_sizes.astype(np.float64), 1.0)[:, None]
-                y = np.zeros(k)
-                sigma = np.zeros(k)
-                z = np.zeros((k, d))
-
-                em.launch(_z_kernel, k, min(32, d), x, y, sigma, z)
-                dims = _select_dimensions_from_z(z, p.l)
-
-            with obs.span("assign_points"):
-                labels, _ = assign_points_emulated(
-                    data, medoid_ids, dims, emulator=em
-                )
-            with obs.span("outliers"):
-                outliers = find_outliers_emulated(
-                    data, medoid_ids, dims, emulator=em
-                )
-                labels = labels.copy()
-                labels[outliers] = OUTLIER_LABEL
-
-            with obs.span("evaluate"):
-                refined_cost = self._evaluate_refined(data, labels, dims, em)
-            refinement_span.set(refined_cost=float(refined_cost))
-
-        self.best_positions_ = mbest.copy()
-        stats = RunStats(
-            counters={"emulator.kernel_launches": float(em.launches)},
-            wall_seconds=time.perf_counter() - started,
-            iterations=total,
-            backend=self.backend_name,
-            hardware="SIMT emulator",
-        )
-        return ProclusResult(
-            labels=labels,
-            medoids=self._medoid_ids[mbest].copy(),
-            dimensions=dims,
-            cost=float(cost_best),
-            refined_cost=float(refined_cost),
-            iterations=total,
-            best_iteration=best_iteration,
-            stats=stats,
-            trace=self.trace_,
+    def _update_h(
+        self, rows: np.ndarray, medoid_ids: np.ndarray, dist: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        cache = self._cache
+        return fast_compute_l_emulated(
+            self._data, medoid_ids, rows,
+            cache.dist, cache.dist_found, cache.h,
+            cache.prev_delta, cache.size_l,
+            emulator=self.emulator,
         )
 
-    def _evaluate_refined(self, data, labels, dims, em) -> float:
-        """Cost of the refined clustering (outliers excluded)."""
-        k = self.params.k
-        sets = [np.flatnonzero(labels == i) for i in range(k)]
-        c_pad, c_sizes = _pad_sets(sets, data.shape[0])
-        return evaluate_clusters_emulated(data, c_pad, c_sizes, dims, emulator=em)
+    # -- FindDimensions, AssignPoints, EvaluateCluster, RemoveOutliers
+    def _find_dimensions(self, x: np.ndarray) -> tuple[tuple[int, ...], ...]:
+        return pick_dimensions(z_emulated(x, self.emulator), self.params.l)
+
+    def _cluster_x(
+        self, labels: np.ndarray, medoid_points: np.ndarray
+    ) -> np.ndarray:
+        sets, sizes = self._clusters(labels, len(medoid_points))
+        return x_emulated(self._data, medoid_points, sets, sizes, self.emulator)
+
+    def _assign_points(
+        self, medoid_points: np.ndarray, dims: list
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Labels and, in place of ``seg``, the member sets."""
+        return assign_points_emulated(
+            self._data, medoid_points, dims, emulator=self.emulator
+        )
+
+    def _evaluate_clusters(self, labels: np.ndarray, dims: list) -> float:
+        sets, sizes = self._clusters(labels, len(dims))
+        return evaluate_clusters_emulated(
+            self._data, sets, sizes, dims, emulator=self.emulator
+        )
+
+    def _find_outliers(
+        self, seg, medoid_points: np.ndarray, dims: list
+    ) -> np.ndarray:
+        return find_outliers_emulated(
+            self._data, medoid_points, dims, emulator=self.emulator
+        )
 
 
-class EmulatedGpuFastProclusEngine(EmulatedGpuProclusEngine):
+class EmulatedGpuProclusEngine(EmulatedKernelsMixin, ProclusEngine):
+    """GPU-PROCLUS executed kernel-for-kernel on the SIMT emulator."""
+
+    backend_name = "gpu-emulated"
+
+    def _compute_l_and_x(
+        self, mcur: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Algorithm 3's kernels, then Algorithm 4's ``X`` over the spheres."""
+        medoid_ids = self._medoid_ids[mcur]
+        l_sets, _, _ = compute_l_emulated(
+            self._data, medoid_ids, emulator=self.emulator
+        )
+        sets, sizes = pad_sets(l_sets, len(self._data))
+        x = x_emulated(
+            self._data, self._data[medoid_ids], sets, sizes, self.emulator
+        )
+        return x, sizes
+
+
+class EmulatedGpuFastProclusEngine(EmulatedKernelsMixin, FastProclusEngine):
     """GPU-FAST-PROCLUS executed kernel-for-kernel on the SIMT emulator.
 
     Runs Section 4.2's modified pipeline: DistFound-guarded distance
     kernel, separate flag-set kernel, DeltaL collection (Theorem 3.1),
     per-(medoid, dimension) H update (Theorem 3.2), and the separate
-    ``X <- H / |L|`` kernel — against persistent device-state arrays.
+    ``X <- H / |L|`` kernel — against the persistent cache rows of the
+    current medoids.
     """
 
     backend_name = "gpu-fast-emulated"
 
-    def _setup(self, data: np.ndarray) -> None:
-        n, d = data.shape
-        m = (
-            self.shared_state.num_potential_medoids
-            if self.shared_state is not None
-            else self.params.effective_num_potential(n)
-        )
-        from ..core.state import NEVER_USED_DELTA
 
-        self._dist = np.zeros((m, n), dtype=np.float32)
-        self._dist_found = np.zeros(m, dtype=bool)
-        self._h = np.zeros((m, d), dtype=np.float64)
-        self._prev_delta = np.full(m, NEVER_USED_DELTA, dtype=np.float32)
-        self._size_l = np.zeros(m, dtype=np.int64)
-
-    def _dims_for_iteration(
-        self, data: np.ndarray, medoid_ids: np.ndarray, mcur: np.ndarray
-    ) -> tuple[tuple[int, ...], ...]:
-        k = len(mcur)
-        d = data.shape[1]
-        obs = self._obs
-        with obs.span("compute_l"):
-            x, _ = fast_compute_l_emulated(
-                data,
-                medoid_ids,
-                np.asarray(mcur, dtype=np.int64),
-                self._dist,
-                self._dist_found,
-                self._h,
-                self._prev_delta,
-                self._size_l,
-                emulator=self.emulator,
-            )
-        with obs.span("find_dimensions"):
-            y = np.zeros(k)
-            sigma = np.zeros(k)
-            z = np.zeros((k, d))
-            self.emulator.launch(_z_kernel, k, min(32, d), x, y, sigma, z)
-            return _select_dimensions_from_z(z, self.params.l)
-
-
-class EmulatedGpuFastStarProclusEngine(EmulatedGpuFastProclusEngine):
+class EmulatedGpuFastStarProclusEngine(
+    EmulatedKernelsMixin, FastStarProclusEngine
+):
     """GPU-FAST*-PROCLUS on the emulator: k-slot caches (Section 3.2).
 
-    Uses the same Section 4.2 kernel pipeline as the emulated GPU-FAST
-    engine but with per-slot state: before each iteration, any slot
-    whose medoid changed is reset on the host (the paper's "use i in
-    MBad to identify for which of the medoids we need to recompute"),
-    and ``MIdx`` degenerates to the slot index.
+    The emulated GPU-FAST pipeline on per-slot rows: before each
+    iteration, any slot whose medoid changed is reset on the host (the
+    paper's "use i in MBad to identify for which of the medoids we need
+    to recompute"), and ``MIdx`` degenerates to the slot index.
     """
 
     backend_name = "gpu-fast*-emulated"
-
-    def _setup(self, data: np.ndarray) -> None:
-        n, d = data.shape
-        k = self.params.k
-        from ..core.state import NEVER_USED_DELTA
-
-        self._dist = np.zeros((k, n), dtype=np.float32)
-        self._dist_found = np.zeros(k, dtype=bool)
-        self._h = np.zeros((k, d), dtype=np.float64)
-        self._prev_delta = np.full(k, NEVER_USED_DELTA, dtype=np.float32)
-        self._size_l = np.zeros(k, dtype=np.int64)
-        self._slot_ids = np.full(k, -1, dtype=np.int64)
-
-    def _dims_for_iteration(
-        self, data: np.ndarray, medoid_ids: np.ndarray, mcur: np.ndarray
-    ) -> tuple[tuple[int, ...], ...]:
-        from ..core.state import NEVER_USED_DELTA
-
-        k = len(mcur)
-        obs = self._obs
-        with obs.span("compute_l"):
-            # Reset the slots whose medoid changed since the last iteration.
-            for i in range(k):
-                if self._slot_ids[i] != medoid_ids[i]:
-                    self._dist_found[i] = False
-                    self._h[i].fill(0.0)
-                    self._prev_delta[i] = NEVER_USED_DELTA
-                    self._size_l[i] = 0
-                    self._slot_ids[i] = medoid_ids[i]
-            # MIdx is the identity for the k-slot cache.
-            slots = np.arange(k, dtype=np.int64)
-            x, _ = fast_compute_l_emulated(
-                data,
-                medoid_ids,
-                slots,
-                self._dist,
-                self._dist_found,
-                self._h,
-                self._prev_delta,
-                self._size_l,
-                emulator=self.emulator,
-            )
-        with obs.span("find_dimensions"):
-            d = data.shape[1]
-            y = np.zeros(k)
-            sigma = np.zeros(k)
-            z = np.zeros((k, d))
-            self.emulator.launch(_z_kernel, k, min(32, d), x, y, sigma, z)
-            return _select_dimensions_from_z(z, self.params.l)

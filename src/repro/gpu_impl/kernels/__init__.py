@@ -19,9 +19,9 @@ from ..._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "greedy": ("greedy_select_emulated",),
-    "compute_l": ("compute_l_emulated",),
+    "compute_l": ("compute_l_emulated", "pad_sets"),
     "find_dimensions": ("find_dimensions_emulated",),
-    "assign_points": ("assign_points_emulated",),
+    "assign_points": ("assign_points_emulated", "pad_dims"),
     "evaluate": ("evaluate_clusters_emulated",),
     "outliers": ("find_outliers_emulated",),
     "fast_compute_l": ("fast_compute_l_emulated",),

@@ -7,7 +7,21 @@ import numpy as np
 from ...gpu.atomics import atomic_inc, atomic_min
 from ...gpu.emulator import SimtEmulator, ThreadContext
 
-__all__ = ["assign_points_emulated"]
+__all__ = ["assign_points_emulated", "pad_dims"]
+
+
+def pad_dims(
+    dimensions: tuple[tuple[int, ...], ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack the ``k`` subspaces into the device layout: a
+    ``(k, max |D_i|)`` index array and the ``(k,)`` sizes ``|D_i|``."""
+    k = len(dimensions)
+    padded = np.zeros((k, max(len(dims) for dims in dimensions)), dtype=np.int64)
+    sizes = np.zeros(k, dtype=np.int64)
+    for i, dims in enumerate(dimensions):
+        sizes[i] = len(dims)
+        padded[i, : len(dims)] = dims
+    return padded, sizes
 
 
 def _segmental_f32(
@@ -61,7 +75,7 @@ def _assign_kernel(
 
 def assign_points_emulated(
     data: np.ndarray,
-    medoid_ids: np.ndarray,
+    medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
     emulator: SimtEmulator | None = None,
     threads_per_block: int = 8,
@@ -69,15 +83,8 @@ def assign_points_emulated(
     """Run Algorithm 5 on the emulator; returns ``(labels, c_sets)``."""
     em = emulator if emulator is not None else SimtEmulator()
     n = data.shape[0]
-    k = len(medoid_ids)
-    medoid_points = data[medoid_ids]
-
-    max_dims = max(len(dims) for dims in dimensions)
-    dims_padded = np.zeros((k, max_dims), dtype=np.int64)
-    dims_count = np.zeros(k, dtype=np.int64)
-    for i, dims in enumerate(dimensions):
-        dims_count[i] = len(dims)
-        dims_padded[i, : len(dims)] = dims
+    k = len(medoid_points)
+    dims_padded, dims_count = pad_dims(dimensions)
 
     c_sets = np.full((k, n), -1, dtype=np.int64)
     c_sizes = np.zeros(k, dtype=np.int64)

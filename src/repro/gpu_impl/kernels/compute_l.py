@@ -10,7 +10,20 @@ from ...gpu.atomics import atomic_inc, atomic_min
 from ...gpu.emulator import SimtEmulator, ThreadContext
 from .greedy import _euclidean_f32
 
-__all__ = ["compute_l_emulated"]
+__all__ = ["compute_l_emulated", "pad_sets"]
+
+
+def pad_sets(sets: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pack ``k`` index sets over ``n`` points into the device layout
+    of ``L`` and ``C``: a ``(k, n)`` array padded with -1 and the
+    ``(k,)`` set sizes."""
+    k = len(sets)
+    padded = np.full((k, n), -1, dtype=np.int64)
+    sizes = np.zeros(k, dtype=np.int64)
+    for i, members in enumerate(sets):
+        padded[i, : len(members)] = members
+        sizes[i] = len(members)
+    return padded, sizes
 
 
 def _distances_kernel(

@@ -8,9 +8,9 @@ import numpy as np
 
 from ...gpu.atomics import atomic_add
 from ...gpu.emulator import SimtEmulator, ThreadContext
-from ...core.phases import find_dimensions as _select_dimensions
+from ...core.phases import pick_dimensions
 
-__all__ = ["find_dimensions_emulated"]
+__all__ = ["find_dimensions_emulated", "x_emulated", "z_emulated"]
 
 
 def _x_sums_kernel(
@@ -64,6 +64,46 @@ def _z_kernel(
         z[i, j] = (x[i, j] - y[i]) / sigma[i] if sigma[i] > 0 else 0.0
 
 
+def x_emulated(
+    data: np.ndarray,
+    medoid_points: np.ndarray,
+    sets: np.ndarray,
+    sizes: np.ndarray,
+    emulator: SimtEmulator,
+    threads_per_block: int = 32,
+) -> np.ndarray:
+    """Lines 1-6 on the emulator: each medoid's ``X`` row, averaged over
+    its padded index set (``sets``/``sizes`` as from
+    :func:`~repro.gpu_impl.kernels.compute_l.pad_sets`;
+    an empty set's row stays zero)."""
+    k = len(medoid_points)
+    x = np.zeros((k, data.shape[1]), dtype=np.float64)
+    emulator.launch(
+        _x_sums_kernel,
+        (data.shape[1], k),
+        threads_per_block,
+        data,
+        medoid_points,
+        sets,
+        sizes,
+        x,
+    )
+    x /= np.maximum(sizes[:k].astype(np.float64), 1.0)[:, None]
+    return x
+
+
+def z_emulated(
+    x: np.ndarray, emulator: SimtEmulator, threads_per_block: int = 32
+) -> np.ndarray:
+    """Lines 7-14 on the emulator: the standardized ``Z`` of ``X``."""
+    k, d = x.shape
+    y = np.zeros(k, dtype=np.float64)
+    sigma = np.zeros(k, dtype=np.float64)
+    z = np.zeros((k, d), dtype=np.float64)
+    emulator.launch(_z_kernel, k, min(threads_per_block, d), x, y, sigma, z)
+    return z
+
+
 def find_dimensions_emulated(
     data: np.ndarray,
     medoid_ids: np.ndarray,
@@ -78,50 +118,12 @@ def find_dimensions_emulated(
     ``l_sets``/``l_sizes`` are the padded sphere arrays produced by
     :func:`~repro.gpu_impl.kernels.compute_l.compute_l_emulated`'s
     kernels.  The final pick of the ``k*l`` lowest-Z dimensions (lines
-    15-16) reuses the shared host-side selection, as the CUDA code does
+    15-16) is the shared host-side
+    :func:`~repro.core.phases.pick_dimensions`, as the CUDA code does
     for this tiny ``k x d`` problem.
     """
     em = emulator if emulator is not None else SimtEmulator()
-    d = data.shape[1]
-    k = len(medoid_ids)
-    medoid_points = data[medoid_ids]
-
-    x = np.zeros((k, d), dtype=np.float64)
-    em.launch(
-        _x_sums_kernel,
-        (d, k),
-        threads_per_block,
-        data,
-        medoid_points,
-        l_sets,
-        l_sizes,
-        x,
+    x = x_emulated(
+        data, data[medoid_ids], l_sets, l_sizes, em, threads_per_block
     )
-    sizes = np.maximum(l_sizes[:k].astype(np.float64), 1.0)
-    x /= sizes[:, None]
-
-    y = np.zeros(k, dtype=np.float64)
-    sigma = np.zeros(k, dtype=np.float64)
-    z = np.zeros((k, d), dtype=np.float64)
-    em.launch(_z_kernel, k, min(threads_per_block, d), x, y, sigma, z)
-
-    return _select_dimensions_from_z(z, l), x
-
-
-def _select_dimensions_from_z(
-    z: np.ndarray, l: int
-) -> tuple[tuple[int, ...], ...]:
-    """Pick subspaces from a precomputed Z matrix (lines 15-16)."""
-    # The shared selection in repro.core.phases works on X and
-    # recomputes Z; here Z is already given, so replicate the pick.
-    k, d = z.shape
-    picked = np.zeros((k, d), dtype=bool)
-    for i in range(k):
-        order = np.argsort(z[i], kind="stable")
-        picked[i, order[:2]] = True
-    remaining = k * l - 2 * k
-    if remaining > 0:
-        flat_i, flat_j = np.nonzero(~picked)
-        order = np.lexsort((flat_j, flat_i, z[flat_i, flat_j]))[:remaining]
-        picked[flat_i[order], flat_j[order]] = True
-    return tuple(tuple(int(j) for j in np.flatnonzero(picked[i])) for i in range(k))
+    return pick_dimensions(z_emulated(x, em, threads_per_block), l), x

@@ -8,7 +8,7 @@ import numpy as np
 
 from ...gpu.atomics import atomic_min
 from ...gpu.emulator import SimtEmulator, ThreadContext
-from .assign_points import _segmental_f32
+from .assign_points import _segmental_f32, pad_dims
 
 __all__ = ["find_outliers_emulated"]
 
@@ -54,7 +54,7 @@ def _check_kernel(
 
 def find_outliers_emulated(
     data: np.ndarray,
-    medoid_ids: np.ndarray,
+    medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
     emulator: SimtEmulator | None = None,
     threads_per_block: int = 32,
@@ -62,15 +62,8 @@ def find_outliers_emulated(
     """Run the outlier detection on the emulator; returns a bool mask."""
     em = emulator if emulator is not None else SimtEmulator()
     n = data.shape[0]
-    k = len(medoid_ids)
-    medoid_points = data[medoid_ids]
-
-    max_dims = max(len(dims) for dims in dimensions)
-    dims_padded = np.zeros((k, max_dims), dtype=np.int64)
-    dims_count = np.zeros(k, dtype=np.int64)
-    for i, dims in enumerate(dimensions):
-        dims_count[i] = len(dims)
-        dims_padded[i, : len(dims)] = dims
+    k = len(medoid_points)
+    dims_padded, dims_count = pad_dims(dimensions)
 
     delta = np.full(k, np.inf, dtype=np.float64)
     em.launch(

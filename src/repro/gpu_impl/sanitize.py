@@ -15,7 +15,6 @@ names the culprit stage.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -119,18 +118,6 @@ def _medoids(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
 
 
-def _padded_l(
-    l_sets: list[np.ndarray], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    k = len(l_sets)
-    padded = np.full((k, n), -1, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
-    for i, members in enumerate(l_sets):
-        sizes[i] = len(members)
-        padded[i, : len(members)] = members
-    return padded, sizes
-
-
 # -- per-kernel drivers ----------------------------------------------------
 # Each driver receives (rng, geometry, emulator) and must run its target
 # pipeline through the given (sanitizing) emulator; any upstream inputs
@@ -158,13 +145,13 @@ def _drive_compute_l(rng, geo, em):
 
 
 def _drive_find_dimensions(rng, geo, em):
-    from .kernels.compute_l import compute_l_emulated
+    from .kernels.compute_l import compute_l_emulated, pad_sets
     from .kernels.find_dimensions import find_dimensions_emulated
 
     data = _dataset(rng, geo["n"], geo["d"])
     medoid_ids = _medoids(rng, geo["n"], geo["k"])
     l_sets, _, _ = compute_l_emulated(data, medoid_ids)
-    padded, sizes = _padded_l(l_sets, geo["n"])
+    padded, sizes = pad_sets(l_sets, geo["n"])
     find_dimensions_emulated(
         data, medoid_ids, padded, sizes, geo["l"],
         emulator=em, threads_per_block=geo["tpb"],
@@ -172,11 +159,11 @@ def _drive_find_dimensions(rng, geo, em):
 
 
 def _dimensions_for(rng, geo, data, medoid_ids):
-    from .kernels.compute_l import compute_l_emulated
+    from .kernels.compute_l import compute_l_emulated, pad_sets
     from .kernels.find_dimensions import find_dimensions_emulated
 
     l_sets, _, _ = compute_l_emulated(data, medoid_ids)
-    padded, sizes = _padded_l(l_sets, geo["n"])
+    padded, sizes = pad_sets(l_sets, geo["n"])
     dimensions, _ = find_dimensions_emulated(
         data, medoid_ids, padded, sizes, geo["l"]
     )
@@ -190,20 +177,21 @@ def _drive_assign_points(rng, geo, em):
     medoid_ids = _medoids(rng, geo["n"], geo["k"])
     dimensions = _dimensions_for(rng, geo, data, medoid_ids)
     assign_points_emulated(
-        data, medoid_ids, dimensions,
+        data, data[medoid_ids], dimensions,
         emulator=em, threads_per_block=geo["tpb"],
     )
 
 
 def _drive_evaluate(rng, geo, em):
     from .kernels.assign_points import assign_points_emulated
+    from .kernels.compute_l import pad_sets
     from .kernels.evaluate import evaluate_clusters_emulated
 
     data = _dataset(rng, geo["n"], geo["d"])
     medoid_ids = _medoids(rng, geo["n"], geo["k"])
     dimensions = _dimensions_for(rng, geo, data, medoid_ids)
-    _, c_sets = assign_points_emulated(data, medoid_ids, dimensions)
-    padded, sizes = _padded_l(c_sets, geo["n"])
+    _, c_sets = assign_points_emulated(data, data[medoid_ids], dimensions)
+    padded, sizes = pad_sets(c_sets, geo["n"])
     evaluate_clusters_emulated(
         data, padded, sizes, dimensions,
         emulator=em, threads_per_block=geo["tpb"],
@@ -217,7 +205,7 @@ def _drive_outliers(rng, geo, em):
     medoid_ids = _medoids(rng, geo["n"], geo["k"])
     dimensions = _dimensions_for(rng, geo, data, medoid_ids)
     find_outliers_emulated(
-        data, medoid_ids, dimensions,
+        data, data[medoid_ids], dimensions,
         emulator=em, threads_per_block=geo["tpb"],
     )
 

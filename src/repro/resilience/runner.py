@@ -154,6 +154,13 @@ class ResilientRunner:
     def __init__(self, policy: RetryPolicy | None = None) -> None:
         self.policy = policy if policy is not None else RetryPolicy()
 
+    def engines_for(self, backend: str) -> list[type]:
+        """The engine class of each ladder rung a fit of ``backend`` may
+        run on."""
+        from ..core.api import BACKENDS  # deferred: api imports engines
+
+        return [BACKENDS[step.backend] for step in self.policy.ladder_for(backend)]
+
     # ------------------------------------------------------------------
     def fit(
         self,

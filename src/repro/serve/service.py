@@ -689,7 +689,10 @@ class ClusterService:
         ):
             rng = RandomSource(leader.seed)
             with self.obs.span("shared_state", category="serve"):
-                shared = build_solo_shared_state(data, leader.params, rng)
+                shared = build_solo_shared_state(
+                    data, leader.params, rng,
+                    self.runner.engines_for(leader.backend),
+                )
             post_init_state = rng.get_state()
             outcomes = []
             for index, job in enumerate(group):

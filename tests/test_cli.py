@@ -165,6 +165,15 @@ class TestSanitize:
         for entry in payload["kernels"]:
             assert entry["diagnostics"] == []
             assert entry["accesses"] > 0
+        # Launches per pipeline over 3 geometries x 2 schedules: a host
+        # wrapper that stops launching one of its kernels shows here.
+        assert {
+            entry["kernel"]: entry["launches"] for entry in payload["kernels"]
+        } == {
+            "greedy": 42, "compute_l": 18, "find_dimensions": 12,
+            "assign_points": 6, "evaluate": 6, "outliers": 12,
+            "fast_compute_l": 72,
+        }
 
     def test_unknown_kernel_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -36,6 +36,7 @@ from repro.gpu_impl.kernels import (
     find_dimensions_emulated,
     find_outliers_emulated,
     greedy_select_emulated,
+    pad_sets,
 )
 
 pytestmark = pytest.mark.sanitized
@@ -52,16 +53,6 @@ def case(request):
     data = rng.random((n, d), dtype=np.float32)
     medoid_ids = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
     return data, medoid_ids, k, l
-
-
-def _padded(sets: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    k = len(sets)
-    padded = np.full((k, n), -1, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
-    for i, members in enumerate(sets):
-        sizes[i] = len(members)
-        padded[i, : len(members)] = members
-    return padded, sizes
 
 
 class TestGreedyConformance:
@@ -96,7 +87,7 @@ class TestFindDimensionsConformance:
     def test_matches_vectorized(self, case, sanitized_emulator):
         data, medoid_ids, k, l = case
         l_sets, delta, dist = compute_l_emulated(data, medoid_ids)
-        padded, sizes = _padded(l_sets, data.shape[0])
+        padded, sizes = pad_sets(l_sets, data.shape[0])
         dims, x = find_dimensions_emulated(
             data, medoid_ids, padded, sizes, l,
             emulator=sanitized_emulator, threads_per_block=8,
@@ -112,10 +103,10 @@ class TestAssignPointsConformance:
     def test_matches_vectorized(self, case, sanitized_emulator):
         data, medoid_ids, k, l = case
         l_sets, _, _ = compute_l_emulated(data, medoid_ids)
-        padded, sizes = _padded(l_sets, data.shape[0])
+        padded, sizes = pad_sets(l_sets, data.shape[0])
         dims, _ = find_dimensions_emulated(data, medoid_ids, padded, sizes, l)
         labels, c_sets = assign_points_emulated(
-            data, medoid_ids, dims, emulator=sanitized_emulator,
+            data, data[medoid_ids], dims, emulator=sanitized_emulator,
             threads_per_block=8,
         )
         ref_labels, _ = assign_points(data, data[medoid_ids], dims)
@@ -129,10 +120,10 @@ class TestEvaluateConformance:
     def test_matches_within_documented_tolerance(self, case, sanitized_emulator):
         data, medoid_ids, k, l = case
         l_sets, _, _ = compute_l_emulated(data, medoid_ids)
-        padded, sizes = _padded(l_sets, data.shape[0])
+        padded, sizes = pad_sets(l_sets, data.shape[0])
         dims, _ = find_dimensions_emulated(data, medoid_ids, padded, sizes, l)
-        labels, c_sets = assign_points_emulated(data, medoid_ids, dims)
-        c_pad, c_sizes = _padded(c_sets, data.shape[0])
+        labels, c_sets = assign_points_emulated(data, data[medoid_ids], dims)
+        c_pad, c_sizes = pad_sets(c_sets, data.shape[0])
         cost = evaluate_clusters_emulated(
             data, c_pad, c_sizes, dims, emulator=sanitized_emulator,
             threads_per_block=8,
@@ -147,12 +138,12 @@ class TestOutliersConformance:
     def test_matches_vectorized(self, case, sanitized_emulator):
         data, medoid_ids, k, l = case
         l_sets, _, _ = compute_l_emulated(data, medoid_ids)
-        padded, sizes = _padded(l_sets, data.shape[0])
+        padded, sizes = pad_sets(l_sets, data.shape[0])
         dims, _ = find_dimensions_emulated(data, medoid_ids, padded, sizes, l)
         _, segmental = assign_points(data, data[medoid_ids], dims)
         ref = find_outliers(segmental, data[medoid_ids], dims)
         got = find_outliers_emulated(
-            data, medoid_ids, dims, emulator=sanitized_emulator,
+            data, data[medoid_ids], dims, emulator=sanitized_emulator,
             threads_per_block=8,
         )
         assert np.array_equal(ref, got)

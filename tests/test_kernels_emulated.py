@@ -28,6 +28,7 @@ from repro.gpu_impl.kernels import (
     find_dimensions_emulated,
     find_outliers_emulated,
     greedy_select_emulated,
+    pad_sets,
 )
 
 pytestmark = pytest.mark.sanitized
@@ -105,13 +106,7 @@ class TestComputeLKernel:
 
 def _padded_l(data, mids):
     l_sets, delta, dist = compute_l_emulated(data, mids)
-    n = data.shape[0]
-    padded = np.full((len(mids), n), -1, dtype=np.int64)
-    sizes = np.zeros(len(mids), dtype=np.int64)
-    for i, s in enumerate(l_sets):
-        padded[i, : len(s)] = s
-        sizes[i] = len(s)
-    return padded, sizes, delta, dist
+    return *pad_sets(l_sets, data.shape[0]), delta, dist
 
 
 class TestFindDimensionsKernel:
@@ -150,25 +145,22 @@ class TestAssignAndEvaluateKernels:
 
     def test_assignment_matches(self, setting, dims, emulator):
         data, mids = setting
-        labels_em, _ = assign_points_emulated(data, mids, dims, emulator=emulator)
+        labels_em, _ = assign_points_emulated(
+            data, data[mids], dims, emulator=emulator
+        )
         labels_ref, _ = assign_points(data, data[mids], dims)
         assert np.array_equal(labels_em, labels_ref)
 
     def test_c_sets_partition_points(self, setting, dims):
         data, mids = setting
-        _, c_sets = assign_points_emulated(data, mids, dims)
+        _, c_sets = assign_points_emulated(data, data[mids], dims)
         all_points = np.concatenate(c_sets)
         assert sorted(all_points.tolist()) == list(range(data.shape[0]))
 
     def test_cost_matches_reference(self, setting, dims, emulator):
         data, mids = setting
-        labels, c_sets = assign_points_emulated(data, mids, dims)
-        n = data.shape[0]
-        c_pad = np.full((K, n), -1, dtype=np.int64)
-        c_sz = np.zeros(K, dtype=np.int64)
-        for i, s in enumerate(c_sets):
-            c_pad[i, : len(s)] = s
-            c_sz[i] = len(s)
+        labels, c_sets = assign_points_emulated(data, data[mids], dims)
+        c_pad, c_sz = pad_sets(c_sets, data.shape[0])
         cost_em = evaluate_clusters_emulated(data, c_pad, c_sz, dims, emulator=emulator)
         cost_ref = evaluate_clusters(data, labels, dims)
         assert cost_em == pytest.approx(cost_ref, rel=1e-12)
@@ -181,5 +173,5 @@ class TestOutlierKernel:
         dims, _ = find_dimensions_emulated(data, mids, padded, sizes, L)
         _, seg = assign_points(data, data[mids], dims)
         ref = find_outliers(seg, data[mids], dims)
-        got = find_outliers_emulated(data, mids, dims, emulator=emulator)
+        got = find_outliers_emulated(data, data[mids], dims, emulator=emulator)
         assert np.array_equal(ref, got)

@@ -21,6 +21,7 @@ from repro.gpu_impl.kernels import (
     assign_points_emulated,
     compute_l_emulated,
     find_dimensions_emulated,
+    pad_sets,
 )
 
 
@@ -48,14 +49,10 @@ class TestAtomicTrafficMatchesAccounting:
         data, mids = setting
         l_sets, _, _ = compute_l_emulated(data, mids)
         n = data.shape[0]
-        l_pad = np.full((4, n), -1, dtype=np.int64)
-        l_sz = np.zeros(4, dtype=np.int64)
-        for i, s in enumerate(l_sets):
-            l_pad[i, : len(s)] = s
-            l_sz[i] = len(s)
+        l_pad, l_sz = pad_sets(l_sets, n)
         dims, _ = find_dimensions_emulated(data, mids, l_pad, l_sz, 3)
         with count_atomics() as counter:
-            labels, c_sets = assign_points_emulated(data, mids, dims)
+            labels, c_sets = assign_points_emulated(data, data[mids], dims)
         # Per point: k shared-memory atomicMins + 1 append.
         assert counter[0] == n * len(mids) + n
         assert sum(len(c) for c in c_sets) == n
@@ -66,12 +63,7 @@ class TestAtomicTrafficMatchesAccounting:
         fewer than the sum's term count."""
         data, mids = setting
         l_sets, _, _ = compute_l_emulated(data, mids)
-        n = data.shape[0]
-        l_pad = np.full((4, n), -1, dtype=np.int64)
-        l_sz = np.zeros(4, dtype=np.int64)
-        for i, s in enumerate(l_sets):
-            l_pad[i, : len(s)] = s
-            l_sz[i] = len(s)
+        l_pad, l_sz = pad_sets(l_sets, data.shape[0])
         threads = 32
         with count_atomics() as counter:
             find_dimensions_emulated(
