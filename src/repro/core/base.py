@@ -341,8 +341,17 @@ class EngineBase(abc.ABC):
     def _assign_points(
         self, medoid_points: np.ndarray, dims: list
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Assign every point to its nearest medoid's subspace."""
-        return assign_points(self._columns, medoid_points, dims)
+        """Assign every point to its nearest medoid's subspace.
+
+        A medoid that the previous call of this fit also had, with the
+        same subspace, at any slot, gets that call's distance row
+        copied (:func:`~repro.core.distance.segmental_distances`).
+        """
+        labels, seg = assign_points(
+            self._columns, medoid_points, dims, self._last_assign
+        )
+        self._last_assign = (medoid_points, dims, seg)
+        return labels, seg
 
     def _evaluate_clusters(self, labels: np.ndarray, dims: list) -> float:
         """Average within-cluster subspace deviation (Definition 1)."""
@@ -396,6 +405,9 @@ class EngineBase(abc.ABC):
         # free (d, n) view with contiguous dimension rows, the layout
         # the data-parallel primitives read (repro.core.distance).
         self._columns = np.asfortranarray(data)
+        #: The last ``_assign_points`` call's medoids, subspaces and
+        #: ``seg``, whose rows the next call may reuse.
+        self._last_assign = None
         obs = self._obs = current_run().tracer
         with obs.span(
             "fit", category="run",
@@ -408,7 +420,7 @@ class EngineBase(abc.ABC):
                 result = self._run(data, started)
             finally:
                 self._teardown()
-                self._columns = None
+                self._columns = self._last_assign = None
             fit_span.set(
                 cost=result.cost,
                 iterations=result.iterations,

@@ -42,14 +42,21 @@ order), which is why :meth:`EngineBase.fit
 <repro.core.base.EngineBase.fit>` makes one column-major copy of the
 dataset per fit and passes it to these functions.  Results never
 depend on the input's memory layout: each temporary is built
-C-ordered, so a row-major caller pays a transposing copy but gets the
-same bits.
+C-ordered, so a row-major caller pays a transposing copy (or strided
+reads of each dimension row) but gets the same bits.
 
-Chunking: the distance primitives process rows in chunks of at most
-:data:`_CHUNK_ROWS` (fewer for a wide subspace gather).  No per-point
-value depends on chunking: every point adds its terms in dimension
-order, whatever the chunk's width (:func:`_add_rows`), so a call on a
+Scratch memory and chunking: the distance primitives process rows in
+chunks of at most :data:`_CHUNK_ROWS`.  :func:`euclidean_to_point` and
+:func:`abs_diff_dim_sums` hold one chunk of all ``d`` dimension rows;
+:func:`segmental_distances` builds one medoid's row at a time and
+holds one float32 scratch row of a chunk's length, whatever ``k`` and
+``|D_i|``.  No per-point value depends on chunking: every point adds
+its terms in dimension order, whatever the chunk's width
+(:func:`_add_rows`, or one dimension row at a time), so a call on a
 row range returns the same bits as those rows of a call on all rows.
+Nor does a segmental-distance row depend on which call built it: a
+call given an earlier call's rows copies those whose medoid and
+subspace it shares (:func:`segmental_distances`).
 
 Which sums may be reordered: the distance sums (Euclidean, segmental)
 and the per-dimension sums (``H``, ``X``) add float32 terms, exactly
@@ -78,7 +85,8 @@ __all__ = [
 MAX_EXACT_POINTS = 2**28
 
 #: Rows processed per chunk: bounds the temporary diff buffer to
-#: ~`_CHUNK_ROWS * d * 4` bytes (16 MiB at d = 15), so million-point
+#: ~`_CHUNK_ROWS * d * 4` bytes (16 MiB at d = 15), and the segmental
+#: distances' scratch row to `_CHUNK_ROWS * 4` bytes, so million-point
 #: datasets never allocate an n x d scratch copy.  Chunking cannot
 #: change a per-point value — every chunk's arithmetic is element-wise,
 #: and each point's sum adds its rows in order (:func:`_add_rows`).  A
@@ -206,40 +214,61 @@ def segmental_distances(
     data: np.ndarray,
     medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
+    previous: tuple | None = None,
 ) -> np.ndarray:
     """Manhattan segmental distances from all points to each medoid.
 
     ``dist[p, i] = sum_{j in D_i} |p_j - m_{i,j}| / |D_i|`` — the
     measure AssignPoints and RemoveOutliers use.
 
-    All ``sum |D_i|`` subspace rows are gathered into one block, and
-    the subtraction and absolute value run once over it, in place.
-    Each medoid's rows, in its sorted dimension order, then reduce
-    straight into row ``i`` of a ``(k, n)`` float64 buffer.  A chunk
-    holds fewer points when ``sum |D_i| > d``, so the block stays
-    within the ``_CHUNK_ROWS * d`` bound.
+    Each medoid's row is built on its own, as row ``i`` of a ``(k, n)``
+    float64 buffer: for each dimension of ``D_i``, in sorted order, the
+    subtraction and absolute value of that dimension row run in one
+    scratch row (float32 for float32 data), which is then added into
+    row ``i``.  The row is divided by ``|D_i|`` last.
+
+    ``previous`` is an earlier call's ``(medoid_points, dimensions,
+    result)`` on the same ``data``.  A medoid whose float32 coordinates
+    and ``D_i`` both equal those of one of that call's medoids, at any
+    slot, gets that medoid's row copied from ``result`` instead of
+    built.  The copy has the bits a build would have, since a row's
+    terms and the order they are added in follow from those
+    coordinates, ``D_i`` and ``data`` alone.
 
     Returns a float64 array of shape ``(n, k)``: the transpose of that
     buffer.
     """
     columns = data.T
-    n, d = data.shape
-    k = medoid_points.shape[0]
-    sizes = [len(dims) for dims in dimensions]
-    gather = np.array([j for dims in dimensions for j in dims], dtype=np.intp)
-    owner = np.repeat(np.arange(k), sizes)
-    medoid = medoid_points[owner, gather].astype(np.float32)[:, None]
-    ends = np.cumsum(sizes).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    step = max(1, _CHUNK_ROWS * d // max(d, len(gather)))
-    out = np.empty((k, n), dtype=np.float64)
-    for start in range(0, n, step):
-        stop = start + step
-        # Gathering the subspace rows makes a C-ordered copy.
-        diff = columns[gather, start:stop]
-        np.subtract(diff, medoid, out=diff)
-        np.abs(diff, out=diff)
-        for i, (low, high) in enumerate(spans):
-            _add_rows(diff[low:high], out[i, start:stop])
-    np.divide(out, np.array(sizes, dtype=np.float64)[:, None], out=out)
+    n = data.shape[0]
+    medoid_points = np.asarray(medoid_points, dtype=np.float32)
+    built = {}
+    if previous is not None:
+        points, dims, seg = previous
+        built = dict(zip(_row_keys(points, dims), seg.T))
+    out = np.empty((len(dimensions), n), dtype=np.float64)
+    scratch = np.empty(min(n, _CHUNK_ROWS), np.result_type(data, np.float32))
+    keys = _row_keys(medoid_points, dimensions)
+    for row, key, point, dims in zip(out, keys, medoid_points, dimensions):
+        if key in built:
+            row[...] = built[key]
+            continue
+        first, *rest = dims
+        for start in range(0, n, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            total = row[start:stop]
+            term = scratch[: len(total)]
+            np.subtract(columns[first, start:stop], point[first], out=term)
+            np.abs(term, out=total)
+            for j in rest:
+                np.subtract(columns[j, start:stop], point[j], out=term)
+                np.abs(term, out=term)
+                np.add(total, term, out=total)
+        np.divide(row, len(dims), out=row)
     return out.T
+
+
+def _row_keys(medoid_points: np.ndarray, dimensions) -> list[tuple]:
+    """What a segmental-distance row depends on besides the data: its
+    medoid's float32 coordinates and its subspace."""
+    points = np.asarray(medoid_points, dtype=np.float32)
+    return [(point.tobytes(), tuple(dims)) for point, dims in zip(points, dimensions)]

@@ -93,6 +93,7 @@ def assign_points(
     data: np.ndarray,
     medoid_points: np.ndarray,
     dimensions: tuple[tuple[int, ...], ...],
+    previous: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign each point to the medoid with the smallest Manhattan
     segmental distance within that medoid's subspace.
@@ -100,9 +101,11 @@ def assign_points(
     Returns ``(labels, seg)`` where ``labels`` is the ``(n,)`` cluster
     assignment (ties -> lowest cluster index) and ``seg`` the ``(n, k)``
     segmental-distance matrix, which the refinement phase reuses for
-    outlier detection.
+    outlier detection.  ``previous``, an earlier call's
+    ``(medoid_points, dimensions, seg)`` on the same ``data``, lends
+    the rows of the medoids it shares (:func:`segmental_distances`).
     """
-    seg = segmental_distances(data, medoid_points, dimensions)
+    seg = segmental_distances(data, medoid_points, dimensions, previous)
     # ``seg`` is the transpose of a (k, n) buffer: label from that.
     return _first_min_rows(seg.T), seg
 

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.distance import abs_diff_dim_sums, euclidean_to_point
-from ..core.phases import assign_points
+from ..core.distance import abs_diff_dim_sums
 from ..exceptions import ParameterError
 from ..gpu_impl.accounting import F32, GpuEngineMixin
 from ..gpu_impl.gpu_fast import GpuFastProclusEngine
@@ -133,11 +132,11 @@ class FleetEngineMixin(GpuEngineMixin):
     # ------------------------------------------------------------------
     # Sharded math (bit-identical by construction; see module docstring)
     # ------------------------------------------------------------------
-    # The per-row hooks are the solo calls.  They stay named here so
+    # The per-row hooks are the solo ones.  They stay named here so
     # that the benchmark's layer map (perfbench/layers.py) can time the
     # fleet's hooks on their own.
     def _distance_row(self, point: np.ndarray) -> np.ndarray:
-        return euclidean_to_point(self._columns, point)
+        return super()._distance_row(point)
 
     def _dim_sums(self, mask: np.ndarray, point: np.ndarray) -> np.ndarray:
         # The selected rows, cut at the shard bounds: one partial per
@@ -149,7 +148,7 @@ class FleetEngineMixin(GpuEngineMixin):
     def _assign_points(
         self, medoid_points: np.ndarray, dims
     ) -> tuple[np.ndarray, np.ndarray]:
-        return assign_points(self._columns, medoid_points, dims)
+        return super()._assign_points(medoid_points, dims)
 
     # _evaluate_clusters intentionally NOT overridden: the cost value is
     # computed canonically (order-sensitive pairwise sums); only its
