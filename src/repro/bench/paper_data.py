@@ -1,9 +1,9 @@
 """The paper's reported numbers, as structured data.
 
 A single authoritative place for every quantitative statement the paper
-makes, so the claims registry, the experiment reports, and the
-documentation all reference the same values (and so a reader can grep
-where each number is used).  Values are transcribed from the paper text
+makes.  The claims registry (:mod:`repro.bench.claims`) takes the paper
+values it checks or prints from :func:`lookup`, so a reader can grep
+where each number is used.  Values are transcribed from the paper text
 verbatim; see ``EXPERIMENTS.md`` for the comparison against this
 reproduction's measurements.
 """

@@ -57,7 +57,7 @@ from .fast_star import FastStarProclusEngine
 from .multiparam import MultiParamResult, ReuseLevel, run_study
 from .proclus import ProclusEngine
 
-__all__ = ["BACKENDS", "proclus", "run_parameter_study"]
+__all__ = ["BACKENDS", "proclus", "resolve_backend", "run_parameter_study"]
 
 #: Backend name -> engine class.
 BACKENDS: dict[str, type[EngineBase]] = {
@@ -85,7 +85,10 @@ BACKENDS: dict[str, type[EngineBase]] = {
 }
 
 
-def _resolve_backend(backend: str) -> type[EngineBase]:
+def resolve_backend(backend: str) -> type[EngineBase]:
+    """The engine class of ``backend``; raises
+    :class:`~repro.exceptions.ParameterError` naming every backend when
+    it is unknown."""
     try:
         return BACKENDS[backend]
     except KeyError:
@@ -132,7 +135,7 @@ def proclus(
     ProclusResult
         Clustering plus per-run work/timing statistics in ``.stats``.
     """
-    factory = _resolve_backend(backend)
+    factory = resolve_backend(backend)
     if params is None:
         params = ProclusParams(k=k, l=l)
     if normalize:
@@ -167,7 +170,7 @@ def run_parameter_study(
     enabling retry and backend degradation on device errors.  Plain
     studies build and fit each engine directly and pay zero overhead.
     """
-    factory = _resolve_backend(backend)
+    factory = resolve_backend(backend)
     if normalize:
         data = minmax_normalize(data)
     if resume and checkpoint_dir is None:

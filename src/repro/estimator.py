@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .core.api import BACKENDS, proclus
+from .core.api import proclus, resolve_backend
 from .core.predict import assign_new_points
 from .data.normalize import minmax_normalize
 from .exceptions import ParameterError
@@ -130,11 +130,7 @@ class PROCLUS:
     # ------------------------------------------------------------------
     def fit(self, x: np.ndarray) -> "PROCLUS":
         """Cluster ``x``; exposes ``labels_`` and friends."""
-        if self.backend not in BACKENDS:
-            raise ParameterError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {', '.join(sorted(BACKENDS))}"
-            )
+        resolve_backend(self.backend)
         if self.n_runs < 1:
             raise ParameterError(f"n_runs must be >= 1, got {self.n_runs}")
         data = self._prepare(x, fit=True)

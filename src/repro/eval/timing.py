@@ -46,23 +46,23 @@ def time_backend(
     dataset_factory: DatasetFactory,
     params: ProclusParams | None = None,
     repeats: int = 3,
-    base_seed: int = 0,
     **engine_kwargs,
 ) -> TimingResult:
-    """Average a backend's modeled time over ``repeats`` fresh datasets."""
+    """Average a backend's modeled time over ``repeats`` fresh datasets
+    (repeat ``r`` generates and fits with seed ``r``)."""
     params = params if params is not None else ProclusParams()
     per_run: list[float] = []
     wall = 0.0
     peak = 0.0
     iterations = 0.0
     for r in range(repeats):
-        dataset = dataset_factory(base_seed + r)
+        dataset = dataset_factory(r)
         data = minmax_normalize(dataset.data)
         result = proclus(
             data,
             backend=backend,
             params=params,
-            seed=base_seed + r,
+            seed=r,
             **engine_kwargs,
         )
         per_run.append(result.stats.modeled_seconds)
@@ -86,24 +86,24 @@ def time_parameter_study(
     grid: ParameterGrid | None = None,
     level: ReuseLevel | int = ReuseLevel.WARM_START,
     repeats: int = 3,
-    base_seed: int = 0,
     **engine_kwargs,
 ) -> TimingResult:
-    """Average modeled time *per setting* of a multi-parameter study."""
+    """Average modeled time *per setting* of a multi-parameter study
+    (repeat ``r`` generates and fits with seed ``r``)."""
     grid = grid if grid is not None else ParameterGrid()
     per_run: list[float] = []
     wall = 0.0
     peak = 0.0
     iterations = 0.0
     for r in range(repeats):
-        dataset = dataset_factory(base_seed + r)
+        dataset = dataset_factory(r)
         data = minmax_normalize(dataset.data)
         study = run_parameter_study(
             data,
             grid=grid,
             backend=backend,
             level=level,
-            seed=base_seed + r,
+            seed=r,
             **engine_kwargs,
         )
         per_run.append(study.average_seconds_per_setting)

@@ -82,8 +82,11 @@ class EmulatedKernelsMixin:
     """The engine hooks, run as emulated kernels."""
 
     def __init__(self, *args, schedule_seed: int | None = None, **kwargs) -> None:
-        """``schedule_seed`` shuffles intra-round thread order, proving
-        the result does not depend on warp scheduling."""
+        """``schedule_seed`` shuffles intra-round thread order, so a fit
+        can be repeated under another warp schedule.  That does not make
+        every output schedule-independent: the ``Z`` kernel's float64
+        atomic adds round in thread order
+        (``tests/test_kernel_atomic_order.py``)."""
         self.emulator = SimtEmulator(schedule_seed=schedule_seed)
         super().__init__(*args, **kwargs)
 

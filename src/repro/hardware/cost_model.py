@@ -238,6 +238,10 @@ class ScalarCpuModel(HardwareModel):
 class MulticoreCpuModel(HardwareModel):
     """OpenMP-style multi-core CPU model (same counters, shared cores)."""
 
+    #: Amdahl share of each region's work that cannot be parallelized
+    #: (reductions, critical sections).
+    _SERIAL_FRACTION = 0.02
+
     def __init__(self, spec: CpuSpec) -> None:
         super().__init__()
         self.spec = spec
@@ -251,17 +255,12 @@ class MulticoreCpuModel(HardwareModel):
         phase: str,
         scalar_ops: float = 0.0,
         vector_ops: float = 0.0,
-        regions: int = 1,
-        serial_fraction: float = 0.02,
     ) -> float:
-        """Account one or more parallel regions of work.
-
-        ``serial_fraction`` is the Amdahl share that cannot be
-        parallelized (reductions, critical sections).
-        """
+        """Account one parallel region of work."""
+        serial_fraction = self._SERIAL_FRACTION
         self.counter.add("cpu.scalar_ops", scalar_ops)
         self.counter.add("cpu.vector_ops", vector_ops)
-        self.counter.add("cpu.parallel_regions", regions)
+        self.counter.add("cpu.parallel_regions", 1)
         serial = (
             scalar_ops * serial_fraction / self.spec.scalar_ops_per_s
             + vector_ops * serial_fraction / self.spec.vector_ops_per_s
@@ -271,7 +270,7 @@ class MulticoreCpuModel(HardwareModel):
             scalar_ops * (1 - serial_fraction) / (self.spec.scalar_ops_per_s * speed)
             + vector_ops * (1 - serial_fraction) / (self.spec.vector_ops_per_s * speed)
         )
-        fork_join = regions * self.spec.fork_join_overhead_s
+        fork_join = self.spec.fork_join_overhead_s
         seconds = serial + parallel + fork_join
         # Fork/join overhead is the CPU analog of launch overhead; the
         # serial + parallel op time is the compute residual.

@@ -98,12 +98,6 @@ class WorkCounter:
         """Return a copy of all counters."""
         return dict(self._counts)
 
-    def merge(self, other: "WorkCounter") -> None:
-        """Fold another counter's totals into this one."""
-        for name, amount in other._counts.items():
-            self.add(name, amount)
-        self.kernel_launches.extend(other.kernel_launches)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         body = ", ".join(f"{k}={v:,.0f}" for k, v in sorted(self._counts.items()))
         return f"WorkCounter({body})"

@@ -77,7 +77,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ServiceMonitor",
         "SloObjective",
         "SloTracker",
-        "default_slos",
+        "SLOS",
         "load_health",
     ),
     "prometheus": (

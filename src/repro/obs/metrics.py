@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from ..hardware.cost_model import HardwareModel
@@ -67,7 +67,7 @@ class Histogram:
     """Streaming summary of observed values with fixed buckets.
 
     Tracks count/total/min/max exactly plus a per-bucket count over
-    :data:`DEFAULT_BUCKETS`-style upper bounds (Prometheus ``le``
+    the :data:`DEFAULT_BUCKETS` upper bounds (Prometheus ``le``
     semantics: a value lands in the first bucket whose bound is >= it;
     values above every bound land in the implicit +Inf overflow
     bucket).  :meth:`percentile` interpolates within buckets, clamped
@@ -76,20 +76,18 @@ class Histogram:
     exact value.
     """
 
-    __slots__ = ("count", "total", "min", "max", "buckets", "bucket_counts")
+    __slots__ = ("count", "total", "min", "max", "bucket_counts")
 
-    def __init__(self, buckets: Sequence[float] | None = None) -> None:
+    #: Upper bounds of the finite buckets, ascending.
+    buckets = DEFAULT_BUCKETS
+
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.buckets = (
-            tuple(sorted(float(b) for b in buckets))
-            if buckets is not None
-            else DEFAULT_BUCKETS
-        )
         #: Per-bucket (non-cumulative) counts; last slot is +Inf overflow.
-        self.bucket_counts = [0] * (len(self.buckets) + 1)
+        self.bucket_counts = [0] * (len(DEFAULT_BUCKETS) + 1)
 
     def observe(self, value: float) -> None:
         value = float(value)

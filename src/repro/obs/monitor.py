@@ -1,12 +1,12 @@
-"""SLO monitoring: declarative objectives, structured logs, health files.
+"""SLO monitoring: fixed objectives, structured logs, health files.
 
 PR 2 gave the repository raw telemetry; this module turns the serving
 layer's telemetry into *judgment*.  Three pieces:
 
-* :class:`SloObjective` / :func:`default_slos` — declarative service
-  level objectives (p95 queued latency, admission-rejection rate, a
-  hard zero on determinism violations, error-budget burn over a
-  sliding window);
+* :class:`SloObjective` / :data:`SLOS` — the service level objectives
+  (p95 queued latency, admission-rejection rate, a hard zero on
+  determinism violations, error-budget burn, fleet recovery time and
+  availability), each over a sliding 60 s window;
 * :class:`SloTracker` — consumes the service's
   :class:`~repro.serve.events.ServeEvent` stream and evaluates every
   objective against it;
@@ -26,9 +26,9 @@ The monitor directory layout::
       metrics.prom     latest Prometheus text-format scrape
       health.json      latest SLO health report (repro.health/1)
 
-Both JSONL logs rotate under a total size cap (``max_log_bytes``
-across ``log_segments`` numbered segments, oldest deleted first), so a
-long-running service never grows the directory without bound;
+Both JSONL logs rotate under a total size cap (:data:`MAX_LOG_BYTES`
+across :data:`LOG_SEGMENTS` numbered segments, oldest deleted first),
+so a long-running service never grows the directory without bound;
 :func:`read_monitor_events` reads rotated segments transparently.
 """
 
@@ -56,12 +56,16 @@ __all__ = [
     "HEALTH_SCHEMA",
     "MONITOR_EVENT_SCHEMA",
     "SNAPSHOT_SCHEMA",
+    "SLOS",
+    "ERROR_BUDGET",
+    "SNAPSHOT_EVERY_S",
+    "MAX_LOG_BYTES",
+    "LOG_SEGMENTS",
     "SloObjective",
     "SloResult",
     "SloReport",
     "SloTracker",
     "ServiceMonitor",
-    "default_slos",
     "load_health",
     "read_monitor_events",
 ]
@@ -73,10 +77,19 @@ MONITOR_EVENT_SCHEMA = "repro.monitor_event/1"
 #: Periodic metric snapshot record schema.
 SNAPSHOT_SCHEMA = "repro.monitor_snapshot/1"
 
+#: Failure rate over the window that burns the error budget at rate 1.
+ERROR_BUDGET = 0.01
+#: Event-stream seconds between two periodic snapshots.
+SNAPSHOT_EVERY_S = 1.0
+#: Total bytes each JSONL log keeps, split evenly over
+#: :data:`LOG_SEGMENTS` segments (the active file plus rotations).
+MAX_LOG_BYTES = 4 << 20
+LOG_SEGMENTS = 4
+
 
 @dataclass(frozen=True, slots=True)
 class SloObjective:
-    """One declarative objective: ``metric op threshold``.
+    """One objective: ``metric op threshold``.
 
     ``op`` is ``"<="`` (budget-style objectives), ``">="``
     (floor-style objectives like fleet availability), or ``"=="``
@@ -91,16 +104,6 @@ class SloObjective:
     threshold: float
     description: str = ""
     window_seconds: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.op not in ("<=", ">=", "=="):
-            raise ValueError(
-                f"op must be '<=', '>=' or '==', got {self.op!r}"
-            )
-        if self.window_seconds <= 0:
-            raise ValueError(
-                f"window_seconds must be positive, got {self.window_seconds}"
-            )
 
     def met(self, value: float) -> bool:
         if self.op == "==":
@@ -151,65 +154,51 @@ class SloReport:
         }
 
 
-def default_slos(
-    queued_p95_seconds: float = 0.5,
-    rejection_rate: float = 0.1,
-    burn_rate: float = 1.0,
-    window_seconds: float = 60.0,
-    mttr_seconds: float = 60.0,
-    availability: float = 0.5,
-) -> tuple[SloObjective, ...]:
-    """The service's default objectives (see ``docs/observability.md``)."""
-    return (
-        SloObjective(
-            name="queued-latency-p95",
-            metric="queued_latency_p95_seconds",
-            op="<=",
-            threshold=queued_p95_seconds,
-            description="p95 seconds a job waits between submit and start",
-            window_seconds=window_seconds,
-        ),
-        SloObjective(
-            name="rejection-rate",
-            metric="rejection_rate",
-            op="<=",
-            threshold=rejection_rate,
-            description="fraction of submissions refused by admission control",
-            window_seconds=window_seconds,
-        ),
-        SloObjective(
-            name="determinism-violations",
-            metric="determinism_violations",
-            op="==",
-            threshold=0.0,
-            description="served responses differing from their solo reference",
-            window_seconds=window_seconds,
-        ),
-        SloObjective(
-            name="error-budget-burn",
-            metric="error_budget_burn",
-            op="<=",
-            threshold=burn_rate,
-            description="failure rate over the window divided by the budget",
-            window_seconds=window_seconds,
-        ),
-        SloObjective(
-            name="fleet-mttr",
-            metric="fleet_mttr_seconds",
-            op="<=",
-            threshold=mttr_seconds,
-            description="mean seconds to recover a lost fleet member",
-            window_seconds=window_seconds,
-        ),
-        SloObjective(
-            name="fleet-availability",
-            metric="fleet_availability",
-            op=">=",
-            threshold=availability,
-            description="fraction of known fleet members currently serving",
-            window_seconds=window_seconds,
-        ),
-    )
+#: The service's objectives, in report order (``docs/observability.md``).
+SLOS: tuple[SloObjective, ...] = (
+    SloObjective(
+        name="queued-latency-p95",
+        metric="queued_latency_p95_seconds",
+        op="<=",
+        threshold=0.5,
+        description="p95 seconds a job waits between submit and start",
+    ),
+    SloObjective(
+        name="rejection-rate",
+        metric="rejection_rate",
+        op="<=",
+        threshold=0.1,
+        description="fraction of submissions refused by admission control",
+    ),
+    SloObjective(
+        name="determinism-violations",
+        metric="determinism_violations",
+        op="==",
+        threshold=0.0,
+        description="served responses differing from their solo reference",
+    ),
+    SloObjective(
+        name="error-budget-burn",
+        metric="error_budget_burn",
+        op="<=",
+        threshold=1.0,
+        description="failure rate over the window divided by the budget",
+    ),
+    SloObjective(
+        name="fleet-mttr",
+        metric="fleet_mttr_seconds",
+        op="<=",
+        threshold=60.0,
+        description="mean seconds to recover a lost fleet member",
+    ),
+    SloObjective(
+        name="fleet-availability",
+        metric="fleet_availability",
+        op=">=",
+        threshold=0.5,
+        description="fraction of known fleet members currently serving",
+    ),
+)
 
 
 def _event_dict(event: "ServeEvent | dict") -> dict[str, Any]:
@@ -217,7 +206,7 @@ def _event_dict(event: "ServeEvent | dict") -> dict[str, Any]:
 
 
 class SloTracker:
-    """Evaluates objectives against a live serve-event stream.
+    """Evaluates :data:`SLOS` against a live serve-event stream.
 
     Feed every :class:`~repro.serve.events.ServeEvent` (or its
     ``as_dict()`` form) to :meth:`observe`; determinism violations are
@@ -231,24 +220,9 @@ class SloTracker:
     long-lived service holds one window of samples, not its history.
     """
 
-    def __init__(
-        self,
-        objectives: Sequence[SloObjective] | None = None,
-        error_budget: float = 0.01,
-    ) -> None:
-        if not 0.0 < error_budget <= 1.0:
-            raise ValueError(
-                f"error_budget must be in (0, 1], got {error_budget}"
-            )
-        self.objectives = (
-            tuple(objectives) if objectives is not None else default_slos()
-        )
-        self.error_budget = error_budget
+    def __init__(self) -> None:
         #: Seconds of samples kept behind the latest ``ts``.
-        self._horizon = max(
-            (objective.window_seconds for objective in self.objectives),
-            default=0.0,
-        )
+        self._horizon = max(objective.window_seconds for objective in SLOS)
         self._lock = threading.Lock()
         self._last_ts = 0.0
         self._submit_ts: dict[int, float] = {}
@@ -359,7 +333,7 @@ class SloTracker:
             if not outcomes:
                 return 0.0
             failure_rate = sum(1 for ok in outcomes if not ok) / len(outcomes)
-            return failure_rate / self.error_budget
+            return failure_rate / ERROR_BUDGET
         if metric == "fleet_mttr_seconds":
             recoveries = [r for ts, r in self._recoveries if ts >= cutoff]
             return sum(recoveries) / len(recoveries) if recoveries else 0.0
@@ -377,7 +351,7 @@ class SloTracker:
         with self._lock:
             at = now if now is not None else self._last_ts
             results = []
-            for objective in self.objectives:
+            for objective in SLOS:
                 value = self.metric_value(
                     objective.metric, objective.window_seconds, at
                 )
@@ -400,9 +374,9 @@ class ServiceMonitor:
     and health files are replaced atomically so a concurrent reader
     never sees a torn file.
 
-    ``max_log_bytes`` caps each JSONL log's total footprint: the log
-    is kept as ``log_segments`` size-capped segments (the active file
-    plus numbered rotations, ``.1`` newest), and rotating past the last
+    Each JSONL log keeps at most :data:`MAX_LOG_BYTES` as
+    :data:`LOG_SEGMENTS` size-capped segments (the active file plus
+    numbered rotations, ``.1`` newest), and rotating past the last
     segment deletes the oldest — so a long loadgen run's directory
     stays bounded.  ``on_unhealthy``, when set to a callable, is
     invoked (outside the write lock) with every health report whose
@@ -414,32 +388,14 @@ class ServiceMonitor:
     _LOGS = ("events.jsonl", "snapshots.jsonl")
 
     def __init__(
-        self,
-        directory: str | Path,
-        metrics: MetricsRegistry | None = None,
-        objectives: Sequence[SloObjective] | None = None,
-        snapshot_every: float = 1.0,
-        error_budget: float = 0.01,
-        max_log_bytes: int = 4 << 20,
-        log_segments: int = 4,
+        self, directory: str | Path, metrics: MetricsRegistry | None = None
     ) -> None:
-        if max_log_bytes < 1:
-            raise ValueError(
-                f"max_log_bytes must be >= 1, got {max_log_bytes}"
-            )
-        if log_segments < 1:
-            raise ValueError(
-                f"log_segments must be >= 1, got {log_segments}"
-            )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.slo = SloTracker(objectives, error_budget=error_budget)
-        self.snapshot_every = snapshot_every
-        self.max_log_bytes = int(max_log_bytes)
-        self.log_segments = int(log_segments)
+        self.slo = SloTracker()
         #: Per-segment byte budget (one segment of the total cap).
-        self._segment_bytes = max(1, self.max_log_bytes // self.log_segments)
+        self._segment_bytes = MAX_LOG_BYTES // LOG_SEGMENTS
         #: Callback for unhealthy health reports (``None`` = disabled).
         self.on_unhealthy = None
         #: Correlates every log record of this service lifetime.
@@ -489,25 +445,21 @@ class ServiceMonitor:
 
     def _rotate(self, name: str) -> None:
         """Shift segments up one slot; the oldest falls off the end."""
-        oldest = self.directory / f"{name}.{self.log_segments - 1}"
-        if self.log_segments == 1:
-            oldest = self.directory / name
-        oldest.unlink(missing_ok=True)
-        for index in range(self.log_segments - 2, 0, -1):
+        (self.directory / f"{name}.{LOG_SEGMENTS - 1}").unlink(missing_ok=True)
+        for index in range(LOG_SEGMENTS - 2, 0, -1):
             segment = self.directory / f"{name}.{index}"
             if segment.exists():
                 segment.rename(self.directory / f"{name}.{index + 1}")
-        if self.log_segments > 1:
-            (self.directory / name).rename(self.directory / f"{name}.1")
+        (self.directory / name).rename(self.directory / f"{name}.1")
         self._log_sizes[name] = 0
 
     # ------------------------------------------------------------------
     # Snapshots and health
     # ------------------------------------------------------------------
     def maybe_snapshot(self, now: float) -> bool:
-        """Snapshot if at least ``snapshot_every`` seconds have passed."""
+        """Snapshot if at least :data:`SNAPSHOT_EVERY_S` seconds have passed."""
         with self._lock:
-            if now - self._last_snapshot < self.snapshot_every:
+            if now - self._last_snapshot < SNAPSHOT_EVERY_S:
                 return False
             self._last_snapshot = now
         self.snapshot(now)
@@ -579,10 +531,11 @@ class ServiceMonitor:
 
 
 # ----------------------------------------------------------------------
-# Reader side (used by `repro monitor`)
+# Reader side
 # ----------------------------------------------------------------------
 def load_health(directory: str | Path) -> dict:
-    """Read the latest ``health.json`` from a monitor directory.
+    """Read the latest ``health.json`` from a monitor directory (what
+    ``repro monitor`` renders).
 
     Raises :class:`FileNotFoundError` when the directory has no health
     report yet (the service has not snapshotted).

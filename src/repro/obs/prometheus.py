@@ -7,9 +7,9 @@ counters gain the conventional ``_total`` suffix, histograms are
 encoded as cumulative ``_bucket{le="..."}`` series plus ``_sum`` and
 ``_count``, and every name is sanitized into the metric charset with a
 ``repro_`` prefix.  :func:`parse_prometheus_text` is the scrape-side
-inverse used by the round-trip tests and by ``repro monitor`` — it
-reads a scrape back into plain values and raises on malformed or
-non-cumulative input, so an exposition bug cannot round-trip silently.
+inverse the round-trip tests use — it reads a scrape back into plain
+values and raises on malformed or non-cumulative input, so an
+exposition bug cannot round-trip silently.
 
 Label values are escaped per the exposition spec (backslash, double
 quote, and newline become ``\\\\``, ``\\"``, and ``\\n``), and

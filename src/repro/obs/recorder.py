@@ -112,9 +112,6 @@ class FlightRecorder:
     bundle_dir:
         When set, terminal failures auto-dump a postmortem bundle here
         (:meth:`auto_dump`); without it the recorder only records.
-    max_dataset_bytes:
-        Largest dataset payload embedded into a bundle (base64).
-        Larger datasets are recorded by fingerprint + shape only.
 
     Thread-safe: the serving layer records from client and worker
     threads concurrently.
@@ -124,7 +121,6 @@ class FlightRecorder:
         self,
         capacity: int = 256,
         bundle_dir: "str | Path | None" = None,
-        max_dataset_bytes: int = DEFAULT_MAX_DATASET_BYTES,
     ) -> None:
         if capacity < 1:
             raise ParameterError(
@@ -132,7 +128,6 @@ class FlightRecorder:
             )
         self.capacity = int(capacity)
         self.bundle_dir = Path(bundle_dir) if bundle_dir is not None else None
-        self.max_dataset_bytes = int(max_dataset_bytes)
         self.enabled = True
         self._lock = threading.Lock()
         self._rings: dict[str, deque] = {
@@ -393,7 +388,7 @@ class FlightRecorder:
             "reason": failure.get("reason", reason),
             "failure": failure,
             "job": job,
-            "dataset": _serialize_dataset(data, self.max_dataset_bytes),
+            "dataset": _serialize_dataset(data),
             "fault_schedule": schedule,
             "reference_digest": reference,
             "checkpoints": checkpoints,
@@ -411,30 +406,23 @@ class FlightRecorder:
         reason: str,
         error: "BaseException | None" = None,
         health: "dict | None" = None,
-        path: "str | Path | None" = None,
     ) -> Path:
         """Write one postmortem bundle; returns its path.
 
-        ``path`` overrides the bundle directory; otherwise the bundle
-        lands in ``bundle_dir`` under a unique
+        The bundle lands in ``bundle_dir`` under a unique
         ``postmortem-<reason>-<n>.json`` name.
         """
         payload = self.bundle(reason, error=error, health=health)
-        if path is None:
-            if self.bundle_dir is None:
-                raise ParameterError(
-                    "recorder has no bundle_dir; pass an explicit path"
-                )
-            self.bundle_dir.mkdir(parents=True, exist_ok=True)
-            slug = "".join(
-                ch if ch.isalnum() or ch == "-" else "-" for ch in reason
-            )
-            path = (
-                self.bundle_dir
-                / f"postmortem-{slug}-{len(self.dumped_paths) + 1:03d}.json"
-            )
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if self.bundle_dir is None:
+            raise ParameterError("recorder has no bundle_dir")
+        self.bundle_dir.mkdir(parents=True, exist_ok=True)
+        slug = "".join(
+            ch if ch.isalnum() or ch == "-" else "-" for ch in reason
+        )
+        path = (
+            self.bundle_dir
+            / f"postmortem-{slug}-{len(self.dumped_paths) + 1:03d}.json"
+        )
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
         tmp.replace(path)
@@ -528,9 +516,7 @@ def _spec_names(value: Any) -> "dict[str, Any] | None":
     return None
 
 
-def _serialize_dataset(
-    data: "np.ndarray | None", max_bytes: int
-) -> "dict[str, Any] | None":
+def _serialize_dataset(data: "np.ndarray | None") -> "dict[str, Any] | None":
     if data is None:
         return None
     from ..data.fingerprint import dataset_fingerprint
@@ -542,6 +528,6 @@ def _serialize_dataset(
         "dtype": str(array.dtype),
         "data_b64": None,
     }
-    if array.nbytes <= max_bytes:
+    if array.nbytes <= DEFAULT_MAX_DATASET_BYTES:
         record["data_b64"] = base64.b64encode(array.tobytes()).decode()
     return record

@@ -54,7 +54,7 @@ from typing import Any
 import numpy as np
 
 from ..core.state import SharedStudyState
-from ..exceptions import ParameterError, ReproError, ResilienceExhaustedError
+from ..exceptions import ReproError, ResilienceExhaustedError
 from ..obs.tracer import RunContext, current_run, use_run
 from ..result import ProclusResult
 from ..rng import RandomSource
@@ -174,13 +174,10 @@ class ResilientRunner:
         engine_kwargs: dict[str, Any] | None = None,
     ) -> ResilientOutcome:
         """Fit ``backend`` on ``data``, recovering per the policy."""
-        from ..core.api import BACKENDS  # deferred: api imports engines
+        # Deferred: api imports engines.
+        from ..core.api import BACKENDS, resolve_backend
 
-        if backend not in BACKENDS:
-            raise ParameterError(
-                f"unknown backend {backend!r}; "
-                f"available: {', '.join(sorted(BACKENDS))}"
-            )
+        resolve_backend(backend)
         policy = self.policy
         ladder = policy.ladder_for(backend)
         engine_kwargs = dict(engine_kwargs or {})

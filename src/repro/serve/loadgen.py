@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core.api import BACKENDS, proclus
+from ..core.api import proclus, resolve_backend
 from ..data import generate_subspace_data, minmax_normalize
 from ..exceptions import ParameterError
 from ..hardware.specs import GTX_1660_TI, GpuSpec
@@ -85,11 +85,7 @@ def run_loadgen(
             f"num_requests must be >= 1, got {num_requests}"
         )
     for backend in backends:
-        if backend not in BACKENDS:
-            raise ParameterError(
-                f"unknown backend {backend!r}; "
-                f"available: {', '.join(sorted(BACKENDS))}"
-            )
+        resolve_backend(backend)
     spec = gpu_spec if gpu_spec is not None else GTX_1660_TI
     say = progress if progress is not None else (lambda message: None)
 

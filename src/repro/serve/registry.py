@@ -68,11 +68,6 @@ class DatasetRegistry:
         with self._lock:
             return len(self._datasets)
 
-    def fingerprints(self) -> list[str]:
-        """Registered fingerprints, in registration order."""
-        with self._lock:
-            return list(self._datasets)
-
     def total_bytes(self) -> int:
         """Host bytes held by the registry."""
         with self._lock:

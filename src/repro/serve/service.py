@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.api import resolve_backend
 from ..core.multiparam import build_solo_shared_state
 from ..exceptions import ReproError, ServeError
 from ..fleet.fleet import Fleet
@@ -115,7 +116,7 @@ class ClusterService:
         :class:`~repro.obs.monitor.ServiceMonitor` — one structured
         JSON log record per event (with trace/span ids), metric
         snapshots at most once a second, a Prometheus scrape, and a
-        ``health.json`` report on the default SLOs.  ``repro monitor``
+        ``health.json`` report on the service SLOs.  ``repro monitor``
         reads this directory.
     recorder, postmortem_dir:
         Attach a :class:`~repro.obs.recorder.FlightRecorder` (default:
@@ -241,6 +242,8 @@ class ClusterService:
 
         Pass either ``data`` (registered on the fly) or the
         ``fingerprint`` of a previously registered dataset.  Raises
+        :class:`~repro.exceptions.ParameterError` for an unknown
+        backend or invalid params, before any event, and
         :class:`~repro.exceptions.AdmissionError` when admission
         control refuses the request.
         """
@@ -248,6 +251,7 @@ class ClusterService:
             raise ServeError("service is closed")
         if (data is None) == (fingerprint is None):
             raise ServeError("pass exactly one of data or fingerprint")
+        resolve_backend(backend)
         if data is not None:
             fingerprint = self.registry.register(data)
         dataset = self.registry.get(fingerprint)

@@ -317,10 +317,10 @@ class TestMonitoringDoc:
             assert schema in text, schema
 
     def test_default_slos_documented_by_name(self):
-        from repro.obs import default_slos
+        from repro.obs import SLOS
 
         text = read("docs/observability.md")
-        for objective in default_slos():
+        for objective in SLOS:
             assert objective.name in text, objective.name
 
     def test_baseline_store_location_matches_the_code(self):
@@ -454,8 +454,8 @@ class TestPostmortemDoc:
 
     def test_rotation_and_escaping_documented(self):
         text = read("docs/observability.md")
-        assert "max_log_bytes" in text
-        assert "log_segments" in text
+        assert "MAX_LOG_BYTES" in text
+        assert "LOG_SEGMENTS" in text
         assert "escape_label_value" in text
         assert "parse_labels" in text
 

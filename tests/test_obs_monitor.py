@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+import repro.obs.monitor as obs_monitor
 from repro.obs import (
+    SLOS,
     MetricsRegistry,
     ServiceMonitor,
     SloObjective,
     SloTracker,
-    default_slos,
     load_health,
     parse_prometheus_text,
     validate_bench_report,
@@ -26,17 +28,6 @@ def _event(kind: str, ts: float, job_id: int = 1, **kwargs) -> ServeEvent:
 
 
 class TestSloObjective:
-    def test_rejects_unknown_op(self):
-        with pytest.raises(ValueError, match="op must be"):
-            SloObjective(name="x", metric="m", op="<", threshold=1.0)
-
-    def test_rejects_non_positive_window(self):
-        with pytest.raises(ValueError, match="window_seconds"):
-            SloObjective(
-                name="x", metric="m", op="<=", threshold=1.0,
-                window_seconds=0.0,
-            )
-
     def test_le_and_eq_semantics(self):
         budget = SloObjective(name="b", metric="m", op="<=", threshold=0.1)
         assert budget.met(0.1) and budget.met(0.0) and not budget.met(0.2)
@@ -44,7 +35,7 @@ class TestSloObjective:
         assert hard.met(0.0) and not hard.met(1.0)
 
     def test_default_slos_cover_the_objectives(self):
-        names = {obj.name for obj in default_slos()}
+        names = {obj.name for obj in SLOS}
         assert names == {
             "queued-latency-p95", "rejection-rate",
             "determinism-violations", "error-budget-burn",
@@ -94,11 +85,11 @@ class TestSloTracker:
         assert rate == 0.0
 
     def test_error_budget_burn(self):
-        tracker = SloTracker(error_budget=0.1)
+        tracker = SloTracker()
         for ts, ok in ((1.0, True), (2.0, True), (3.0, True), (4.0, False)):
             tracker.observe(_event("complete" if ok else "fail", ts=ts))
         burn = tracker.metric_value("error_budget_burn", window=60.0, now=5.0)
-        assert burn == pytest.approx(0.25 / 0.1)
+        assert burn == pytest.approx(0.25 / 0.01)
 
     def test_violations_are_window_independent(self):
         tracker = SloTracker()
@@ -111,10 +102,6 @@ class TestSloTracker:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown SLO metric"):
             SloTracker().metric_value("nope", window=1.0, now=0.0)
-
-    def test_invalid_error_budget_rejected(self):
-        with pytest.raises(ValueError, match="error_budget"):
-            SloTracker(error_budget=0.0)
 
     def test_evaluate_defaults_to_last_event_ts(self):
         tracker = SloTracker()
@@ -175,20 +162,14 @@ class TestSloTrackerRetention:
     def test_keeps_one_window_and_reports_as_if_untrimmed(self):
         events = _an_hour_of_service()
         tracker = SloTracker()
-        # An objective looking back two hours keeps the whole hour.
-        untrimmed = SloTracker(
-            default_slos() + (
-                SloObjective(
-                    name="long", metric="rejection_rate", op="<=",
-                    threshold=1.0, window_seconds=7200.0,
-                ),
-            )
-        )
+        # A tracker keeping two hours of samples keeps the whole hour.
+        untrimmed = SloTracker()
+        untrimmed._horizon = 7200.0
         for event in events:
             tracker.observe(event)
             untrimmed.observe(event)
         latest = events[-1].ts
-        window = max(obj.window_seconds for obj in default_slos())
+        window = max(obj.window_seconds for obj in SLOS)
         samples = {
             "queued": [ts for ts, _ in tracker._queued],
             "submits": list(tracker._submits),
@@ -206,7 +187,7 @@ class TestSloTrackerRetention:
         reference = {
             r.objective.name: r for r in untrimmed.evaluate(now=latest).results
         }
-        assert set(report) == {obj.name for obj in default_slos()}
+        assert set(report) == {obj.name for obj in SLOS}
         for name, result in report.items():
             assert result.value == reference[name].value, name
             assert result.ok == reference[name].ok, name
@@ -266,10 +247,10 @@ class TestServiceMonitor:
         assert scraped["counters"]["repro_serve_requests"] == 5.0
 
     def test_snapshot_throttling(self, tmp_path):
-        monitor = ServiceMonitor(tmp_path, snapshot_every=10.0)
+        monitor = ServiceMonitor(tmp_path)
         assert monitor.maybe_snapshot(0.0) is True
-        assert monitor.maybe_snapshot(5.0) is False
-        assert monitor.maybe_snapshot(10.0) is True
+        assert monitor.maybe_snapshot(0.5) is False
+        assert monitor.maybe_snapshot(1.0) is True
 
     def test_health_only_surfaces_serve_counters(self, tmp_path):
         registry = MetricsRegistry()
@@ -285,20 +266,6 @@ class TestServiceMonitor:
         first.on_event(_event("submit", ts=0.1))
         ServiceMonitor(tmp_path)
         assert read_monitor_events(tmp_path) == []
-
-    def test_custom_objectives(self, tmp_path):
-        strict = (
-            SloObjective(
-                name="no-queueing", metric="queued_latency_p95_seconds",
-                op="<=", threshold=0.0,
-            ),
-        )
-        monitor = ServiceMonitor(tmp_path, objectives=strict)
-        monitor.on_event(_event("submit", ts=1.0, job_id=1))
-        monitor.on_event(_event("start", ts=1.5, job_id=1))
-        report = monitor.flush()
-        assert report["ok"] is False
-        assert [slo["name"] for slo in report["slos"]] == ["no-queueing"]
 
 
 class TestReaderSide:
@@ -387,15 +354,23 @@ class TestServiceIntegration:
 
 
 class TestLogRotation:
+    """Rotation under a small cap: each test shrinks ``MAX_LOG_BYTES``."""
+
+    @pytest.fixture(autouse=True)
+    def _no_periodic_snapshots(self, monkeypatch):
+        # Events one second apart would otherwise snapshot on each one.
+        monkeypatch.setattr(obs_monitor, "SNAPSHOT_EVERY_S", math.inf)
+
     def _flood(self, monitor: ServiceMonitor, count: int) -> None:
         for index in range(count):
             monitor.on_event(_event("submit", ts=float(index), job_id=index))
 
-    def test_long_run_keeps_directory_under_the_cap(self, tmp_path):
+    def test_long_run_keeps_directory_under_the_cap(
+        self, tmp_path, monkeypatch
+    ):
         cap = 8192
-        monitor = ServiceMonitor(
-            tmp_path, max_log_bytes=cap, log_segments=4, snapshot_every=1e9
-        )
+        monkeypatch.setattr(obs_monitor, "MAX_LOG_BYTES", cap)
+        monitor = ServiceMonitor(tmp_path)
         self._flood(monitor, 2000)
         total = sum(
             path.stat().st_size for path in tmp_path.glob("events.jsonl*")
@@ -409,10 +384,11 @@ class TestLogRotation:
         assert total <= cap + 4 * longest
         assert list(tmp_path.glob("events.jsonl.*"))  # rotation happened
 
-    def test_read_monitor_events_spans_rotated_segments(self, tmp_path):
-        monitor = ServiceMonitor(
-            tmp_path, max_log_bytes=4096, log_segments=4, snapshot_every=1e9
-        )
+    def test_read_monitor_events_spans_rotated_segments(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(obs_monitor, "MAX_LOG_BYTES", 4096)
+        monitor = ServiceMonitor(tmp_path)
         self._flood(monitor, 300)
         assert list(tmp_path.glob("events.jsonl.*"))
         ids = [record["job_id"] for record in read_monitor_events(tmp_path)]
@@ -421,10 +397,9 @@ class TestLogRotation:
         assert ids and ids[-1] == 299
         assert ids == list(range(ids[0], 300))
 
-    def test_snapshots_rotate_too(self, tmp_path):
-        monitor = ServiceMonitor(
-            tmp_path, max_log_bytes=2048, log_segments=2, snapshot_every=0.0
-        )
+    def test_snapshots_rotate_too(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(obs_monitor, "MAX_LOG_BYTES", 2048)
+        monitor = ServiceMonitor(tmp_path)
         for index in range(100):
             monitor.snapshot(now=float(index))
         total = sum(
@@ -435,38 +410,24 @@ class TestLogRotation:
             for path in tmp_path.glob("snapshots.jsonl*")
             for line in path.read_text().splitlines()
         )
-        assert total <= 2048 + 2 * longest
-
-    def test_single_segment_rotation_truncates_in_place(self, tmp_path):
-        monitor = ServiceMonitor(
-            tmp_path, max_log_bytes=1024, log_segments=1, snapshot_every=1e9
-        )
-        self._flood(monitor, 200)
-        assert list(tmp_path.glob("events.jsonl.*")) == []
-        assert (tmp_path / "events.jsonl").stat().st_size <= 1024 + 256
+        assert total <= 2048 + 4 * longest
+        assert list(tmp_path.glob("snapshots.jsonl.*"))
 
     def test_init_unlinks_rotated_segments_from_previous_lifetime(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        monitor = ServiceMonitor(
-            tmp_path, max_log_bytes=2048, log_segments=3, snapshot_every=1e9
-        )
+        monkeypatch.setattr(obs_monitor, "MAX_LOG_BYTES", 2048)
+        monitor = ServiceMonitor(tmp_path)
         self._flood(monitor, 200)
         assert list(tmp_path.glob("events.jsonl.*"))
         ServiceMonitor(tmp_path)
         assert list(tmp_path.glob("events.jsonl.*")) == []
         assert read_monitor_events(tmp_path) == []
 
-    def test_rejects_bad_rotation_config(self, tmp_path):
-        with pytest.raises(ValueError, match="max_log_bytes"):
-            ServiceMonitor(tmp_path, max_log_bytes=0)
-        with pytest.raises(ValueError, match="log_segments"):
-            ServiceMonitor(tmp_path, log_segments=0)
-
 
 class TestUnhealthyHook:
     def test_hook_fires_on_failing_report_outside_the_lock(self, tmp_path):
-        monitor = ServiceMonitor(tmp_path, snapshot_every=0.0)
+        monitor = ServiceMonitor(tmp_path)
         seen = []
         monitor.on_unhealthy = seen.append
         monitor.slo.record_violations(1)
@@ -476,7 +437,7 @@ class TestUnhealthyHook:
         monitor.on_unhealthy = lambda report: monitor.snapshot(now=2.0)
 
     def test_hook_not_called_while_healthy(self, tmp_path):
-        monitor = ServiceMonitor(tmp_path, snapshot_every=0.0)
+        monitor = ServiceMonitor(tmp_path)
         monitor.on_unhealthy = lambda report: (_ for _ in ()).throw(
             AssertionError("must not fire")
         )
@@ -485,7 +446,7 @@ class TestUnhealthyHook:
         monitor.snapshot(now=1.0)
 
     def test_hook_exceptions_are_swallowed(self, tmp_path):
-        monitor = ServiceMonitor(tmp_path, snapshot_every=0.0)
+        monitor = ServiceMonitor(tmp_path)
 
         def explode(report):
             raise RuntimeError("hook bug")

@@ -339,6 +339,20 @@ class TestClusterService:
             with pytest.raises(ServeError, match="unknown dataset"):
                 service.submit(fingerprint="a" * 64)
 
+    def test_unknown_backend_refused_before_any_event(self, small_dataset):
+        """A client's typo is refused like invalid params, not admitted
+        to fail on a worker and count as a service failure."""
+        data, _ = small_dataset
+        with pytest.raises(ParameterError) as direct:
+            proclus(data, backend="no-such-backend")
+        with ClusterService(workers=1) as service:
+            with pytest.raises(ParameterError) as served:
+                service.submit(data=data, backend="no-such-backend")
+            service.drain()
+            assert str(served.value) == str(direct.value)
+            assert service.log.as_dicts() == []
+            assert service.stats()["counters"].get("serve.failed", 0) == 0
+
     def test_submit_by_fingerprint_after_register(self, small_dataset):
         data, _ = small_dataset
         with ClusterService(workers=1) as service:
