@@ -212,14 +212,29 @@ class EngineBase(abc.ABC):
         """``X`` and ``|L_i|`` summed afresh over every sphere (no ``H``).
 
         ``dist`` and ``medoid_ids`` are as for :meth:`_delta`, whose
-        radii bound the spheres.
+        radii bound the spheres.  The model charges every sphere.  The
+        host reuses the previous call's ``X`` row and ``|L_i|`` of a
+        medoid whose point id and float32 radius ``δ_i`` both equal
+        those of one of that call's medoids, at any slot: a sphere and
+        its sums depend on nothing else but the data, so the reused
+        values have the bits of a fresh sum.
         """
-        masks = dist <= self._delta(dist, medoid_ids)[:, None]
-        sizes = np.count_nonzero(masks, axis=1)
-        medoid_points = self._data[medoid_ids]
-        x = np.empty(medoid_points.shape, dtype=np.float64)
-        for i, mask in enumerate(masks):
-            x[i] = self._dim_sums(mask, medoid_points[i]) / sizes[i]
+        delta = self._delta(dist, medoid_ids)
+        keys = list(zip(medoid_ids.tolist(), delta.tolist()))
+        summed = {}
+        if self._last_spheres is not None:
+            old_keys, old_x, old_sizes = self._last_spheres
+            summed = dict(zip(old_keys, zip(old_x, old_sizes)))
+        x = np.empty((len(keys), self._data.shape[1]), dtype=np.float64)
+        sizes = np.empty(len(keys), dtype=np.intp)
+        for i, key in enumerate(keys):
+            if key in summed:
+                x[i], sizes[i] = summed[key]
+                continue
+            mask = dist[i] <= delta[i]
+            sizes[i] = np.count_nonzero(mask)
+            x[i] = self._dim_sums(mask, self._data[key[0]]) / sizes[i]
+        self._last_spheres = (keys, x, sizes)
         self._account_l_and_x(int(sizes.sum()))
         return x, sizes
 
@@ -406,8 +421,10 @@ class EngineBase(abc.ABC):
         # the data-parallel primitives read (repro.core.distance).
         self._columns = np.asfortranarray(data)
         #: The last ``_assign_points`` call's medoids, subspaces and
-        #: ``seg``, whose rows the next call may reuse.
-        self._last_assign = None
+        #: ``seg``, whose rows the next call may reuse; likewise the
+        #: baseline's last ComputeL distance rows (point ids, rows) and
+        #: the last full-sphere sums (keys, ``X`` rows, sizes).
+        self._last_assign = self._last_rows = self._last_spheres = None
         obs = self._obs = current_run().tracer
         with obs.span(
             "fit", category="run",
@@ -421,6 +438,7 @@ class EngineBase(abc.ABC):
             finally:
                 self._teardown()
                 self._columns = self._last_assign = None
+                self._last_rows = self._last_spheres = None
             fit_span.set(
                 cost=result.cost,
                 iterations=result.iterations,

@@ -255,7 +255,9 @@ class GpuEngineMixin:
 
     def _account_find_dimensions(self, k: int, d: int) -> None:
         kd = k * d
-        # Combined Y / sigma / Z kernel (one launch saves global traffic).
+        # Combined Y / sigma / Z kernel (one launch saves global traffic),
+        # charged with the paper's atomic adds for Y and sigma; the
+        # emulated kernel adds those terms in one fixed order instead.
         self.device.launch(
             "find_dimensions.z",
             "find_dimensions",

@@ -47,21 +47,46 @@ def _z_kernel(
     sigma: np.ndarray,
     z: np.ndarray,
 ):
-    """Lines 7-14: combined Y / sigma / Z computation with barriers."""
+    """Lines 7-14: combined Y / sigma / Z computation with barriers.
+
+    ``Y_i`` and ``sigma_i`` add float64 quotients and squares, which
+    round, so their value depends on the order of the additions.  Each
+    thread therefore writes its terms to a block-shared array, and the
+    terms are added in one fixed order (:func:`_in_thread_order`): the
+    value an in-order schedule's atomic adds would give, under any
+    schedule.
+    """
     i = ctx.bx
     d = x.shape[1]
+    threads = ctx.block_dim[0]
+    terms = ctx.shared.array("y_terms", d, np.float64)
     for j in ctx.block_stride(d):
-        atomic_add(y, i, x[i, j] / d)
-    yield  # __syncthreads: Y_i complete before deviations
+        terms[j] = x[i, j] / d
+    yield  # __syncthreads: every Y term written
+    mean = _in_thread_order(terms, threads)
+    if ctx.tx == 0:
+        y[i] = mean
+    squares = ctx.shared.array("sigma_terms", d, np.float64)
     for j in ctx.block_stride(d):
-        dev = x[i, j] - y[i]
-        atomic_add(sigma, i, dev * dev)
-    yield  # __syncthreads: sigma sum complete
-    if ctx.tx == 0 and d > 1:
-        sigma[i] = math.sqrt(sigma[i] / (d - 1))
+        dev = x[i, j] - mean
+        squares[j] = dev * dev
+    yield  # __syncthreads: every sigma term written
+    if ctx.tx == 0:
+        total = _in_thread_order(squares, threads)
+        sigma[i] = math.sqrt(total / (d - 1)) if d > 1 else total
     yield  # __syncthreads: sigma finalized
     for j in ctx.block_stride(d):
         z[i, j] = (x[i, j] - y[i]) / sigma[i] if sigma[i] > 0 else 0.0
+
+
+def _in_thread_order(terms: np.ndarray, threads: int) -> float:
+    """The sum of ``terms`` from 0, added by thread index first and
+    each thread's block-stride indices ascending."""
+    total = 0.0
+    for tx in range(threads):
+        for j in range(tx, len(terms), threads):
+            total += terms[j]
+    return total
 
 
 def x_emulated(

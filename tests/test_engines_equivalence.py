@@ -21,6 +21,29 @@ from repro.params import ProclusParams
 ALL = sorted(BACKENDS)
 
 
+#: Backends whose ``X`` the engine-level property compares with
+#: ``proclus``'s; the fleet ones run on 3 devices.
+X_BACKENDS = (
+    "fast", "fast-star", "gpu", "gpu-fast", "gpu-fast-star",
+    "fleet-gpu", "fleet-gpu-fast",
+)
+
+
+def x_per_call(backend, data, params, seed):
+    """Every ``X`` a ``backend`` fit hands ``_find_dimensions``, in order:
+    one per iteration, then the refinement's."""
+    seen = []
+
+    class Recording(BACKENDS[backend]):
+        def _find_dimensions(self, x):
+            seen.append(x.copy())
+            return super()._find_dimensions(x)
+
+    kwargs = {"fleet": 3} if backend.startswith("fleet-") else {}
+    Recording(params=params, seed=seed, **kwargs).fit(data)
+    return seen
+
+
 def run_all(data, params, seed):
     return {
         name: proclus(data, backend=name, params=params, seed=seed)
@@ -101,6 +124,33 @@ class TestPropertyBasedEquivalence:
             other = proclus(data, backend=name, params=params, seed=algo_seed)
             assert other.same_clustering(base)
             assert other.cost == base.cost
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(80, 400),
+        d=st.integers(4, 10),
+        clusters=st.integers(2, 5),
+        seed=st.integers(0, 1_000),
+        algo_seed=st.integers(0, 1_000),
+    )
+    def test_x_bit_identical_across_backends(
+        self, n, d, clusters, seed, algo_seed
+    ):
+        """Every ``X`` a fit hands FindDimensions has the same bits on
+        every backend: the full-sphere sums, the incremental ``H`` and
+        the fleet's merged shard partials."""
+        ds = generate_subspace_data(
+            n=n, d=d, n_clusters=clusters,
+            subspace_dims=min(3, d), seed=seed,
+        )
+        data = minmax_normalize(ds.data)
+        params = ProclusParams(k=clusters, l=min(3, d), a=15, b=4)
+        base = x_per_call("proclus", data, params, algo_seed)
+        for name in X_BACKENDS:
+            got = x_per_call(name, data, params, algo_seed)
+            assert len(got) == len(base) > 1, name
+            for x, ref in zip(got, base):
+                assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes(), name
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 10_000))

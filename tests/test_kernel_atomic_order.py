@@ -1,7 +1,7 @@
 """Any GPU atomic order gives the same sums, checked at kernel level.
 
-ROADMAP item 3's third contract.  The kernels below add float64
-values with ``atomic_add`` in whatever order their threads run;
+The ``X`` and ``H`` kernels below add float64 values with
+``atomic_add`` in whatever order their threads run;
 :func:`repro.gpu.checker.check_schedule_independence` replays each
 launch under shuffled warp schedules and compares every output bit for
 bit.  The ``X`` sums (Algorithm 4) and FAST's incremental ``H`` update
@@ -10,10 +10,10 @@ min-max-normalized generator data, so every order gives the same bits.
 Inputs whose tiny terms break that exactness are pinned by the strict
 xfail in ``tests/test_distance.py``.
 
-The ``Z`` kernel is not order-independent: its ``Y`` and ``sigma``
-atomics add float64 quotients and squares that round, so the last bits
-of ``Y``, ``sigma`` and ``Z`` follow the thread order.  Its test is a
-strict xfail that fails the day that changes.
+The ``Z`` kernel's ``Y`` and ``sigma`` add float64 quotients and
+squares that round, so it adds them in one fixed order from
+block-shared arrays instead of with atomics, and its ``Y``, ``sigma``
+and ``Z`` keep their bits under every schedule too.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ def test_h_update_is_schedule_independent(seed):
     assert result.independent, result.max_differences
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the Z kernel's float64 atomic adds for Y and sigma round in "
-    "thread order (ROADMAP item 3)",
-)
 def test_z_is_schedule_independent():
     for seed in SEEDS:
         data, medoids, _, spheres = _spheres(seed)
